@@ -1,13 +1,13 @@
 """Error-correcting codes built by greedy scan, with exhaustively certified
 minimum distance.
 
-gv_greedy scans all q^length words in lexicographic order and keeps every
-word at Hamming distance >= min_dist from everything kept so far.  The
-result is a maximal code, so its size meets the classical floor
-q^length / V_q(length, min_dist - 1), which is asserted on every build.
-complement_extend doubles a binary code's length by appending each word's
-complement, which doubles the absolute minimum distance and makes every
-word constant-weight length/2.
+gv_greedy walks a bitmap of the q^length words in lexicographic order: it
+keeps each word not yet marked and marks its Hamming ball of radius
+min_dist - 1.  The result is a maximal code, so its size meets the
+classical floor q^length / V_q(length, min_dist - 1), which is asserted on
+every build.  complement_extend doubles a binary code's length by appending
+each word's complement, which doubles the absolute minimum distance and
+makes every word constant-weight length/2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .exactmath import binomial_ball_size
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 DEFAULT_PAIR_BUDGET = 50_000_000
-_BLOCK = 4096
+_WINDOW = 1 << 12  # bitmap words searched at a time for the next free word
 
 
 def v_q(q: int, n: int, r: int) -> int:
@@ -119,15 +119,16 @@ def certified_qary(q: int, length: int, words, *, pair_budget: int = DEFAULT_PAI
     return QaryCode(alphabet_size=q, length=length, words=words, min_distance=dmin)
 
 
-def _lex_block(q: int, length: int, start: int, stop: int) -> np.ndarray:
-    """Words number start..stop-1 in lexicographic order, as a (stop-start,
-    length) uint8 block.  Lexicographic order over symbol tuples equals
-    numeric order of the mixed-radix value with coordinate 0 most significant."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    cols = np.empty((stop - start, length), dtype=np.uint8)
-    for pos in range(length):
-        cols[:, pos] = (idx // q ** (length - 1 - pos)) % q
-    return cols
+def _ball_shifts(q: int, length: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digit-wise shifts (mod q) from a word to each word within Hamming
+    distance radius of it, and the weight of each shift."""
+    shifts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(length):  # append a digit: 0 keeps the weight, 1..q-1 adds one
+        grow = shifts[np.count_nonzero(shifts, axis=1) < radius]
+        grown = np.column_stack([np.repeat(grow, q - 1, axis=0),
+                                 np.tile(np.arange(1, q), len(grow))])
+        shifts = np.concatenate([np.pad(shifts, ((0, 0), (0, 1))), grown])
+    return shifts, np.count_nonzero(shifts, axis=1)
 
 
 def gv_greedy(q: int, length: int, min_dist: int, *,
@@ -135,6 +136,8 @@ def gv_greedy(q: int, length: int, min_dist: int, *,
               pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Deterministic greedy code: scan all q^length words in lexicographic
     order, keep each word whose distance to everything kept is >= min_dist.
+    A bitmap of one bool per word marks each kept word's Hamming ball: m kept
+    words take O(q^length + m V_q(length, min_dist - 1)) time.
 
     Returns a BinaryCode when q == 2, else a QaryCode, with the minimum
     distance re-certified exhaustively.  The size floor
@@ -148,38 +151,33 @@ def gv_greedy(q: int, length: int, min_dist: int, *,
             f"q^length = {total} exceeds the enumeration budget {enumeration_budget}; "
             "supply a smaller instance or an explicit code")
 
-    kept = np.empty((256, length), dtype=np.uint8)
-    m = 0
-    for start in range(0, total, _BLOCK):
-        block = _lex_block(q, length, start, min(start + _BLOCK, total))
-        alive = np.ones(len(block), dtype=bool)
-        # filter against previously kept words, in chunks to bound memory
-        for cstart in range(0, m, 1024):
-            chunk = kept[cstart:min(cstart + 1024, m)]
-            d = np.count_nonzero(block[:, None, :] != chunk[None, :, :], axis=2)
-            alive &= (d >= min_dist).all(axis=1)
-            if not alive.any():
-                break
-        m_start = m
-        for row in block[alive]:
-            if m > m_start:
-                d = np.count_nonzero(kept[m_start:m] != row, axis=1)
-                if (d < min_dist).any():
-                    continue
-            if m == len(kept):
-                kept = np.concatenate([kept, np.empty_like(kept)])
-            kept[m] = row
-            m += 1
+    radius = min_dist - 1
+    half = length // 2  # the ball is marked as first-half ball x second-half ball blocks
+    place = q ** np.arange(length - 1, -1, -1, dtype=np.int64)  # word i has the digits of i
+    hi_shifts, hi_weight = _ball_shifts(q, half, radius)
+    lo_shifts, lo_weight = _ball_shifts(q, length - half, radius)
+    forbidden = np.zeros(total, dtype=bool)
+    grid = forbidden.reshape(-1, q ** (length - half))
+    kept = []
+    for start in range(0, total, _WINDOW):
+        window = forbidden[start:start + _WINDOW]  # a view: it sees new marks
+        while not window.all():
+            kept.append(start + int(window.argmin()))
+            digits = kept[-1] // place % q
+            his = (digits[:half] + hi_shifts) % q @ place[:half] // grid.shape[1]
+            los = (digits[half:] + lo_shifts) % q @ place[half:]
+            for i in range(radius + 1):  # first half at distance i, second within radius - i
+                grid[np.ix_(his[hi_weight == i], los[lo_weight <= radius - i])] = True
 
-    words = tuple(tuple(int(s) for s in kept[i]) for i in range(m))
+    words = tuple(map(tuple, (np.array(kept)[:, None] // place % q).tolist()))
     code = (certified_binary(length, words, pair_budget=pair_budget) if q == 2
             else certified_qary(q, length, words, pair_budget=pair_budget))
-    if m > 1 and code.min_distance < min_dist:
+    if code.size > 1 and code.min_distance < min_dist:
         raise VerificationError("greedy code certification came in under the target distance")
     floor = gv_floor(q, length, min_dist)
-    if m < floor:
+    if code.size < floor:
         raise VerificationError(
-            f"greedy code of size {m} fell below the guaranteed floor {floor}")
+            f"greedy code of size {code.size} fell below the guaranteed floor {floor}")
     return code
 
 

@@ -37,6 +37,7 @@ DEFAULT_FAMILY_CAP = 1 << 20
 DEFAULT_PAIR_CHECK_CAP = 10_000_000
 
 MANIFEST_COMMENT = "# crosspeaks family manifest v1"
+MASK_DTYPE = np.uint32  # one bit per orthant, so inner families need n <= 5
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +61,16 @@ class InnerFamily:
         return len(self.bodies)
 
     def masks(self) -> np.ndarray:
-        return np.array([b.mask for b in self.bodies], dtype=np.uint32)
+        return np.array([b.mask for b in self.bodies], dtype=MASK_DTYPE)
 
 
 def inner_family_from_code(n: int, code: BinaryCode) -> InnerFamily:
     """Wrap a code as an inner family, validating the family invariants."""
     orthants = 1 << n
+    if orthants > np.iinfo(MASK_DTYPE).bits:
+        raise ParameterError(
+            f"n={n} needs {orthants}-bit peak masks; at most "
+            f"{np.iinfo(MASK_DTYPE).bits} bits (n <= 5) are supported")
     if code.length != orthants:
         raise ParameterError(
             f"code length {code.length} != 2^n = {orthants}")
@@ -302,6 +307,9 @@ class _PairChecker:
         self.w = 1 << (n - 1)
         self.r = (1 << n) * (n - 1)
         self.threshold, self.den = _pair_threshold(n, k, self.w)
+        # every factor R + m_i is at most R + w, so products stay <= den:
+        # int64 when den fits, exact Python ints otherwise
+        self.exact = self.den > np.iinfo(np.int64).max
         self.shared_cap = 3 * (1 << n)  # compare 8*m <= 3*2^n
         self.need_diff = -((-k) // 2)
         self.pairs = 0
@@ -335,7 +343,8 @@ class _PairChecker:
         self.min_diff_factors = min(self.min_diff_factors,
                                     int(diff_counts.min(initial=self.k + 1)))
 
-        num = (self.r + np.where(differs, shared, self.w)).prod(axis=1)
+        factors = self.r + np.where(differs, shared, self.w)
+        num = (factors.astype(object) if self.exact else factors).prod(axis=1)
         over = num > self.threshold
         if over.any():
             row = int(over.nonzero()[0][0])

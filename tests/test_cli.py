@@ -172,6 +172,17 @@ def test_missing_manifest_is_parameter_error(capsys, tmp_path):
     assert "cannot read manifest" in stderr
 
 
+def test_verify_rejects_masks_too_wide(capsys, tmp_path):
+    # a well-formed n=6 manifest: 64 orthants do not fit the peak masks
+    half = "1" * 32 + "0" * 32
+    path = tmp_path / "fam62.manifest"
+    path.write_text("n=6 k=2 inner_size=2 outer_size=2\n0,0\n1,1\n"
+                    f"q=2 len=64 dmin=64\n{half}\n{half[::-1]}\n")
+    code, _, stderr = run(capsys, "verify", "--manifest", str(path))
+    assert code == 2
+    assert "peak masks" in stderr
+
+
 def test_bad_body_index_is_parameter_error(capsys, manifest_32):
     code, _, stderr = run(capsys, "sample", "--manifest", manifest_32,
                           "--body-index", "600")

@@ -1,7 +1,12 @@
+import functools
+import hashlib
 import itertools
 import math
+import operator
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crosspeaks.codes import (BinaryCode, QaryCode, certified_binary,
                               certified_qary, complement_extend, format_code,
@@ -67,6 +72,43 @@ def test_greedy_known_sizes():
     assert gv_greedy(2, 8, 4).size == 16
     assert gv_greedy(16, 4, 2).size == 4096
     assert gv_greedy(4, 8, 4).size == 256
+
+
+@functools.cache
+def _reference_greedy(q, length, min_dist):
+    """The greedy definition itself, in plain Python: every word in
+    lexicographic order, kept when its Hamming distance to each kept word is
+    at least min_dist."""
+    kept = []
+    for word in itertools.product(range(q), repeat=length):
+        if all(sum(map(operator.ne, word, k)) >= min_dist for k in reversed(kept)):
+            kept.append(word)
+    return tuple(kept)
+
+
+@settings(deadline=None)
+@given(q=st.integers(2, 5), length=st.integers(1, 6), data=st.data())
+def test_greedy_matches_reference(q, length, data):
+    min_dist = data.draw(st.integers(1, length), label="min_dist")
+    # the reference is quadratic in the code size, which the Singleton bound
+    # caps at q^(length - min_dist + 1); skip the few cases it would take
+    # seconds on: (4, 6, 1), (5, 5, 1) and (5, 6, d <= 3)
+    assume(q ** (2 * length - min_dist + 1) <= 1 << 22)
+    code = gv_greedy(q, length, min_dist)
+    assert code.words == _reference_greedy(q, length, min_dist)
+    assert type(code) is (BinaryCode if q == 2 else QaryCode)
+
+
+def test_greedy_pinned_words():
+    # SHA-256 of format_code output from the earlier pairwise-filter scan:
+    # the bitmap scan must reproduce it byte for byte
+    pins = {
+        (16, 4, 2): "66329d8ae64651df707a9d444d3ac0cc774a28a31a33b93f4978d6e8207c9045",
+        (4, 8, 4): "f6af79d326ecb7fc09a132d783a6b7e9edcaed54f571c89ba0f774bcb8e70efe",
+    }
+    for args, digest in pins.items():
+        text = format_code(gv_greedy(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_greedy_deterministic():

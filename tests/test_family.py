@@ -20,12 +20,13 @@ from crosspeaks.family import (ProductBody, build_inner_family,
                                exact_distance, exact_distance_inner,
                                format_manifest, inner_family_from_code,
                                intersection_volume, intersection_volume_inner,
-                               parse_manifest, read_manifest,
+                               parse_manifest, product_family_from_parts,
+                               read_manifest,
                                separation_floor, separation_holds,
                                write_manifest)
 from crosspeaks.geometry import (InnerBody, inner_volume, make_geometry,
                                  membership_batch, sample_inner_batch)
-from crosspeaks.codes import certified_binary
+from crosspeaks.codes import certified_binary, certified_qary
 
 F = Fraction
 
@@ -60,6 +61,14 @@ def test_inner_family_rejects_bad_codes():
         inner_family_from_code(3, certified_binary(4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
     with pytest.raises(BudgetExceededError):
         build_inner_family(6)
+
+
+def test_inner_family_rejects_masks_wider_than_dtype():
+    # n=6 has 64 orthants, one bit each, past the 32-bit peak masks
+    half = (1,) * 32 + (0,) * 32
+    code = certified_binary(64, [half, half[::-1]])
+    with pytest.raises(ParameterError, match="64-bit peak masks"):
+        inner_family_from_code(6, code)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +200,18 @@ def test_certify_separation_34(family_34):
     assert rep.min_distance > rep.floor_hi
     assert rep.max_shared_on_diff == 3
     assert rep.min_differing_factors >= 2
+
+
+def test_certify_separation_exact_past_int64():
+    # n=5, k=16: den = (R + w)^k = 144^16 overflows int64, and the one pair
+    # shares no peak in any factor, so its distance is 1 - (128/144)^16
+    half = (1,) * 16 + (0,) * 16
+    inner = inner_family_from_code(5, certified_binary(32, [half, half[::-1]]))
+    family = product_family_from_parts(
+        inner, certified_qary(2, 16, [(0,) * 16, (1,) * 16]))
+    rep = certify_separation(family)
+    assert rep.min_distance == 1 - F(8, 9) ** 16
+    assert rep.min_distance == exact_distance(family.body(0), family.body(1))
 
 
 def test_certify_separation_sampled_mode(family_34):
