@@ -13,11 +13,11 @@ from .family import (InnerFamily, ProductBody, ProductFamily,
                      format_manifest, intersection_volume, parse_manifest,
                      read_manifest, separation_floor, separation_holds,
                      write_manifest)
-from .geometry import (GeometryParams, InnerBody, OrthantSign, RegionLabel,
-                       bare_body, body_from_mask, classify_point, full_body,
-                       inner_volume, make_geometry, membership_inner,
-                       membership_q_oracle, parse_inner_body, sample_inner,
-                       sample_inner_batch)
+from .geometry import (GeometryParams, InnerBody, OrthantSign, bare_body,
+                       body_from_mask, classify_point, full_body,
+                       inner_volume, label_text, make_geometry,
+                       membership_inner, membership_q_oracle,
+                       parse_inner_body, sample_inner, sample_inner_batch)
 from .halfspace import (CorollaryReport, DiscrepancyEstimate,
                         corollary_explore, direction_set,
                         halfspace_discrepancy, ks_statistic, noise_floor)
@@ -26,11 +26,11 @@ from .harness import (GameConfig, GameStats, MLConsistencyLearner,
                       RandomGuessLearner, choose_parameters,
                       ml_consistency_learner, query_lower_bound, run_game,
                       success_upper_bound, write_results_csv)
-from .oracles import (DiscreteRandomAnswer, MembershipQuery, Transcript,
-                      answer_space_size, continuous_membership,
-                      continuous_random, continuous_random_batch,
-                      discrete_membership, discrete_random,
-                      parse_transcript_log, simulate_continuous_from_discrete)
+from .oracles import (MembershipQuery, Transcript, answer_space_size,
+                      continuous_membership, continuous_random,
+                      continuous_random_batch, discrete_membership,
+                      discrete_random, parse_transcript_log,
+                      simulate_continuous_from_discrete)
 
 __version__ = "0.1.0"
 

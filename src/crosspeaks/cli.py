@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (BudgetExceededError, CrosspeaksError, ParameterError,
                      VerificationError)
 from .family import build_product_family, exact_distance, read_manifest, write_manifest
-from .geometry import label_from_value
+from .geometry import label_text
 from .halfspace import halfspace_discrepancy
 from .harness import (GameConfig, MLConsistencyLearner, RandomGuessLearner,
                       choose_parameters, game_result_row, query_lower_bound,
@@ -92,7 +92,7 @@ def _cmd_sample(args) -> int:
             print(",".join(repr(float(x)) for x in row))
     else:
         for row in discrete_random_batch(body, args.count, rng):
-            print(",".join(label_from_value(family.n, int(v)).text() for v in row))
+            print(",".join(label_text(family.n, v) for v in row.tolist()))
     return 0
 
 

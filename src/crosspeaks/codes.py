@@ -61,7 +61,8 @@ def min_distance_exhaustive(words, *, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
     if m * (m - 1) // 2 > pair_budget:
         raise BudgetExceededError(
             f"{m} words means {m*(m-1)//2} pairs, over the budget of {pair_budget}")
-    arr = np.array(words, dtype=np.uint8)
+    top = max(max(w, default=0) for w in words)
+    arr = np.array(words, dtype=np.min_scalar_type(top))  # uint8 unless a symbol needs more
     best = arr.shape[1] + 1
     for i in range(m - 1):
         d = int(np.count_nonzero(arr[i + 1:] != arr[i], axis=1).min())
@@ -150,6 +151,12 @@ def gv_greedy(q: int, length: int, min_dist: int, *,
         raise BudgetExceededError(
             f"q^length = {total} exceeds the enumeration budget {enumeration_budget}; "
             "supply a smaller instance or an explicit code")
+    floor = gv_floor(q, length, min_dist)
+    if floor * (floor - 1) // 2 > pair_budget:
+        # the code reaches the floor, so certifying it would exceed the budget
+        raise BudgetExceededError(
+            f"at least {floor} words means at least {floor * (floor - 1) // 2} pairs, "
+            f"over the budget of {pair_budget}")
 
     radius = min_dist - 1
     half = length // 2  # the ball is marked as first-half ball x second-half ball blocks
@@ -174,7 +181,6 @@ def gv_greedy(q: int, length: int, min_dist: int, *,
             else certified_qary(q, length, words, pair_budget=pair_budget))
     if code.size > 1 and code.min_distance < min_dist:
         raise VerificationError("greedy code certification came in under the target distance")
-    floor = gv_floor(q, length, min_dist)
     if code.size < floor:
         raise VerificationError(
             f"greedy code of size {code.size} fell below the guaranteed floor {floor}")
@@ -239,7 +245,10 @@ def parse_code(text: str):
                 raise ParameterError(f"malformed binary word {ln!r}")
             words.append(tuple(int(c) for c in ln))
         else:
-            words.append(tuple(int(s) for s in ln.split(",")))
+            try:
+                words.append(tuple(int(s) for s in ln.split(",")))
+            except ValueError as exc:
+                raise ParameterError(f"malformed q-ary word {ln!r}") from exc
     code = (certified_binary(length, words) if q == 2
             else certified_qary(q, length, words))
     if code.size >= 2 and code.min_distance != dmin:

@@ -9,7 +9,10 @@ Each peak has volume exactly vol(O_n) / (2^n (n-1)), so all the peaks
 together add vol(O_n) / (n-1).
 
 A body is the core plus any subset of the 2^n peaks.  Orthants are encoded
-as n-bit integers: bit i of the index is 1 iff s_i = +1.
+as n-bit integers: bit i of the index is 1 iff s_i = +1.  Region labels
+are plain integers on every path, scalar and batch: a value below 2^n is
+the orthant index of a peak, 2^n is the core and 2^n + 1 is outside;
+label_text gives the 'C' / 'P<hex>' / 'O' transcript form.
 
 Construction constants are exact rationals.  The scalar predicates
 (classify_point, membership_inner, membership_q_oracle) pass Fraction
@@ -79,54 +82,8 @@ class OrthantSign:
         return index_to_signs(self.n, self.index)
 
 
-@dataclass(frozen=True)
-class RegionLabel:
-    """Where a point sits: the core, a specific peak, or outside."""
-
-    kind: str  # "core" | "peak" | "outside"
-    orthant: OrthantSign | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("core", "peak", "outside"):
-            raise ParameterError(f"unknown region kind {self.kind!r}")
-        if (self.kind == "peak") != (self.orthant is not None):
-            raise ParameterError("peak labels carry an orthant; others must not")
-
-    @classmethod
-    def core(cls) -> "RegionLabel":
-        return cls("core")
-
-    @classmethod
-    def outside(cls) -> "RegionLabel":
-        return cls("outside")
-
-    @classmethod
-    def peak(cls, orthant: OrthantSign) -> "RegionLabel":
-        return cls("peak", orthant)
-
-    @property
-    def is_core(self) -> bool:
-        return self.kind == "core"
-
-    @property
-    def is_peak(self) -> bool:
-        return self.kind == "peak"
-
-    @property
-    def is_outside(self) -> bool:
-        return self.kind == "outside"
-
-    def text(self) -> str:
-        """Transcript form: 'C', 'P<orthant index in hex>', or 'O'."""
-        if self.kind == "core":
-            return "C"
-        if self.kind == "outside":
-            return "O"
-        return "P" + format(self.orthant.index, "x")
-
-
-# integer label sentinels used by the batch paths: values < 2^n are peak
-# orthant indices, 2^n is the core, 2^n + 1 is outside.
+# integer region labels, used by every path: values < 2^n are peak orthant
+# indices, 2^n is the core, 2^n + 1 is outside.
 def core_label_value(n: int) -> int:
     return 1 << n
 
@@ -135,12 +92,13 @@ def outside_label_value(n: int) -> int:
     return (1 << n) + 1
 
 
-def label_from_value(n: int, value: int) -> RegionLabel:
+def label_text(n: int, value: int) -> str:
+    """Transcript form of a label: 'C', 'P<orthant index in hex>', or 'O'."""
     if value == core_label_value(n):
-        return RegionLabel.core()
+        return "C"
     if value == outside_label_value(n):
-        return RegionLabel.outside()
-    return RegionLabel.peak(OrthantSign(n, int(value)))
+        return "O"
+    return "P" + format(value, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +217,9 @@ def inner_volume(body: InnerBody) -> Fraction:
 # ---------------------------------------------------------------------------
 # classification and membership (scalar, exact on rational inputs)
 
-def classify_point(n: int, x) -> RegionLabel:
-    """Classify a point against the fully-peaked body in dimension n.
+def classify_point(n: int, x) -> int:
+    """Integer region label of a point against the fully-peaked body in
+    dimension n.
 
     With t_i = |x_i| and T = sum t_i: the core is T <= 1; the peak in x's
     orthant is 1 < T <= 1 + min_i t_i; everything else is outside.  Ties go
@@ -273,24 +232,16 @@ def classify_point(n: int, x) -> RegionLabel:
     t = [abs(v) for v in x]
     total = sum(t)
     if total <= 1:
-        return RegionLabel.core()
+        return core_label_value(n)
     if total <= 1 + min(t):
-        index = 0
-        for i, v in enumerate(x):
-            if v > 0:
-                index |= 1 << i
-        return RegionLabel.peak(OrthantSign(n, index))
-    return RegionLabel.outside()
+        return sum(1 << i for i, v in enumerate(x) if v > 0)
+    return outside_label_value(n)
 
 
 def membership_inner(body: InnerBody, x) -> bool:
     """Exact membership for a cross-polytope-with-peaks body."""
     label = classify_point(body.n, x)
-    if label.is_core:
-        return True
-    if label.is_peak:
-        return label.orthant.index in body.peaks
-    return False
+    return label == core_label_value(body.n) or label in body.peaks
 
 
 @functools.lru_cache(maxsize=32)
@@ -502,9 +453,7 @@ def sample_inner_batch(body: InnerBody, count: int, rng: np.random.Generator
     return points, labels
 
 
-def sample_inner(body: InnerBody, rng: np.random.Generator
-                 ) -> tuple[np.ndarray, RegionLabel]:
-    """Draw one uniform point of the body; also reports which region it
-    landed in.  Single draws go through the same code path as batches."""
+def sample_inner(body: InnerBody, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Draw one uniform point of the body and the label of its region."""
     pts, labels = sample_inner_batch(body, 1, rng)
-    return pts[0], label_from_value(body.n, int(labels[0]))
+    return pts[0], int(labels[0])

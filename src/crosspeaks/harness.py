@@ -34,8 +34,9 @@ import numpy as np
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .exactmath import binomial_ball_size, ceil_fraction, log2_bounds
 from .family import ProductBody, ProductFamily, exact_distance, separation_holds
-from .oracles import (DiscreteRandomAnswer, MembershipQuery, Transcript,
-                      answer_space_size, discrete_membership, discrete_random)
+from .geometry import core_label_value
+from .oracles import (MembershipQuery, Transcript, answer_space_size,
+                      discrete_membership, discrete_random)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +52,7 @@ class OracleSession:
         self._body = body
         self.budget = budget
         self._rng = rng
-        self.transcript = Transcript()
+        self.transcript = Transcript(body.n)
 
     @property
     def remaining(self) -> int:
@@ -61,11 +62,11 @@ class OracleSession:
         if self.remaining <= 0:
             raise BudgetExceededError("query budget exhausted")
 
-    def random(self) -> DiscreteRandomAnswer:
+    def random(self) -> tuple[int, ...]:
         self._spend()
-        answer = discrete_random(self._body, self._rng)
-        self.transcript.record_random(answer)
-        return answer
+        labels = discrete_random(self._body, self._rng)
+        self.transcript.record_random(labels)
+        return labels
 
     def membership(self, indices) -> tuple[bool, ...]:
         self._spend()
@@ -78,13 +79,14 @@ class OracleSession:
 def _consistent_from_masks(transcript: Transcript, masks: np.ndarray) -> np.ndarray:
     """Boolean row mask over the family's (size, k) peak-mask matrix."""
     k = masks.shape[1]
+    core = core_label_value(transcript.n)
     required = [0] * k             # per factor: peaks that must be present
     forced: dict[tuple[int, int], bool] = {}   # (factor, index) -> answer
     for e in transcript.entries:
         if e[0] == "R":
-            for j, lab in enumerate(e[1].labels):
-                if lab.is_peak:
-                    required[j] |= 1 << lab.orthant.index
+            for j, label in enumerate(e[1]):
+                if label < core:
+                    required[j] |= 1 << label
         else:
             for j, (idx, ans) in enumerate(zip(e[1].indices, e[2])):
                 prev = forced.get((j, idx))

@@ -8,55 +8,36 @@ Four oracles, all driven by a caller-supplied numpy Generator:
                         with probabilities exactly proportional to volumes
   discrete_membership   per-factor "is peak #i present?" bits
 
+Labels are the integers of geometry: a value below 2^n is a peak's orthant
+index, 2^n is the core.  Each random oracle is a thin wrapper over its batch
+form, which draws factor by factor, so one call consumes the generator
+exactly as one batch row does.
+
 A discrete random answer carries everything needed to regenerate a
 continuous sample: conditioned on the label, the point is uniform on that
-region, so simulate_continuous_from_discrete(answer) has exactly the
+region, so simulate_continuous_from_discrete(n, labels) has exactly the
 distribution of continuous_random on the same body.  Every body answers a
 random query with one of (2^n + 1)^k possible label tuples (2^n peaks or
 core, per factor), which is the fan-out that bounds what q queries can
 distinguish.
 
-Transcripts record queries append-only and serialize one line per query:
-'R <label,...>' for random draws, 'M <idx,...> -> <bool,...>' for
-membership probes; labels are 'C' or 'P<orthant-hex>'.
+Transcripts record queries append-only, random draws as tuples of integer
+labels, and serialize one line per query: 'R <label,...>' for random
+draws, 'M <idx,...> -> <bool,...>' for membership probes; labels are 'C'
+or 'P<orthant-hex>'.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
 from .family import ProductBody
-from .geometry import (InnerBody, RegionLabel, core_label_value, label_from_value,
-                       membership_inner, sample_inner_batch, sample_region_labels,
+from .geometry import (core_label_value, label_text, membership_inner,
+                       sample_inner_batch, sample_region_labels,
                        _core_points, _peak_points)
-
-
-@dataclass(frozen=True)
-class DiscreteRandomAnswer:
-    """One random-oracle draw: a region label per factor (never 'outside')."""
-
-    n: int
-    labels: tuple[RegionLabel, ...]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise ParameterError("an answer needs at least one factor")
-        for lab in self.labels:
-            if lab.is_outside:
-                raise ParameterError("random draws always land inside the body")
-            if lab.is_peak and lab.orthant.n != self.n:
-                raise ParameterError("peak label dimension mismatch")
-
-    @property
-    def k(self) -> int:
-        return len(self.labels)
-
-    def text(self) -> str:
-        return ",".join(lab.text() for lab in self.labels)
 
 
 @dataclass(frozen=True)
@@ -76,16 +57,17 @@ class MembershipQuery:
 
 @dataclass
 class Transcript:
-    """Append-only record of oracle interactions."""
+    """Append-only record of oracle interactions with n-dimensional factors."""
 
+    n: int
     entries: list = field(default_factory=list)
 
     @property
     def query_count(self) -> int:
         return len(self.entries)
 
-    def record_random(self, answer: DiscreteRandomAnswer) -> None:
-        self.entries.append(("R", answer))
+    def record_random(self, labels) -> None:
+        self.entries.append(("R", tuple(int(v) for v in labels)))
 
     def record_membership(self, query: MembershipQuery, answers: tuple[bool, ...]) -> None:
         self.entries.append(("M", query, answers))
@@ -94,7 +76,7 @@ class Transcript:
         lines = []
         for e in self.entries:
             if e[0] == "R":
-                lines.append(f"R {e[1].text()}")
+                lines.append("R " + ",".join(label_text(self.n, v) for v in e[1]))
             else:
                 idx = ",".join(str(i) for i in e[1].indices)
                 ans = ",".join("true" if b else "false" for b in e[2])
@@ -102,25 +84,30 @@ class Transcript:
         return "\n".join(lines)
 
 
+def _parse_draw_label(n: int, token: str) -> int:
+    """A random-draw label token: 'C' or 'P<hex index below 2^n>'."""
+    if token == "C":
+        return core_label_value(n)
+    if token.startswith("P"):
+        try:
+            index = int(token[1:], 16)
+        except ValueError:
+            index = -1
+        if 0 <= index < core_label_value(n):
+            return index
+    raise ParameterError(f"bad random-draw label {token!r} for n={n}")
+
+
 def parse_transcript_log(n: int, text: str) -> Transcript:
     """Inverse of Transcript.to_log for n-dimensional factors."""
-    t = Transcript()
+    t = Transcript(n)
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         if line.startswith("R "):
-            labels = []
-            for token in line[2:].split(","):
-                token = token.strip()
-                if token == "C":
-                    labels.append(RegionLabel.core())
-                elif token.startswith("P"):
-                    from .geometry import OrthantSign
-                    labels.append(RegionLabel.peak(OrthantSign(n, int(token[1:], 16))))
-                else:
-                    raise ParameterError(f"unknown label {token!r}")
-            t.record_random(DiscreteRandomAnswer(n, tuple(labels)))
+            t.record_random(_parse_draw_label(n, token.strip())
+                            for token in line[2:].split(","))
         elif line.startswith("M "):
             try:
                 left, right = line[2:].split("->")
@@ -140,8 +127,7 @@ def parse_transcript_log(n: int, text: str) -> Transcript:
 
 def continuous_random(body: ProductBody, rng: np.random.Generator) -> np.ndarray:
     """One uniform point of the product body, as a length-kn vector."""
-    parts = [sample_inner_batch(f, 1, rng)[0][0] for f in body.factors]
-    return np.concatenate(parts)
+    return continuous_random_batch(body, 1, rng)[0]
 
 
 def continuous_random_batch(body: ProductBody, count: int,
@@ -163,14 +149,9 @@ def continuous_membership(body: ProductBody, x) -> bool:
 # ---------------------------------------------------------------------------
 # discrete oracles
 
-def discrete_random(body: ProductBody, rng: np.random.Generator) -> DiscreteRandomAnswer:
+def discrete_random(body: ProductBody, rng: np.random.Generator) -> tuple[int, ...]:
     """Region label per factor, distributed exactly by region volumes."""
-    n = body.n
-    labels = []
-    for f in body.factors:
-        v = int(sample_region_labels(f, 1, rng)[0])
-        labels.append(label_from_value(n, v))
-    return DiscreteRandomAnswer(n, tuple(labels))
+    return tuple(discrete_random_batch(body, 1, rng)[0].tolist())
 
 
 def discrete_random_batch(body: ProductBody, count: int,
@@ -193,29 +174,24 @@ def discrete_membership(body: ProductBody, query: MembershipQuery) -> tuple[bool
     return tuple(i in f.peaks for i, f in zip(query.indices, body.factors))
 
 
-def simulate_continuous_from_discrete(answer: DiscreteRandomAnswer,
+def simulate_continuous_from_discrete(n: int, labels,
                                       rng: np.random.Generator) -> np.ndarray:
     """Regenerate a uniform point of the labeled region, factor by factor.
 
     Because continuous_random is a mixture over regions with the label
     distribution of discrete_random, feeding this a discrete draw yields
     exactly the continuous oracle's distribution."""
-    n = answer.n
-    parts = []
-    for lab in answer.labels:
-        if lab.is_core:
-            parts.append(_core_points(n, 1, rng)[0])
-        else:
-            parts.append(_peak_points(n, lab.orthant.index, 1, rng)[0])
-    return np.concatenate(parts)
+    return simulate_batch(n, np.asarray(labels)[None], rng)[0]
 
 
 def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vector form: (count, k) integer labels -> (count, k*n) points."""
     labels = np.asarray(labels)
     count, k = labels.shape
-    out = np.empty((count, k * n), dtype=np.float64)
     core = core_label_value(n)
+    if count and not 0 <= labels.min() <= labels.max() <= core:
+        raise ParameterError("labels must be peak orthant indices or the core")
+    out = np.empty((count, k * n), dtype=np.float64)
     for j in range(k):
         col = labels[:, j]
         block = slice(j * n, (j + 1) * n)
@@ -235,13 +211,3 @@ def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.n
 def answer_space_size(n: int, k: int) -> int:
     """The fan-out of the discrete random oracle: (2^n + 1)^k."""
     return ((1 << n) + 1) ** k
-
-
-def answer_space(n: int, k: int):
-    """All label tuples any n,k body could ever return: per factor, core or
-    any of the 2^n peaks.  Intended for small n, k (the count is (2^n+1)^k)."""
-    from .geometry import OrthantSign
-    per_factor = [RegionLabel.core()] + [
-        RegionLabel.peak(OrthantSign(n, i)) for i in range(1 << n)]
-    for combo in itertools.product(per_factor, repeat=k):
-        yield DiscreteRandomAnswer(n, combo)

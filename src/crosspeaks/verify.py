@@ -272,7 +272,7 @@ def check_oracle_branching(ctx: _Context) -> str:
 def check_transcript_roundtrip(ctx: _Context) -> str:
     rng = ctx.rng(6)
     body = ctx.fam32.body(17)
-    tr = oracles.Transcript()
+    tr = oracles.Transcript(body.n)
     for _ in range(40):
         if rng.integers(2):
             tr.record_random(oracles.discrete_random(body, rng))

@@ -183,6 +183,15 @@ def test_verify_rejects_masks_too_wide(capsys, tmp_path):
     assert "peak masks" in stderr
 
 
+def test_verify_rejects_non_integer_code_symbol(capsys, tmp_path):
+    path = tmp_path / "badword.manifest"
+    path.write_text("n=2 k=1 inner_size=2 outer_size=1\n0\n"
+                    "q=3 len=4 dmin=4\n0,0,0,0\n0,1,x,0\n")
+    code, _, stderr = run(capsys, "verify", "--manifest", str(path))
+    assert code == 2
+    assert "malformed q-ary word" in stderr
+
+
 def test_bad_body_index_is_parameter_error(capsys, manifest_32):
     code, _, stderr = run(capsys, "sample", "--manifest", manifest_32,
                           "--body-index", "600")

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import operator
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -122,6 +123,15 @@ def test_greedy_budget():
         gv_greedy(2, 30, 4, enumeration_budget=1 << 24)
 
 
+def test_greedy_pair_budget_checked_before_scan():
+    # gv_floor(2, 22, 2) = 182362 words: certification could never fit the
+    # default pair budget, so the scan is refused up front
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        gv_greedy(2, 22, 2)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_greedy_bad_parameters():
     with pytest.raises(ParameterError):
         gv_greedy(1, 4, 2)
@@ -168,6 +178,13 @@ def test_min_distance_examples():
     assert min_distance_exhaustive([(0, 0, 0, 0), (1, 1, 1, 1)]) == 4
     even = [w for w in itertools.product((0, 1), repeat=4) if sum(w) % 2 == 0]
     assert min_distance_exhaustive(even) == 2
+
+
+def test_min_distance_symbols_past_one_byte():
+    # outer codes over inner families of more than 256 bodies
+    code = certified_qary(300, 2, [(0, 1), (256, 1)])
+    assert code.min_distance == 1
+    assert min_distance_exhaustive([(0, 70000), (0, 4464)]) == 1
 
 
 def test_min_distance_needs_two_words():
@@ -237,3 +254,5 @@ def test_parse_rejects_malformed():
         parse_code("q=2 len=4\n0000\n")
     with pytest.raises(ParameterError):
         parse_code("q=2 len=4 dmin=2\n00x0\n1111\n")
+    with pytest.raises(ParameterError):
+        parse_code("q=3 len=4 dmin=4\n0,0,0,0\n0,1,x,0\n")

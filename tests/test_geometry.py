@@ -6,11 +6,11 @@ import pytest
 
 from crosspeaks.errors import ParameterError
 from crosspeaks.exactmath import simplex_volume
-from crosspeaks.geometry import (InnerBody, OrthantSign, RegionLabel,
-                                 bare_body, body_from_mask, classify_batch,
+from crosspeaks.geometry import (InnerBody, OrthantSign, bare_body,
+                                 body_from_mask, classify_batch,
                                  classify_point, classify_scaled_batch,
                                  core_label_value, full_body, index_to_signs,
-                                 inner_volume, label_from_value, make_geometry,
+                                 inner_volume, label_text, make_geometry,
                                  membership_batch, membership_inner,
                                  membership_q_oracle, membership_scaled_batch,
                                  outside_label_value, parse_inner_body,
@@ -92,26 +92,25 @@ def test_orthant_bad_values():
 # classification
 
 def test_classify_literals():
-    assert classify_point(3, (F(1, 5), F(-3, 10), F(1, 10))).is_core
-    lab = classify_point(3, (F(1, 2), F(2, 5), F(3, 10)))
-    assert lab.is_peak and lab.orthant.index == 0b111
-    assert classify_point(3, (F(9, 10), F(9, 10), F(1, 10))).is_outside
+    assert classify_point(3, (F(1, 5), F(-3, 10), F(1, 10))) == core_label_value(3)
+    assert classify_point(3, (F(1, 2), F(2, 5), F(3, 10))) == 0b111
+    assert classify_point(3, (F(9, 10), F(9, 10), F(1, 10))) == outside_label_value(3)
 
 
 def test_classify_zero_coordinate_rule():
     # a zero coordinate with |x| sum over 1 can never be in a peak
-    assert classify_point(3, (F(9, 10), F(9, 10), F(0))).is_outside
-    assert classify_point(2, (F(1), F(0))).is_core  # boundary stays closed
+    assert classify_point(3, (F(9, 10), F(9, 10), F(0))) == outside_label_value(3)
+    assert classify_point(2, (F(1), F(0))) == core_label_value(2)  # boundary stays closed
 
 
 def test_classify_boundary_ties():
     # ties classify into the closed region: sum = 1 -> Core,
     # sum = 1 + min -> still Peak
-    assert classify_point(3, (F(1, 2), F(1, 4), F(1, 4))).is_core
+    assert classify_point(3, (F(1, 2), F(1, 4), F(1, 4))) == core_label_value(3)
     lab = classify_point(3, (F(1, 2), F(1, 2), F(1, 4)))
-    assert lab.is_peak and lab.orthant.signs == (1, 1, 1)
+    assert index_to_signs(3, lab) == (1, 1, 1)
     apex = classify_point(3, (F(1, 2), F(1, 2), F(1, 2)))
-    assert apex.is_peak  # alpha * centroid, the top of the (+,+,+) peak
+    assert apex == 0b111  # alpha * centroid, the top of the (+,+,+) peak
 
 
 def test_classify_matches_batch(rng):
@@ -119,8 +118,7 @@ def test_classify_matches_batch(rng):
     pts = rng.uniform(-1.3, 1.3, size=(300, n))
     labels = classify_batch(n, pts)
     for row, lab in zip(pts, labels):
-        want = classify_point(n, [float(c) for c in row])
-        assert label_from_value(n, int(lab)).text() == want.text()
+        assert classify_point(n, [float(c) for c in row]) == lab
 
 
 def test_classify_scaled_matches_exact(rng):
@@ -128,14 +126,13 @@ def test_classify_scaled_matches_exact(rng):
     coords = rng.integers(-scale - scale // 2, scale + scale // 2, size=(400, n))
     labels = classify_scaled_batch(n, coords.astype(np.int64), scale)
     for row, lab in zip(coords, labels):
-        want = classify_point(n, [F(int(c), scale) for c in row])
-        assert label_from_value(n, int(lab)).text() == want.text()
+        assert classify_point(n, [F(int(c), scale) for c in row]) == lab
 
 
 def test_label_text_forms():
-    assert RegionLabel.core().text() == "C"
-    assert RegionLabel.peak(OrthantSign(4, 10)).text() == "Pa"
-    assert RegionLabel.outside().text() == "O"
+    assert label_text(3, core_label_value(3)) == "C"
+    assert label_text(4, 10) == "Pa"
+    assert label_text(3, outside_label_value(3)) == "O"
     assert core_label_value(3) == 8
     assert outside_label_value(3) == 9
 
@@ -160,7 +157,7 @@ def test_q_oracle_literals():
     assert not membership_q_oracle(3, (), (F(9, 10), F(9, 10), F(1, 10)))
     # classify says Peak(+,+,+) but the missing-peak halfspace cuts it off
     x = (F(9, 20), F(9, 20), F(1, 5))
-    assert classify_point(3, x).is_peak
+    assert classify_point(3, x) == 0b111
     assert not membership_q_oracle(3, (7,), x)
 
 
@@ -251,7 +248,7 @@ def test_sample_single_reports_its_region(rng):
     body = body_from_mask(3, 0x0F)
     for _ in range(200):
         x, lab = sample_inner(body, rng)
-        assert classify_point(3, [float(c) for c in x]).text() == lab.text()
+        assert classify_point(3, [float(c) for c in x]) == lab
         assert membership_inner(body, [float(c) for c in x])
 
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
-from crosspeaks.geometry import OrthantSign, RegionLabel
+from crosspeaks.geometry import core_label_value
 from crosspeaks.harness import (GameConfig, GameStats, MLConsistencyLearner,
                                 OracleSession, RandomGuessLearner,
                                 RESULTS_CSV_COLUMNS, choose_parameters,
@@ -14,8 +16,7 @@ from crosspeaks.harness import (GameConfig, GameStats, MLConsistencyLearner,
                                 ml_consistency_learner, query_lower_bound,
                                 run_game, success_upper_bound,
                                 write_results_csv)
-from crosspeaks.oracles import (DiscreteRandomAnswer, MembershipQuery,
-                                Transcript)
+from crosspeaks.oracles import MembershipQuery, Transcript, parse_transcript_log
 
 F = Fraction
 SEED = 20260816
@@ -65,16 +66,15 @@ def test_run_game_flags_budget_violations(family_32):
 # consistency learner mechanics
 
 def test_ml_learner_empty_transcript_lowest_index(family_32):
-    assert ml_consistency_learner(Transcript(), family_32) == 0
-    pick = ml_consistency_learner(Transcript(), family_32,
+    assert ml_consistency_learner(Transcript(3), family_32) == 0
+    pick = ml_consistency_learner(Transcript(3), family_32,
                                   np.random.default_rng(5))
     assert 0 <= pick < family_32.size
 
 
 def test_consistent_indices_brute_force(family_32):
-    t = Transcript()
-    t.record_random(DiscreteRandomAnswer(
-        3, (RegionLabel.peak(OrthantSign(3, 2)), RegionLabel.core())))
+    t = Transcript(3)
+    t.record_random((2, core_label_value(3)))
     t.record_membership(MembershipQuery((5, 0)), (True, False))
     fast = set(int(i) for i in consistent_indices(t, family_32))
     slow = set()
@@ -86,8 +86,40 @@ def test_consistent_indices_brute_force(family_32):
     assert slow  # the transcript admits someone
 
 
+_draw = st.tuples(st.just("R"), st.tuples(*[st.integers(0, 8)] * 2))
+_probe = st.tuples(st.just("M"), st.tuples(*[st.integers(0, 7)] * 2),
+                   st.tuples(st.booleans(), st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(st.one_of(_draw, _probe), max_size=8))
+def test_consistent_indices_property(family_32, entries):
+    # random int-label draws (8 = core) and membership probes against a
+    # brute-force filter over every body's factors
+    t = Transcript(3)
+    for e in entries:
+        if e[0] == "R":
+            t.record_random(e[1])
+        else:
+            t.record_membership(MembershipQuery(e[1]), e[2])
+
+    def admits(body):
+        for e in entries:
+            for j, f in enumerate(body.factors):
+                if e[0] == "R" and e[1][j] < 8 and not f.has_peak(e[1][j]):
+                    return False
+                if e[0] == "M" and f.has_peak(e[1][j]) != e[2][j]:
+                    return False
+        return True
+
+    slow = {i for i in range(family_32.size) if admits(family_32.body(i))}
+    assert set(consistent_indices(t, family_32).tolist()) == slow
+    log = t.to_log()
+    assert parse_transcript_log(3, log).to_log() == log
+
+
 def test_contradictory_membership_answers_empty(family_32):
-    t = Transcript()
+    t = Transcript(3)
     t.record_membership(MembershipQuery((3, 3)), (True, True))
     t.record_membership(MembershipQuery((3, 3)), (False, True))
     assert len(consistent_indices(t, family_32)) == 0

@@ -7,12 +7,10 @@ from scipy.stats import chisquare, ks_2samp
 
 from crosspeaks.errors import ParameterError
 from crosspeaks.family import ProductBody
-from crosspeaks.geometry import (OrthantSign, RegionLabel, bare_body,
-                                 body_from_mask, classify_batch,
-                                 core_label_value, full_body,
+from crosspeaks.geometry import (bare_body, body_from_mask, classify_batch,
+                                 core_label_value, full_body, label_text,
                                  sample_inner_batch)
-from crosspeaks.oracles import (DiscreteRandomAnswer, MembershipQuery,
-                                Transcript, answer_space, answer_space_size,
+from crosspeaks.oracles import (MembershipQuery, Transcript, answer_space_size,
                                 continuous_membership, continuous_random,
                                 continuous_random_batch, discrete_membership,
                                 discrete_random, discrete_random_batch,
@@ -54,11 +52,11 @@ def test_discrete_scalar_never_outside(rng):
     body = _product((0x0F, 0xF0))
     for _ in range(300):
         ans = discrete_random(body, rng)
-        assert ans.k == 2
-        for j, lab in enumerate(ans.labels):
-            assert not lab.is_outside
-            if lab.is_peak:
-                assert body.factors[j].has_peak(lab.orthant.index)
+        assert len(ans) == 2
+        for j, lab in enumerate(ans):
+            assert lab <= core_label_value(3)  # never outside
+            if lab < core_label_value(3):
+                assert body.factors[j].has_peak(lab)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +135,9 @@ def test_simulate_peak_label_classifies_back(rng):
 
 
 def test_simulate_scalar_matches_label(rng):
-    ans = DiscreteRandomAnswer(3, (RegionLabel.core(),
-                                   RegionLabel.peak(OrthantSign(3, 6))))
+    ans = (core_label_value(3), 6)
     for _ in range(200):
-        x = simulate_continuous_from_discrete(ans, rng)
+        x = simulate_continuous_from_discrete(3, ans, rng)
         assert x.shape == (6,)
         labs = classify_batch(3, x.reshape(2, 3))
         assert labs[0] == core_label_value(3)
@@ -163,29 +160,38 @@ def test_simulation_pipeline_matches_continuous(rng):
 
 def test_answer_space_enumeration():
     for n, k in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        texts = {a.text() for a in answer_space(n, k)}
-        assert len(texts) == answer_space_size(n, k)
+        # per factor: the 2^n peak indices or the core label 2^n
+        combos = list(itertools.product(range((1 << n) + 1), repeat=k))
+        texts = {",".join(label_text(n, v) for v in c) for c in combos}
+        assert len(texts) == len(combos) == answer_space_size(n, k)
         assert answer_space_size(n, k) == ((1 << n) + 1) ** k
 
 
 def test_answer_validation():
-    with pytest.raises(ParameterError):
-        DiscreteRandomAnswer(3, ())
-    with pytest.raises(ParameterError):
-        DiscreteRandomAnswer(3, (RegionLabel.outside(),))
-    with pytest.raises(ParameterError):
-        DiscreteRandomAnswer(3, (RegionLabel.peak(OrthantSign(2, 1)),))
+    # the checks a random-draw answer must pass, made where logs are parsed
+    for line in ("R",                  # no labels at all
+                 "R ",
+                 "R C,",               # an empty label
+                 "R O",                # random draws always land inside the body
+                 "R C,O",
+                 "R P8",               # orthant 8 needs n >= 4
+                 "R P-1",
+                 "R P",
+                 "R Pzz"):
+        with pytest.raises(ParameterError):
+            parse_transcript_log(3, line)
     with pytest.raises(ParameterError):
         MembershipQuery(())
+    with pytest.raises(ParameterError):
+        simulate_batch(3, np.array([[9]]), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
 # transcripts
 
 def test_transcript_roundtrip():
-    t = Transcript()
-    t.record_random(DiscreteRandomAnswer(
-        3, (RegionLabel.core(), RegionLabel.peak(OrthantSign(3, 7)))))
+    t = Transcript(3)
+    t.record_random((core_label_value(3), 7))
     t.record_membership(MembershipQuery((0, 5)), (True, False))
     log = t.to_log()
     assert log == "R C,P7\nM 0,5 -> true,false"
@@ -210,7 +216,7 @@ def test_identical_seeds_identical_transcripts():
     logs = []
     for _ in range(2):
         rng = np.random.default_rng(424242)
-        t = Transcript()
+        t = Transcript(3)
         for _ in range(50):
             t.record_random(discrete_random(body, rng))
         q = MembershipQuery((2, 3))
