@@ -1,7 +1,7 @@
 """Cross-polytopes with peaks, code-indexed product families, and the query
 games that make them hard to learn."""
 
-from .codes import (BinaryCode, QaryCode, complement_extend, format_code,
+from .codes import (Code, complement_extend, format_code,
                     gv_floor, gv_greedy, min_distance_exhaustive, parse_code,
                     v_q)
 from .errors import (BudgetExceededError, CrosspeaksError, ParameterError,

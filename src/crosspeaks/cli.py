@@ -34,6 +34,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def _pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -42,7 +52,7 @@ def _pair(text: str) -> tuple[int, int]:
 
 
 def _point(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in text.split(","))
+    return tuple(_fraction(c) for c in text.split(","))
 
 
 def _load_family(path: str):
@@ -168,14 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every invariant check")
     p.add_argument("--manifest", help="family manifest (default: built-in 3x4)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_natural, default=DEFAULT_SEED)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("sample", help="draw points or region labels from a body")
     p.add_argument("--manifest", required=True)
     p.add_argument("--body-index", type=int, required=True)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_natural, default=10)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--format", choices=("points", "labels"), default="points")
     p.set_defaults(fn=_cmd_sample)
 
@@ -191,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="query budget per trial")
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--learner", choices=("ml", "random"), default="ml")
     p.add_argument("--csv", help="write a results row to this CSV file")
     p.set_defaults(fn=_cmd_game)
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", type=_pair, required=True, help="i,j body indices")
     p.add_argument("--dirs", type=int, default=64, help="random probe directions")
     p.add_argument("--samples", type=int, default=4096, help="samples per body")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.set_defaults(fn=_cmd_halfspace_gap)
 
     return parser

@@ -74,24 +74,9 @@ def min_distance_exhaustive(words, *, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
 
 
 @dataclass(frozen=True)
-class BinaryCode:
-    """A set of distinct binary words with exhaustively certified min distance."""
-
-    length: int
-    words: tuple[tuple[int, ...], ...]
-    min_distance: int
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    def word_array(self) -> np.ndarray:
-        return np.array(self.words, dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class QaryCode:
-    """A set of distinct q-ary words with exhaustively certified min distance."""
+class Code:
+    """A set of distinct words over the alphabet {0, ..., alphabet_size - 1},
+    with exhaustively certified minimum distance."""
 
     alphabet_size: int
     length: int
@@ -102,22 +87,14 @@ class QaryCode:
     def size(self) -> int:
         return len(self.words)
 
-    def word_array(self) -> np.ndarray:
-        return np.array(self.words, dtype=np.uint16)
 
-
-def certified_binary(length: int, words, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> BinaryCode:
-    words = _validate_words(2, length, words)
-    dmin = min_distance_exhaustive(words, pair_budget=pair_budget)
-    return BinaryCode(length=length, words=words, min_distance=dmin)
-
-
-def certified_qary(q: int, length: int, words, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> QaryCode:
+def certified_code(q: int, length: int, words, *,
+                   pair_budget: int = DEFAULT_PAIR_BUDGET) -> Code:
     if q < 2:
         raise ParameterError("alphabet size must be >= 2")
     words = _validate_words(q, length, words)
     dmin = min_distance_exhaustive(words, pair_budget=pair_budget)
-    return QaryCode(alphabet_size=q, length=length, words=words, min_distance=dmin)
+    return Code(alphabet_size=q, length=length, words=words, min_distance=dmin)
 
 
 def _ball_shifts(q: int, length: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,15 +111,14 @@ def _ball_shifts(q: int, length: int, radius: int) -> tuple[np.ndarray, np.ndarr
 
 def gv_greedy(q: int, length: int, min_dist: int, *,
               enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-              pair_budget: int = DEFAULT_PAIR_BUDGET):
+              pair_budget: int = DEFAULT_PAIR_BUDGET) -> Code:
     """Deterministic greedy code: scan all q^length words in lexicographic
     order, keep each word whose distance to everything kept is >= min_dist.
     A bitmap of one bool per word marks each kept word's Hamming ball: m kept
     words take O(q^length + m V_q(length, min_dist - 1)) time.
 
-    Returns a BinaryCode when q == 2, else a QaryCode, with the minimum
-    distance re-certified exhaustively.  The size floor
-    q^length / V_q(length, min_dist - 1) is a hard assertion.
+    The returned Code has its minimum distance re-certified exhaustively.
+    The size floor q^length / V_q(length, min_dist - 1) is a hard assertion.
     """
     if q < 2 or length < 1 or not 1 <= min_dist <= length:
         raise ParameterError(f"bad greedy-code parameters q={q} len={length} d={min_dist}")
@@ -177,8 +153,7 @@ def gv_greedy(q: int, length: int, min_dist: int, *,
                 grid[np.ix_(his[hi_weight == i], los[lo_weight <= radius - i])] = True
 
     words = tuple(map(tuple, (np.array(kept)[:, None] // place % q).tolist()))
-    code = (certified_binary(length, words, pair_budget=pair_budget) if q == 2
-            else certified_qary(q, length, words, pair_budget=pair_budget))
+    code = certified_code(q, length, words, pair_budget=pair_budget)
     if code.size > 1 and code.min_distance < min_dist:
         raise VerificationError("greedy code certification came in under the target distance")
     if code.size < floor:
@@ -187,12 +162,16 @@ def gv_greedy(q: int, length: int, min_dist: int, *,
     return code
 
 
-def complement_extend(code: BinaryCode) -> BinaryCode:
-    """Map every word c to (c, complement(c)).  Output words are constant
-    weight length/2 (in the doubled length) and the minimum distance doubles,
-    since flipped and unflipped positions each contribute once."""
+def complement_extend(code: Code) -> Code:
+    """Map every word c of a binary code to (c, complement(c)).  Output
+    words are constant weight length/2 (in the doubled length) and the
+    minimum distance doubles, since flipped and unflipped positions each
+    contribute once."""
+    if code.alphabet_size != 2:
+        raise ParameterError(
+            f"complement extension needs a binary code, got q={code.alphabet_size}")
     words = tuple(w + tuple(1 - b for b in w) for w in code.words)
-    out = certified_binary(2 * code.length, words)
+    out = certified_code(2, 2 * code.length, words)
     if out.size >= 2 and out.min_distance != 2 * code.min_distance:
         raise VerificationError(
             f"complement extension produced distance {out.min_distance}, "
@@ -213,8 +192,8 @@ def word_to_mask(word) -> int:
 # serialization: header "q=<int> len=<int> dmin=<int>", one word per line,
 # bit-strings for q=2, comma-separated symbol indices otherwise.
 
-def format_code(code) -> str:
-    q = 2 if isinstance(code, BinaryCode) else code.alphabet_size
+def format_code(code: Code) -> str:
+    q = code.alphabet_size
     lines = [f"q={q} len={code.length} dmin={code.min_distance}"]
     for w in code.words:
         if q == 2:
@@ -232,7 +211,7 @@ def _parse_header(line: str) -> tuple[int, int, int]:
         raise ParameterError(f"malformed code header {line!r}") from exc
 
 
-def parse_code(text: str):
+def parse_code(text: str) -> Code:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParameterError("empty code text")
@@ -249,8 +228,7 @@ def parse_code(text: str):
                 words.append(tuple(int(s) for s in ln.split(",")))
             except ValueError as exc:
                 raise ParameterError(f"malformed q-ary word {ln!r}") from exc
-    code = (certified_binary(length, words) if q == 2
-            else certified_qary(q, length, words))
+    code = certified_code(q, length, words)
     if code.size >= 2 and code.min_distance != dmin:
         raise VerificationError(
             f"stored dmin={dmin} but certification found {code.min_distance}")

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes as codes_mod
-from .codes import BinaryCode, QaryCode, certified_binary, certified_qary
+from .codes import Code, certified_code
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .exactmath import ceil_fraction, compare_exp_neg, exp_neg_bounds
 from .geometry import InnerBody, inner_volume, make_geometry
@@ -53,7 +53,7 @@ class InnerFamily:
     """
 
     n: int
-    code: BinaryCode
+    code: Code
     bodies: tuple[InnerBody, ...]
 
     @property
@@ -64,8 +64,10 @@ class InnerFamily:
         return np.array([b.mask for b in self.bodies], dtype=MASK_DTYPE)
 
 
-def inner_family_from_code(n: int, code: BinaryCode) -> InnerFamily:
-    """Wrap a code as an inner family, validating the family invariants."""
+def inner_family_from_code(n: int, code: Code) -> InnerFamily:
+    """Wrap a binary code as an inner family, validating the family invariants."""
+    if code.alphabet_size != 2:
+        raise ParameterError(f"inner code must be binary, got q={code.alphabet_size}")
     orthants = 1 << n
     if orthants > np.iinfo(MASK_DTYPE).bits:
         raise ParameterError(
@@ -145,7 +147,7 @@ class ProductFamily:
     """Inner family + outer code; bodies materialize on demand by index."""
 
     inner: InnerFamily
-    outer: QaryCode
+    outer: Code
 
     @property
     def n(self) -> int:
@@ -173,14 +175,14 @@ class ProductFamily:
         return ProductBody(tuple(self.inner.bodies[s] for s in word))
 
     def outer_matrix(self) -> np.ndarray:
-        return self.outer.word_array().astype(np.int64)
+        return np.array(self.outer.words, dtype=np.int64)
 
     def mask_matrix(self) -> np.ndarray:
         """(size, k) matrix of per-factor peak masks."""
         return self.inner.masks().astype(np.int64)[self.outer_matrix()]
 
 
-def product_family_from_parts(inner: InnerFamily, outer: QaryCode) -> ProductFamily:
+def product_family_from_parts(inner: InnerFamily, outer: Code) -> ProductFamily:
     if outer.alphabet_size != inner.size:
         raise ParameterError(
             f"outer alphabet {outer.alphabet_size} != inner family size {inner.size}")
@@ -191,7 +193,7 @@ def product_family_from_parts(inner: InnerFamily, outer: QaryCode) -> ProductFam
     return ProductFamily(inner=inner, outer=outer)
 
 
-def build_product_family(n: int, k: int, *, outer: QaryCode | None = None,
+def build_product_family(n: int, k: int, *, outer: Code | None = None,
                          max_n: int = DEFAULT_MAX_N, max_k: int = DEFAULT_MAX_K,
                          enumeration_budget: int = codes_mod.DEFAULT_ENUMERATION_BUDGET,
                          family_cap: int = DEFAULT_FAMILY_CAP) -> ProductFamily:
@@ -463,11 +465,9 @@ def parse_manifest(text: str) -> ProductFamily:
             outer_words.append(tuple(int(s) for s in ln.split(",")))
         except ValueError as exc:
             raise ParameterError(f"malformed outer word {ln!r}") from exc
-    inner_code = codes_mod.parse_code("\n".join(lines[1 + outer_size:]))
-    if not isinstance(inner_code, BinaryCode):
-        raise ParameterError("inner code block must be binary")
-    inner = inner_family_from_code(n, inner_code)
-    outer = certified_qary(inner.size, k, outer_words)
+    inner = inner_family_from_code(
+        n, codes_mod.parse_code("\n".join(lines[1 + outer_size:])))
+    outer = certified_code(inner.size, k, outer_words)
     return product_family_from_parts(inner, outer)
 
 

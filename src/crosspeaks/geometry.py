@@ -424,33 +424,44 @@ def _core_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return w[:, :n] * signs
 
 
-def _peak_points(n: int, orthant_index: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points of the peak simplex in one orthant: uniform barycentric
-    weights over the n facet vertices s_i e_i and the apex s/(n-1)."""
-    w = _simplex_weights(count, n, rng)
-    signs = np.array(index_to_signs(n, orthant_index), dtype=np.float64)
-    return signs * (w[:, :n] + w[:, n:] / (n - 1))
+@functools.lru_cache(maxsize=16)
+def _orthant_signs(n: int) -> np.ndarray:
+    """(2^n, n) int8 table whose row i is index_to_signs(n, i)."""
+    return (2 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1) - 1).astype(np.int8)
+
+
+def region_points(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniform points of the labeled regions: (count,) integer labels ->
+    (count, n) float64 points.  Core rows are drawn first, then the peak rows
+    in orthant order (row order within an orthant).  A peak point has
+    uniform barycentric weights over the n facet vertices s_i e_i and the
+    apex s/(n-1) of its orthant s."""
+    labels = np.asarray(labels)
+    core = core_label_value(n)
+    if len(labels) and not 0 <= labels.min() <= labels.max() <= core:
+        raise ParameterError("labels must be peak orthant indices or the core")
+    points = np.empty((len(labels), n), dtype=np.float64)
+    core_rows = labels == core
+    n_core = int(core_rows.sum())
+    if n_core:
+        points[core_rows] = _core_points(n, n_core, rng)
+    peak_rows = np.flatnonzero(~core_rows)
+    if len(peak_rows):
+        # narrowest dtype: a stable sort of 8- or 16-bit keys is a radix sort
+        keys = labels[peak_rows].astype(np.min_scalar_type(core))
+        rows = peak_rows[np.argsort(keys, kind="stable")]
+        w = _simplex_weights(len(rows), n, rng)
+        signs = _orthant_signs(n).take(labels[rows], axis=0)
+        points[rows] = signs * (w[:, :n] + w[:, n:] / (n - 1))
+    return points
 
 
 def sample_inner_batch(body: InnerBody, count: int, rng: np.random.Generator
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` uniform points of the body.  Returns (points, labels):
     points is (count, n) float64, labels the integer region labels."""
-    n = body.n
     labels = sample_region_labels(body, count, rng)
-    points = np.empty((count, n), dtype=np.float64)
-    core_rows = labels == core_label_value(n)
-    n_core = int(core_rows.sum())
-    if n_core:
-        points[core_rows] = _core_points(n, n_core, rng)
-    if body.peaks:
-        # group by orthant in sorted order so the draw sequence is reproducible
-        for orthant in sorted(body.peaks):
-            rows = labels == orthant
-            cnt = int(rows.sum())
-            if cnt:
-                points[rows] = _peak_points(n, orthant, cnt, rng)
-    return points, labels
+    return region_points(body.n, labels, rng), labels
 
 
 def sample_inner(body: InnerBody, rng: np.random.Generator) -> tuple[np.ndarray, int]:

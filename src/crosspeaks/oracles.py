@@ -16,7 +16,9 @@ exactly as one batch row does.
 A discrete random answer carries everything needed to regenerate a
 continuous sample: conditioned on the label, the point is uniform on that
 region, so simulate_continuous_from_discrete(n, labels) has exactly the
-distribution of continuous_random on the same body.  Every body answers a
+distribution of continuous_random on the same body.  Both turn labels into
+points through one function, geometry.region_points: continuous_random via
+sample_inner_batch, the simulator factor by factor.  Every body answers a
 random query with one of (2^n + 1)^k possible label tuples (2^n peaks or
 core, per factor), which is the fan-out that bounds what q queries can
 distinguish.
@@ -36,8 +38,7 @@ import numpy as np
 from .errors import ParameterError
 from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,
-                       sample_inner_batch, sample_region_labels,
-                       _core_points, _peak_points)
+                       region_points, sample_inner_batch, sample_region_labels)
 
 
 @dataclass(frozen=True)
@@ -185,24 +186,10 @@ def simulate_continuous_from_discrete(n: int, labels,
 
 
 def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vector form: (count, k) integer labels -> (count, k*n) points."""
+    """Vector form: (count, k) integer labels -> (count, k*n) points, drawn
+    factor by factor through geometry.region_points."""
     labels = np.asarray(labels)
-    count, k = labels.shape
-    core = core_label_value(n)
-    if count and not 0 <= labels.min() <= labels.max() <= core:
-        raise ParameterError("labels must be peak orthant indices or the core")
-    out = np.empty((count, k * n), dtype=np.float64)
-    for j in range(k):
-        col = labels[:, j]
-        block = slice(j * n, (j + 1) * n)
-        rows = col == core
-        cnt = int(rows.sum())
-        if cnt:
-            out[rows, block] = _core_points(n, cnt, rng)
-        for orthant in np.unique(col[col < core]):
-            rows = col == orthant
-            out[rows, block] = _peak_points(n, int(orthant), int(rows.sum()), rng)
-    return out
+    return np.concatenate([region_points(n, col, rng) for col in labels.T], axis=1)
 
 
 # ---------------------------------------------------------------------------

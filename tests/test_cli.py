@@ -197,3 +197,28 @@ def test_bad_body_index_is_parameter_error(capsys, manifest_32):
                           "--body-index", "600")
     assert code == 2
     assert "out of range" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--body-index", "0", "--seed", "-1"),
+    ("sample", "--body-index", "0", "--count", "-1"),
+    ("game", "--q", "1", "--epsilon", "1/64", "--trials", "5", "--seed", "-1"),
+    ("verify", "--seed", "-1"),
+    ("halfspace-gap", "--pair", "0,1", "--samples", "1000", "--seed", "-1"),
+    ("member", "--body-index", "0", "--point", "1/0,0,0,0,0,0"),
+])
+def test_bad_argument_values_exit_2(capsys, manifest_32, argv):
+    # rejected by argparse, which exits with 2, before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--manifest", manifest_32, *argv[1:]])
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_manifest_inner_code_must_be_binary(capsys, tmp_path):
+    path = tmp_path / "ternary.manifest"
+    path.write_text("n=2 k=1 inner_size=2 outer_size=2\n0\n1\n"
+                    "q=3 len=4 dmin=4\n1,1,0,0\n0,0,1,1\n")
+    code, _, stderr = run(capsys, "verify", "--manifest", str(path))
+    assert code == 2
+    assert "binary" in stderr

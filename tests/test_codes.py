@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crosspeaks.codes import (BinaryCode, QaryCode, certified_binary,
-                              certified_qary, complement_extend, format_code,
+from crosspeaks.codes import (certified_code, complement_extend, format_code,
                               gv_floor, gv_greedy, min_distance_exhaustive,
                               parse_code, v_q, word_to_mask)
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
@@ -97,7 +96,7 @@ def test_greedy_matches_reference(q, length, data):
     assume(q ** (2 * length - min_dist + 1) <= 1 << 22)
     code = gv_greedy(q, length, min_dist)
     assert code.words == _reference_greedy(q, length, min_dist)
-    assert type(code) is (BinaryCode if q == 2 else QaryCode)
+    assert code.alphabet_size == q
 
 
 def test_greedy_pinned_words():
@@ -145,7 +144,7 @@ def test_greedy_bad_parameters():
 # complement extension
 
 def test_complement_extend_small():
-    code = certified_binary(2, [(0, 1), (1, 0)])
+    code = certified_code(2, 2, [(0, 1), (1, 0)])
     out = complement_extend(code)
     assert out.words == ((0, 1, 1, 0), (1, 0, 0, 1))
     assert out.length == 4
@@ -153,7 +152,7 @@ def test_complement_extend_small():
 
 
 def test_complement_extend_diameter_code():
-    base = certified_binary(4, list(itertools.product((0, 1), repeat=4)))
+    base = certified_code(2, 4, list(itertools.product((0, 1), repeat=4)))
     assert base.min_distance == 1
     out = complement_extend(base)
     assert out.size == 16
@@ -161,6 +160,11 @@ def test_complement_extend_diameter_code():
     assert out.min_distance == 2
     # constant weight: every word has exactly length/2 ones
     assert all(sum(w) == 4 for w in out.words)
+
+
+def test_complement_extend_rejects_qary():
+    with pytest.raises(ParameterError, match="binary"):
+        complement_extend(certified_code(3, 2, [(0, 1), (2, 0)]))
 
 
 def test_complement_extend_doubles_distance():
@@ -182,7 +186,7 @@ def test_min_distance_examples():
 
 def test_min_distance_symbols_past_one_byte():
     # outer codes over inner families of more than 256 bodies
-    code = certified_qary(300, 2, [(0, 1), (256, 1)])
+    code = certified_code(300, 2, [(0, 1), (256, 1)])
     assert code.min_distance == 1
     assert min_distance_exhaustive([(0, 70000), (0, 4464)]) == 1
 
@@ -202,13 +206,13 @@ def test_min_distance_pair_budget():
 
 def test_certified_rejects_bad_words():
     with pytest.raises(ParameterError):
-        certified_binary(3, [(0, 1)])  # wrong length
+        certified_code(2, 3, [(0, 1)])  # wrong length
     with pytest.raises(ParameterError):
-        certified_binary(2, [(0, 2)])  # symbol out of range
+        certified_code(2, 2, [(0, 2)])  # symbol out of range
     with pytest.raises(ParameterError):
-        certified_binary(2, [(0, 1), (0, 1)])  # duplicate
+        certified_code(2, 2, [(0, 1), (0, 1)])  # duplicate
     with pytest.raises(ParameterError):
-        certified_qary(1, 2, [(0, 0)])
+        certified_code(1, 2, [(0, 0)])
 
 
 def test_word_to_mask():
@@ -225,7 +229,7 @@ def test_format_parse_roundtrip_binary():
     text = format_code(code)
     assert text.splitlines()[0] == "q=2 len=8 dmin=4"
     back = parse_code(text)
-    assert isinstance(back, BinaryCode)
+    assert back.alphabet_size == 2
     assert back.words == code.words
     assert back.min_distance == code.min_distance
 
@@ -236,7 +240,6 @@ def test_format_parse_roundtrip_qary():
     assert text.splitlines()[0] == "q=3 len=4 dmin=2"
     assert "," in text.splitlines()[1]
     back = parse_code(text)
-    assert isinstance(back, QaryCode)
     assert back.alphabet_size == 3
     assert back.words == code.words
 

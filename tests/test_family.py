@@ -5,16 +5,20 @@ intersection-volume formula and plain Monte Carlo frequency.  Keep both;
 collapsing them would leave the formula checking itself.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
-from crosspeaks.family import (ProductBody, build_inner_family,
+from crosspeaks.exactmath import compare_exp_neg
+from crosspeaks.family import (ProductBody, ProductFamily, build_inner_family,
                                build_product_family, certify_cardinality,
                                certify_equal_volumes, certify_separation,
                                exact_distance, exact_distance_inner,
@@ -26,7 +30,7 @@ from crosspeaks.family import (ProductBody, build_inner_family,
                                write_manifest)
 from crosspeaks.geometry import (InnerBody, inner_volume, make_geometry,
                                  membership_batch, sample_inner_batch)
-from crosspeaks.codes import certified_binary, certified_qary
+from crosspeaks.codes import certified_code, gv_greedy
 
 F = Fraction
 
@@ -56,17 +60,23 @@ def test_inner_family_2():
 def test_inner_family_rejects_bad_codes():
     with pytest.raises(VerificationError):
         # not constant weight
-        inner_family_from_code(2, certified_binary(4, [(1, 1, 1, 0), (0, 0, 0, 1)]))
+        inner_family_from_code(2, certified_code(2, 4, [(1, 1, 1, 0), (0, 0, 0, 1)]))
     with pytest.raises(ParameterError):
-        inner_family_from_code(3, certified_binary(4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
+        inner_family_from_code(3, certified_code(2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
     with pytest.raises(BudgetExceededError):
         build_inner_family(6)
+
+
+def test_inner_family_rejects_qary_code():
+    code = certified_code(3, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    with pytest.raises(ParameterError, match="binary"):
+        inner_family_from_code(2, code)
 
 
 def test_inner_family_rejects_masks_wider_than_dtype():
     # n=6 has 64 orthants, one bit each, past the 32-bit peak masks
     half = (1,) * 32 + (0,) * 32
-    code = certified_binary(64, [half, half[::-1]])
+    code = certified_code(2, 64, [half, half[::-1]])
     with pytest.raises(ParameterError, match="64-bit peak masks"):
         inner_family_from_code(6, code)
 
@@ -206,12 +216,50 @@ def test_certify_separation_exact_past_int64():
     # n=5, k=16: den = (R + w)^k = 144^16 overflows int64, and the one pair
     # shares no peak in any factor, so its distance is 1 - (128/144)^16
     half = (1,) * 16 + (0,) * 16
-    inner = inner_family_from_code(5, certified_binary(32, [half, half[::-1]]))
+    inner = inner_family_from_code(5, certified_code(2, 32, [half, half[::-1]]))
     family = product_family_from_parts(
-        inner, certified_qary(2, 16, [(0,) * 16, (1,) * 16]))
+        inner, certified_code(2, 16, [(0,) * 16, (1,) * 16]))
     rep = certify_separation(family)
     assert rep.min_distance == 1 - F(8, 9) ** 16
     assert rep.min_distance == exact_distance(family.body(0), family.body(1))
+
+
+@functools.cache
+def _inner_family(n):
+    return build_inner_family(n)
+
+
+@settings(deadline=None)
+@given(n=st.sampled_from((2, 3)), k=st.integers(1, 4), data=st.data())
+def test_certify_separation_matches_brute_force(n, k, data):
+    # random outer words over a greedy inner family, with no outer distance
+    # floor: the certificate must raise exactly when a pair breaks one of its
+    # three conditions, and otherwise report what a Fraction scan finds
+    inner = _inner_family(n)
+    # a small top symbol makes pairs that differ in few factors common
+    symbol = st.integers(0, data.draw(st.integers(1, inner.size - 1), label="top"))
+    words = data.draw(st.lists(st.tuples(*[symbol] * k), min_size=2, max_size=8,
+                               unique=True), label="outer words")
+    family = ProductFamily(inner, certified_code(inner.size, k, words))
+    dists, shared, diffs = [], [], []
+    for i, j in itertools.combinations(range(family.size), 2):
+        a, b = family.body(i), family.body(j)
+        dists.append(exact_distance(a, b))
+        differ = [(fa, fb) for fa, fb in zip(a.factors, b.factors) if fa != fb]
+        diffs.append(len(differ))
+        shared.append(max(len(fa.peaks & fb.peaks) for fa, fb in differ))
+    violated = (any(compare_exp_neg(F(k, 16 * n), 1 - d) < 0 for d in dists)
+                or any(8 * m > 3 * (1 << n) for m in shared)
+                or any(2 * c < k for c in diffs))
+    if violated:
+        with pytest.raises(VerificationError):
+            certify_separation(family)
+        return
+    rep = certify_separation(family)
+    assert rep.pairs_checked == len(dists)
+    assert rep.min_distance == min(dists)
+    assert rep.max_shared_on_diff == max(shared)
+    assert rep.min_differing_factors == min(diffs)
 
 
 def test_certify_separation_sampled_mode(family_34):
@@ -246,6 +294,15 @@ def test_family_shapes(family_34):
 def test_family_equal_volumes_all_bodies(family_32):
     vols = {family_32.body(i).volume() for i in range(family_32.size)}
     assert vols == {F(5, 3) ** 2}
+
+
+def test_binary_outer_code_over_two_body_inner_family():
+    inner = inner_family_from_code(2, certified_code(2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
+    outer = gv_greedy(2, 4, 2)
+    family = product_family_from_parts(inner, outer)
+    assert family.size == 8
+    assert family.outer_matrix().tolist() == [list(w) for w in outer.words]
+    assert family.mask_matrix()[1].tolist() == [0b0011, 0b0011, 0b1100, 0b1100]
 
 
 def test_build_rejects_bad_parameters():
@@ -284,6 +341,10 @@ def test_manifest_rejects_corruption(family_32):
         parse_manifest(text.replace("outer_size=256", "outer_size=255"))
     with pytest.raises(ParameterError):
         parse_manifest(text.replace("n=3 k=2", "x=3 k=2"))
+    # a well-formed inner code block over three symbols
+    with pytest.raises(ParameterError, match="binary"):
+        parse_manifest("n=2 k=1 inner_size=2 outer_size=2\n0\n1\n"
+                       "q=3 len=4 dmin=4\n1,1,0,0\n0,0,1,1\n")
     # flipping one bit of the inner code breaks the stored dmin certificate
     # or the constant-weight family invariant
     lines = text.splitlines()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from crosspeaks.geometry import (InnerBody, OrthantSign, bare_body,
                                  outside_label_value, parse_inner_body,
                                  peak_vertices, q_halfspace_normals,
                                  q_membership_scaled_batch, region_expectations,
-                                 sample_inner, sample_inner_batch,
-                                 signs_to_index)
+                                 region_points, sample_inner,
+                                 sample_inner_batch, signs_to_index)
 
 F = Fraction
 
@@ -291,3 +292,30 @@ def test_sampling_is_reproducible():
     a, la = sample_inner_batch(body, 500, np.random.default_rng(123))
     b, lb = sample_inner_batch(body, 500, np.random.default_rng(123))
     assert np.array_equal(a, b) and np.array_equal(la, lb)
+
+
+def test_sampler_pinned_bytes():
+    # SHA-256 of points and labels from the earlier sampler, which drew each
+    # orthant's peak points in its own call: the single peak draw of
+    # region_points must reproduce them byte for byte
+    pins = [
+        (body_from_mask(3, 0b10110101), 1,
+         "85f6901a6056af1cb2e2e6d7f414d5a08504e570611fb376411eead2738b387f"),
+        (body_from_mask(4, 0x5A3C), 2,
+         "3f8e16f1e6f22d967c93e00d5e4a3e42bda1fc50b869dd2eb92220282ebe21a8"),
+        (full_body(10), 3,
+         "78d6da6d4918a3dfdcaf4b9f123c1de83c5a1d7f07478cee8d475d26149d9e25"),
+    ]
+    for body, seed, digest in pins:
+        pts, labels = sample_inner_batch(body, 20_000, np.random.default_rng(seed))
+        assert hashlib.sha256(pts.tobytes() + labels.tobytes()).hexdigest() == digest
+
+
+def test_region_points_lands_in_each_region(rng):
+    n = 4
+    labels = rng.integers(0, core_label_value(n) + 1, size=5000)
+    pts = region_points(n, labels, rng)
+    assert np.array_equal(classify_batch(n, pts), labels)
+    assert region_points(n, labels[:0], rng).shape == (0, n)
+    with pytest.raises(ParameterError):
+        region_points(n, np.array([0, outside_label_value(n)]), rng)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -142,6 +143,18 @@ def test_simulate_scalar_matches_label(rng):
         labs = classify_batch(3, x.reshape(2, 3))
         assert labs[0] == core_label_value(3)
         assert labs[1] == 6
+
+
+def test_simulate_pinned_bytes(family_34):
+    # SHA-256 of labels and simulated points from the earlier per-orthant
+    # simulator on one (3,4) body; region_points must reproduce it
+    body = family_34.body(1234)
+    assert body.text() == "n=3;peaks=d2|n=3;peaks=4b|n=3;peaks=b4|n=3;peaks=2d"
+    rng = np.random.default_rng(4)
+    labels = discrete_random_batch(body, 5000, rng)
+    sim = simulate_batch(3, labels, rng)
+    assert (hashlib.sha256(labels.tobytes() + sim.tobytes()).hexdigest()
+            == "b2374dd75f54d9622619fca920cf398b655778f3b6ad0db451bbb409c950bbc3")
 
 
 def test_simulation_pipeline_matches_continuous(rng):
