@@ -1,8 +1,9 @@
 """Command-line surface: build families, verify invariants, sample bodies,
 play query games, print bound reports, probe halfspace gaps.
 
-Exit codes: 0 ok, 2 parameter error (argparse uses the same code), 3
-verification failure, 4 resource budget exceeded.  Every command that
+Exit codes: 0 ok, 2 parameter error (argparse uses the same code; an output
+file that cannot be written counts too), 3 verification failure, 4 resource
+budget exceeded (also a request too large to allocate).  Every command that
 involves randomness takes --seed; identical flags and seed give
 byte-identical output.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +64,14 @@ def _load_family(path: str):
         raise ParameterError(f"cannot read manifest {path}: {exc}") from exc
 
 
+@contextmanager
+def _writing(path: str):
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
 def _body(family, index: int):
     if not 0 <= index < family.size:
         raise ParameterError(
@@ -74,7 +84,8 @@ def _body(family, index: int):
 
 def _cmd_gen_family(args) -> int:
     family = build_product_family(args.n, args.k)
-    write_manifest(family, args.out)
+    with _writing(args.out):
+        write_manifest(family, args.out)
     print(f"wrote {args.out}: n={family.n} k={family.k} bodies={family.size} "
           f"inner={family.inner.size} volume={family.body(0).volume()}")
     return 0
@@ -133,7 +144,8 @@ def _cmd_game(args) -> int:
           f"confidence_radius={stats.confidence_radius!r} "
           f"upper_bound={float(bound)!r}")
     if args.csv:
-        write_results_csv(args.csv, [game_result_row(config, stats)])
+        with _writing(args.csv):
+            write_results_csv(args.csv, [game_result_row(config, stats)])
         print(f"wrote {args.csv}")
     return 0
 
@@ -236,6 +248,9 @@ def main(argv=None) -> int:
         return 3
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"budget exceeded: out of memory ({exc})", file=sys.stderr)
         return 4
     except CrosspeaksError as exc:
         print(f"error: {exc}", file=sys.stderr)

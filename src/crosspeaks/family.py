@@ -237,13 +237,23 @@ def intersection_volume(a: ProductBody, b: ProductBody) -> Fraction:
 def exact_distance(a: ProductBody, b: ProductBody) -> Fraction:
     """dist(a, b) = vol(bigger \\ smaller) / vol(bigger), exact.
 
-    For equal volumes this is the symmetric 1 - vol(a^b)/vol(a); the
-    two-branch form also covers unequal-volume pairs.
+    With R = 2^n (n-1) = core/peak, a factor with p peaks has volume
+    core (R + p)/R and two factors sharing m peaks intersect in core (R + m)/R,
+    so the common factor (core/R)^k cancels and the distance is
+    (big - inter)/big over the integers big = max(prod (R + p_a), prod (R + p_b))
+    and inter = prod (R + m).  ProductBody.volume and intersection_volume are
+    the Fraction reference; the two-branch form covers unequal-volume pairs.
     """
-    va, vb = a.volume(), b.volume()
-    inter = intersection_volume(a, b)
-    big = va if va >= vb else vb
-    return (big - inter) / big
+    if a.n != b.n or a.k != b.k:
+        raise ParameterError("intersection needs matching (n, k)")
+    r = (1 << a.n) * (a.n - 1)
+    vol_a = vol_b = inter = 1
+    for fa, fb in zip(a.factors, b.factors):
+        vol_a *= r + len(fa.peaks)
+        vol_b *= r + len(fb.peaks)
+        inter *= r + len(fa.peaks & fb.peaks)
+    big = max(vol_a, vol_b)
+    return Fraction(big - inter, big)
 
 
 def exact_distance_inner(a: InnerBody, b: InnerBody) -> Fraction:

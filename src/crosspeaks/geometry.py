@@ -381,19 +381,40 @@ def _core_weight(n: int) -> int:
     return (1 << n) * (n - 1)
 
 
-def sample_region_labels(body: InnerBody, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` region labels with probabilities exactly proportional to
-    region volumes, via integer weights.  Returns integer labels."""
-    n = body.n
+def sample_region_label_rows(bodies, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, len(bodies)) region labels, column j drawn for bodies[j] with
+    probabilities exactly proportional to region volumes, via integer
+    weights (core -> 2^n (n-1), each present peak -> 1).
+
+    One rng.integers call fills the matrix row by row, so the generator is
+    consumed exactly as by count x len(bodies) single draws taken row by
+    row, body by body.  The bound is a scalar when every body has the same
+    peak count (numpy's per-element bounds path is several times slower)."""
+    bodies = tuple(bodies)
+    if not bodies:
+        raise ParameterError("need at least one body")
+    if count < 0:
+        raise ParameterError("count must be >= 0")
+    n = bodies[0].n
+    if any(b.n != n for b in bodies):
+        raise ParameterError("all bodies must share the same dimension")
     r = _core_weight(n)
-    p = body.peak_count
-    u = rng.integers(0, r + p, size=count)
-    labels = np.full(count, core_label_value(n), dtype=np.int64)
-    if p:
-        hit = u >= r
-        if hit.any():
-            labels[hit] = _present_peaks(body)[u[hit] - r]
+    counts = [b.peak_count for b in bodies]
+    high = r + counts[0] if counts.count(counts[0]) == len(counts) else r + np.array(counts)
+    u = rng.integers(0, high, size=(count, len(bodies)))
+    labels = np.full(u.shape, core_label_value(n), dtype=np.int64)
+    hit = u >= r
+    if hit.any():
+        # column j's peaks follow the earlier columns' in one concatenated table
+        u += list(itertools.accumulate(counts[:-1], initial=0))
+        labels[hit] = np.concatenate([_present_peaks(b) for b in bodies])[u[hit] - r]
     return labels
+
+
+def sample_region_labels(body: InnerBody, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` region labels of one body: the one-column case of
+    sample_region_label_rows.  Returns integer labels."""
+    return sample_region_label_rows((body,), count, rng)[:, 0]
 
 
 def region_expectations(body: InnerBody) -> tuple[np.ndarray, list[Fraction]]:

@@ -16,10 +16,14 @@ big-integer code-size floors where they are computable and certified
 power-of-two floors beyond that.
 
 Randomness: every run derives independent per-trial streams from the master
-seed via numpy SeedSequence.spawn (trial t gets child t, split again into
-hidden-draw, oracle, and learner streams), so trial outcomes are
-order-independent and reproducible, and two runs that differ only in the
-query budget see identical hidden bodies and oracle draw prefixes.
+seed (trial t gets SeedSequence(seed, spawn_key=(t,)), the t-th child that
+SeedSequence(seed).spawn would give, split again into hidden-draw, oracle,
+and learner streams), so trial outcomes are order-independent and
+reproducible.  The random-policy learner takes its whole budget in one
+OracleSession.random_batch call, a single row draw that consumes the oracle
+stream query by query; a q-row draw is therefore a prefix of a (q+1)-row
+draw, and two runs that differ only in the query budget see identical
+hidden bodies and oracle draw prefixes.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ import numpy as np
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .exactmath import binomial_ball_size, ceil_fraction, log2_bounds
 from .family import ProductBody, ProductFamily, exact_distance, separation_holds
-from .geometry import core_label_value
+from .geometry import core_label_value, sample_region_label_rows
 from .oracles import (MembershipQuery, Transcript, answer_space_size,
-                      discrete_membership, discrete_random)
+                      discrete_membership)
+
+# a game trial may draw at most this many region labels (query budget x k)
+MAX_LABELS_PER_TRIAL = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +65,22 @@ class OracleSession:
     def remaining(self) -> int:
         return self.budget - self.transcript.query_count
 
-    def _spend(self) -> None:
-        if self.remaining <= 0:
+    def _spend(self, count: int = 1) -> None:
+        if count > self.remaining:
             raise BudgetExceededError("query budget exhausted")
 
     def random(self) -> tuple[int, ...]:
-        self._spend()
-        labels = discrete_random(self._body, self._rng)
-        self.transcript.record_random(labels)
+        return tuple(self.random_batch(1)[0].tolist())
+
+    def random_batch(self, count: int) -> np.ndarray:
+        """`count` random-oracle queries as one (count, k) label draw, taken
+        query by query and recorded one transcript entry per row.  A batch
+        that would overrun the budget is refused before anything is drawn."""
+        if count < 0:
+            raise ParameterError("random query count must be >= 0")
+        self._spend(count)
+        labels = sample_region_label_rows(self._body.factors, count, self._rng)
+        self.transcript.record_random_rows(labels)
         return labels
 
     def membership(self, indices) -> tuple[bool, ...]:
@@ -159,8 +174,8 @@ class MLConsistencyLearner:
     def play(self, session: OracleSession, family: ProductFamily,
              rng: np.random.Generator) -> int:
         if self.policy == "random":
-            while session.remaining > 0:
-                session.random()
+            if session.remaining > 0:
+                session.random_batch(session.remaining)
         else:
             for index in range(1 << family.n):
                 if session.remaining <= 0:
@@ -184,7 +199,9 @@ class GameConfig:
 
     Requires 2*epsilon < 1 - e^(-k/(16n)) (decided exactly), so that an
     epsilon-ball around any hypothesis contains at most one family body and
-    per-trial success is unambiguous.
+    per-trial success is unambiguous.  A budget whose labels per trial
+    (query_budget * k) exceed MAX_LABELS_PER_TRIAL is refused with
+    BudgetExceededError.
     """
 
     family: ProductFamily
@@ -205,6 +222,10 @@ class GameConfig:
             raise ParameterError(
                 "2*epsilon must stay under the family separation floor "
                 f"1 - e^(-k/(16n)) for (n, k) = ({self.family.n}, {self.family.k})")
+        if self.query_budget * self.family.k > MAX_LABELS_PER_TRIAL:
+            raise BudgetExceededError(
+                f"query budget {self.query_budget} x k={self.family.k} is over "
+                f"the cap of {MAX_LABELS_PER_TRIAL} labels per trial")
 
 
 @dataclass(frozen=True)
@@ -238,9 +259,9 @@ def run_game(config: GameConfig, learner) -> GameStats:
     forfeits the trial; this is counted separately.
     """
     family = config.family
-    master = np.random.SeedSequence(config.seed)
     successes = exact_ids = violations = 0
-    for trial_seq in master.spawn(config.trials):
+    for t in range(config.trials):
+        trial_seq = np.random.SeedSequence(config.seed, spawn_key=(t,))
         hidden_seq, oracle_seq, learner_seq = trial_seq.spawn(3)
         hidden_index = int(np.random.default_rng(hidden_seq).integers(family.size))
         hidden = family.body(hidden_index)

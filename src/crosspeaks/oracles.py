@@ -9,9 +9,13 @@ Four oracles, all driven by a caller-supplied numpy Generator:
   discrete_membership   per-factor "is peak #i present?" bits
 
 Labels are the integers of geometry: a value below 2^n is a peak's orthant
-index, 2^n is the core.  Each random oracle is a thin wrapper over its batch
-form, which draws factor by factor, so one call consumes the generator
-exactly as one batch row does.
+index, 2^n is the core.  discrete_random is one row of
+geometry.sample_region_label_rows, which draws query by query (factor by
+factor within a row), so q calls consume the generator exactly as one
+q-row draw does; the game's OracleSession.random_batch relies on that.
+discrete_random_batch and continuous_random_batch draw factor by factor
+instead (column j takes `count` consecutive draws); continuous_random is
+their one-row case, where the two orders coincide.
 
 A discrete random answer carries everything needed to regenerate a
 continuous sample: conditioned on the label, the point is uniform on that
@@ -38,7 +42,8 @@ import numpy as np
 from .errors import ParameterError
 from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,
-                       region_points, sample_inner_batch, sample_region_labels)
+                       region_points, sample_inner_batch,
+                       sample_region_label_rows, sample_region_labels)
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,10 @@ class Transcript:
 
     def record_random(self, labels) -> None:
         self.entries.append(("R", tuple(int(v) for v in labels)))
+
+    def record_random_rows(self, rows: np.ndarray) -> None:
+        """One random-draw entry per row of a (count, k) label matrix."""
+        self.entries.extend(("R", tuple(row)) for row in rows.tolist())
 
     def record_membership(self, query: MembershipQuery, answers: tuple[bool, ...]) -> None:
         self.entries.append(("M", query, answers))
@@ -152,12 +161,14 @@ def continuous_membership(body: ProductBody, x) -> bool:
 
 def discrete_random(body: ProductBody, rng: np.random.Generator) -> tuple[int, ...]:
     """Region label per factor, distributed exactly by region volumes."""
-    return tuple(discrete_random_batch(body, 1, rng)[0].tolist())
+    return tuple(sample_region_label_rows(body.factors, 1, rng)[0].tolist())
 
 
 def discrete_random_batch(body: ProductBody, count: int,
                           rng: np.random.Generator) -> np.ndarray:
-    """(count, k) integer label matrix (core = 2^n)."""
+    """(count, k) integer label matrix (core = 2^n), drawn factor by factor:
+    column j takes `count` consecutive draws, unlike count discrete_random
+    calls, which draw query by query."""
     out = np.empty((count, body.k), dtype=np.int64)
     for j, f in enumerate(body.factors):
         out[:, j] = sample_region_labels(f, count, rng)
@@ -189,6 +200,9 @@ def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.n
     """Vector form: (count, k) integer labels -> (count, k*n) points, drawn
     factor by factor through geometry.region_points."""
     labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise ParameterError(
+            f"labels must be a (count, k) array, got shape {labels.shape}")
     return np.concatenate([region_points(n, col, rng) for col in labels.T], axis=1)
 
 

@@ -100,6 +100,24 @@ def test_game_runs_and_writes_csv(capsys, manifest_32, tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_game_huge_budget_is_budget_exceeded(capsys, manifest_32):
+    code, _, stderr = run(capsys, "game", "--manifest", manifest_32,
+                          "--q", "100000000000", "--epsilon", "1/64",
+                          "--trials", "1")
+    assert code == 4
+    assert "labels per trial" in stderr
+
+
+def test_sample_too_many_points_is_budget_exceeded(capsys, manifest_32):
+    # the label array alone would need 800 TB, so numpy refuses at once
+    for fmt in ("points", "labels"):
+        code, stdout, stderr = run(capsys, "sample", "--manifest", manifest_32,
+                                   "--body-index", "0", "--count",
+                                   "100000000000000", "--format", fmt)
+        assert code == 4 and stdout == ""
+        assert "budget exceeded" in stderr
+
+
 def test_game_rejects_wide_epsilon(capsys, manifest_32):
     # 2 eps above the (3,2) separation floor
     code, _, stderr = run(capsys, "game", "--manifest", manifest_32,
@@ -206,11 +224,26 @@ def test_bad_body_index_is_parameter_error(capsys, manifest_32):
     ("verify", "--seed", "-1"),
     ("halfspace-gap", "--pair", "0,1", "--samples", "1000", "--seed", "-1"),
     ("member", "--body-index", "0", "--point", "1/0,0,0,0,0,0"),
+    ("gen-family", "--n", "2", "--k", "1", "--out", "{missing}"),
+    ("gen-family", "--n", "2", "--k", "1", "--out", "{dir}"),
+    ("game", "--q", "1", "--epsilon", "1/64", "--trials", "5", "--csv", "{missing}"),
+    ("game", "--q", "1", "--epsilon", "1/64", "--trials", "5", "--csv", "{dir}"),
 ])
-def test_bad_argument_values_exit_2(capsys, manifest_32, argv):
+def test_bad_argument_values_exit_2(capsys, manifest_32, tmp_path, argv):
+    unwritable = {"{missing}": str(tmp_path / "absent" / "out.txt"),
+                  "{dir}": str(tmp_path)}
+    args = [unwritable.get(a, a) for a in argv]
+    if args[0] != "gen-family":
+        args[1:1] = ["--manifest", manifest_32]
+    if argv[-1] in unwritable:
+        # an output path in a missing directory, or a directory: the command
+        # runs and reports the write failure as a parameter error
+        assert main(args) == 2
+        assert "cannot write" in capsys.readouterr().err
+        return
     # rejected by argparse, which exits with 2, before any command runs
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], "--manifest", manifest_32, *argv[1:]])
+        main(args)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
 

@@ -28,8 +28,9 @@ from crosspeaks.family import (ProductBody, ProductFamily, build_inner_family,
                                read_manifest,
                                separation_floor, separation_holds,
                                write_manifest)
-from crosspeaks.geometry import (InnerBody, inner_volume, make_geometry,
-                                 membership_batch, sample_inner_batch)
+from crosspeaks.geometry import (InnerBody, body_from_mask, inner_volume,
+                                 make_geometry, membership_batch,
+                                 sample_inner_batch)
 from crosspeaks.codes import certified_code, gv_greedy
 
 F = Fraction
@@ -149,6 +150,21 @@ def test_distance_rejects_mismatched_shapes():
     pb = ProductBody((InnerBody(3, frozenset()),) * 2)
     with pytest.raises(ParameterError):
         intersection_volume(pa, pb)
+    with pytest.raises(ParameterError):
+        exact_distance(pa, pb)
+
+
+@settings(deadline=None)
+@given(n=st.integers(2, 4), k=st.integers(1, 4), data=st.data())
+def test_exact_distance_matches_volume_reference(n, k, data):
+    # the integer form must equal (max vol - intersection) / max vol computed
+    # from the Fraction volumes, also when the two volumes differ
+    mask = st.integers(0, (1 << (1 << n)) - 1)
+    a, b = (ProductBody(tuple(body_from_mask(n, data.draw(mask)) for _ in range(k)))
+            for _ in range(2))
+    big = max(a.volume(), b.volume())
+    expected = (big - intersection_volume(a, b)) / big
+    assert exact_distance(a, b) == expected == exact_distance(b, a)
 
 
 def test_per_factor_ratio_cap():

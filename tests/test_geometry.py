@@ -18,7 +18,8 @@ from crosspeaks.geometry import (InnerBody, OrthantSign, bare_body,
                                  peak_vertices, q_halfspace_normals,
                                  q_membership_scaled_batch, region_expectations,
                                  region_points, sample_inner,
-                                 sample_inner_batch, signs_to_index)
+                                 sample_inner_batch, sample_region_label_rows,
+                                 signs_to_index)
 
 F = Fraction
 
@@ -309,6 +310,25 @@ def test_sampler_pinned_bytes():
     for body, seed, digest in pins:
         pts, labels = sample_inner_batch(body, 20_000, np.random.default_rng(seed))
         assert hashlib.sha256(pts.tobytes() + labels.tobytes()).hexdigest() == digest
+
+
+def test_label_rows_columns_follow_their_bodies(rng):
+    bodies = (full_body(3), bare_body(3), body_from_mask(3, 0x81))
+    rows = sample_region_label_rows(bodies, 4000, rng)
+    assert rows.shape == (4000, 3) and rows.dtype == np.int64
+    assert set(np.unique(rows[:, 0])) == set(range(9))
+    assert (rows[:, 1] == core_label_value(3)).all()
+    assert set(np.unique(rows[:, 2])) == {0, 7, core_label_value(3)}
+    assert sample_region_label_rows(bodies, 0, rng).shape == (0, 3)
+
+
+def test_label_rows_validation(rng):
+    with pytest.raises(ParameterError):
+        sample_region_label_rows((), 3, rng)
+    with pytest.raises(ParameterError):
+        sample_region_label_rows((full_body(3),), -1, rng)
+    with pytest.raises(ParameterError):
+        sample_region_label_rows((full_body(3), full_body(2)), 3, rng)
 
 
 def test_region_points_lands_in_each_region(rng):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
 from crosspeaks.geometry import core_label_value
-from crosspeaks.harness import (GameConfig, GameStats, MLConsistencyLearner,
-                                OracleSession, RandomGuessLearner,
+from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, GameConfig, GameStats,
+                                MLConsistencyLearner, OracleSession,
+                                RandomGuessLearner,
                                 RESULTS_CSV_COLUMNS, choose_parameters,
                                 consistent_indices, game_result_row,
                                 ml_consistency_learner, query_lower_bound,
@@ -42,6 +43,48 @@ def test_session_budget_enforced(family_32, rng):
 def test_session_rejects_negative_budget(family_32, rng):
     with pytest.raises(ParameterError):
         OracleSession(family_32.body(0), -1, rng)
+
+
+def test_random_batch_matches_single_queries(family_34):
+    body = family_34.body(77)
+    batch = OracleSession(body, 8, np.random.default_rng(5))
+    single = OracleSession(body, 8, np.random.default_rng(5))
+    labels = batch.random_batch(6)
+    assert labels.shape == (6, 4)
+    assert [single.random() for _ in range(6)] == [tuple(row) for row in labels.tolist()]
+    assert batch.transcript.to_log() == single.transcript.to_log()
+    assert batch.remaining == single.remaining == 2
+
+
+def test_random_batch_refuses_overdraft_before_drawing(family_32, rng):
+    session = OracleSession(family_32.body(3), 4, rng)
+    session.random_batch(3)
+    state = rng.bit_generator.state
+    with pytest.raises(BudgetExceededError):
+        session.random_batch(2)
+    assert rng.bit_generator.state == state
+    assert session.transcript.query_count == 3
+    assert session.random_batch(1).shape == (1, 2)
+    assert session.remaining == 0
+
+
+def test_random_batch_zero_and_negative_counts(family_32, rng):
+    session = OracleSession(family_32.body(3), 0, rng)
+    assert session.random_batch(0).shape == (0, 2)
+    assert session.transcript.query_count == 0
+    with pytest.raises(ParameterError):
+        session.random_batch(-1)
+    with pytest.raises(BudgetExceededError):
+        session.random_batch(1)
+
+
+@pytest.mark.parametrize("budget, calls", [(0, []), (3, [3])])
+def test_random_learner_draws_its_budget_in_one_call(family_32, rng, budget, calls):
+    session = OracleSession(family_32.body(3), budget, rng)
+    seen = []
+    session.random_batch = seen.append
+    MLConsistencyLearner("random").play(session, family_32, rng)
+    assert seen == calls
 
 
 class _Overdrawer:
@@ -188,6 +231,51 @@ def test_game_config_validation(family_34):
     with pytest.raises(ParameterError):
         GameConfig(family=family_34, query_budget=0, epsilon=F(1, 16),
                    trials=1, seed=0)
+
+
+def test_game_config_caps_labels_per_trial(family_34):
+    # query_budget * k labels per trial; the CLI maps this to exit 4
+    GameConfig(family=family_34, query_budget=MAX_LABELS_PER_TRIAL // 4,
+               epsilon=F(1, 64), trials=1, seed=0)
+    with pytest.raises(BudgetExceededError):
+        GameConfig(family=family_34, query_budget=MAX_LABELS_PER_TRIAL // 4 + 1,
+                   epsilon=F(1, 64), trials=1, seed=0)
+
+
+def test_trial_seed_sequences_match_spawned_children():
+    # run_game builds trial t's stream as SeedSequence(seed, spawn_key=(t,))
+    # instead of materialising SeedSequence(seed).spawn(trials)
+    children = np.random.SeedSequence(SEED).spawn(50)
+    for t, child in enumerate(children):
+        direct = np.random.SeedSequence(SEED, spawn_key=(t,))
+        for a, b in zip(direct.spawn(3), child.spawn(3)):
+            assert np.array_equal(a.generate_state(4), b.generate_state(4))
+
+
+# (successes, exact identifications) over 300 trials at seed 2024, recorded
+# from the per-query game loop before the learner drew its budget in one call
+GAME_PINS = {
+    "32": {(False, "random", 0): (0, 0), (False, "random", 1): (1, 1),
+           (False, "random", 5): (4, 4), (False, "random", 20): (71, 71),
+           (False, "census", 8): (300, 300), (True, "random", 0): (2, 2),
+           (True, "random", 1): (2, 2), (True, "random", 5): (7, 7),
+           (True, "random", 20): (58, 58), (True, "census", 8): (300, 300)},
+    "34": {(False, "random", 0): (0, 0), (False, "random", 1): (0, 0),
+           (False, "random", 5): (0, 0), (False, "random", 20): (85, 85),
+           (False, "census", 8): (300, 300), (True, "random", 0): (1, 1),
+           (True, "random", 1): (0, 0), (True, "random", 5): (1, 1),
+           (True, "random", 20): (85, 85), (True, "census", 8): (300, 300)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAME_PINS))
+def test_game_stats_pinned(request, name):
+    family = request.getfixturevalue(f"family_{name}")
+    for (shuffle, policy, q), (successes, exact) in GAME_PINS[name].items():
+        config = GameConfig(family=family, query_budget=q, epsilon=F(1, 64),
+                            trials=300, seed=2024)
+        stats = run_game(config, MLConsistencyLearner(policy, shuffle=shuffle))
+        assert stats == GameStats(300, successes, exact, 0), (shuffle, policy, q)
 
 
 def test_run_game_reproducible(family_32):

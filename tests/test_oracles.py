@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
 from crosspeaks.errors import ParameterError
 from crosspeaks.family import ProductBody
-from crosspeaks.geometry import (bare_body, body_from_mask, classify_batch,
-                                 core_label_value, full_body, label_text,
-                                 sample_inner_batch)
+from crosspeaks.geometry import (InnerBody, bare_body, body_from_mask,
+                                 classify_batch, core_label_value, full_body,
+                                 label_text, sample_inner_batch,
+                                 sample_region_label_rows)
 from crosspeaks.oracles import (MembershipQuery, Transcript, answer_space_size,
                                 continuous_membership, continuous_random,
                                 continuous_random_batch, discrete_membership,
@@ -58,6 +61,44 @@ def test_discrete_scalar_never_outside(rng):
             assert lab <= core_label_value(3)  # never outside
             if lab < core_label_value(3):
                 assert body.factors[j].has_peak(lab)
+
+
+@st.composite
+def _factor_bodies(draw):
+    """1 to 4 same-dimension bodies, peak counts either all equal or mixed."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    equal = draw(st.none() | st.integers(0, 1 << n))
+    bodies = []
+    for _ in range(m):
+        size = draw(st.integers(0, 1 << n)) if equal is None else equal
+        order = draw(st.permutations(range(1 << n)))
+        bodies.append(InnerBody(n, frozenset(order[:size])))
+    return tuple(bodies)
+
+
+@settings(deadline=None)
+@given(bodies=_factor_bodies(), count=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_label_rows_equal_sequential_draws(bodies, count, seed):
+    # one (count, m) draw must equal count discrete_random calls on a twin
+    # generator, and count x m scalar draws mapped through the core/peak rule
+    # by hand; afterwards all three generators must agree on their next draws
+    rng, twin, scalar = (np.random.default_rng(seed) for _ in range(3))
+    rows = sample_region_label_rows(bodies, count, rng)
+    n = bodies[0].n
+    r = (1 << n) * (n - 1)
+    by_hand = []
+    for _ in range(count):
+        for b in bodies:
+            u = int(scalar.integers(0, r + b.peak_count, size=1)[0])
+            by_hand.append(core_label_value(n) if u < r else sorted(b.peaks)[u - r])
+    body = ProductBody(bodies)
+    assert rows.shape == (count, len(bodies))
+    assert rows.tolist() == [list(discrete_random(body, twin)) for _ in range(count)]
+    assert rows.ravel().tolist() == by_hand
+    after = [g.integers(0, 1 << 40, size=4).tolist() for g in (rng, twin, scalar)]
+    assert after[0] == after[1] == after[2]
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +196,12 @@ def test_simulate_pinned_bytes(family_34):
     sim = simulate_batch(3, labels, rng)
     assert (hashlib.sha256(labels.tobytes() + sim.tobytes()).hexdigest()
             == "b2374dd75f54d9622619fca920cf398b655778f3b6ad0db451bbb409c950bbc3")
+
+
+def test_simulate_batch_rejects_flat_labels(rng):
+    # one row's labels without the leading axis
+    with pytest.raises(ParameterError, match=r"\(count, k\)"):
+        simulate_batch(3, np.array([8, 1]), rng)
 
 
 def test_simulation_pipeline_matches_continuous(rng):
