@@ -2,14 +2,13 @@
 games that make them hard to learn."""
 
 from .codes import (Code, complement_extend, format_code,
-                    gv_floor, gv_greedy, min_distance_exhaustive, parse_code,
-                    v_q)
+                    gv_floor, gv_greedy, min_distance_exhaustive, parse_code)
 from .errors import (BudgetExceededError, CrosspeaksError, ParameterError,
                      VerificationError)
 from .family import (InnerFamily, ProductBody, ProductFamily,
                      build_inner_family, build_product_family,
                      certify_cardinality, certify_equal_volumes,
-                     certify_separation, exact_distance, exact_distance_inner,
+                     certify_separation, exact_distance,
                      format_manifest, intersection_volume, parse_manifest,
                      read_manifest, separation_floor, separation_holds,
                      write_manifest)
@@ -17,14 +16,14 @@ from .geometry import (GeometryParams, InnerBody, OrthantSign, bare_body,
                        body_from_mask, classify_point, full_body,
                        inner_volume, label_text, make_geometry,
                        membership_inner, membership_q_oracle,
-                       parse_inner_body, sample_inner, sample_inner_batch)
+                       sample_inner_batch)
 from .halfspace import (CorollaryReport, DiscrepancyEstimate,
                         corollary_explore, direction_set,
                         halfspace_discrepancy, ks_statistic, noise_floor)
 from .harness import (GameConfig, GameStats, MLConsistencyLearner,
                       OracleSession, ParameterChoice, QueryBound,
                       RandomGuessLearner, choose_parameters,
-                      ml_consistency_learner, query_lower_bound, run_game,
+                      query_lower_bound, run_game,
                       success_upper_bound, write_results_csv)
 from .oracles import (MembershipQuery, Transcript, answer_space_size,
                       continuous_membership, continuous_random,

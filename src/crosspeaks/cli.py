@@ -72,13 +72,6 @@ def _writing(path: str):
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
-def _body(family, index: int):
-    if not 0 <= index < family.size:
-        raise ParameterError(
-            f"body index {index} out of range for a family of {family.size}")
-    return family.body(index)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -106,7 +99,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     family = _load_family(args.manifest)
-    body = _body(family, args.body_index)
+    body = family.body(args.body_index)
     rng = np.random.default_rng(args.seed)
     if args.format == "points":
         for row in continuous_random_batch(body, args.count, rng):
@@ -119,7 +112,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_member(args) -> int:
     family = _load_family(args.manifest)
-    body = _body(family, args.body_index)
+    body = family.body(args.body_index)
     if len(args.point) != body.dimension:
         raise ParameterError(
             f"point has {len(args.point)} coordinates, body lives in "
@@ -134,6 +127,9 @@ def _cmd_game(args) -> int:
                         trials=args.trials, seed=args.seed)
     learner = (MLConsistencyLearner(policy="random") if args.learner == "ml"
                else RandomGuessLearner())
+    if args.csv:  # an unwritable path fails here, before any trial is played
+        with _writing(args.csv):
+            open(args.csv, "w").close()
     stats = run_game(config, learner)
     bound = success_upper_bound(family.n, family.k, args.q, family.size,
                                 args.epsilon)
@@ -166,7 +162,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_halfspace_gap(args) -> int:
     family = _load_family(args.manifest)
     i, j = args.pair
-    a, b = _body(family, i), _body(family, j)
+    a, b = family.body(i), family.body(j)
     est = halfspace_discrepancy(a, b, dirs=args.dirs, samples=args.samples,
                                 rng=args.seed)
     print(f"pair=({i},{j}) exact_distance={exact_distance(a, b)}")

@@ -24,15 +24,10 @@ DEFAULT_PAIR_BUDGET = 50_000_000
 _WINDOW = 1 << 12  # bitmap words searched at a time for the next free word
 
 
-def v_q(q: int, n: int, r: int) -> int:
-    """Hamming-ball size: sum_{i=0}^{r} C(n,i) (q-1)^i, exact."""
-    return binomial_ball_size(q, n, r)
-
-
 def gv_floor(q: int, length: int, min_dist: int) -> int:
     """ceil(q^length / V_q(length, min_dist - 1)): the size any maximal
     min_dist-separated code must reach."""
-    ball = v_q(q, length, min_dist - 1)
+    ball = binomial_ball_size(q, length, min_dist - 1)
     return -((-(q ** length)) // ball)
 
 
@@ -177,15 +172,6 @@ def complement_extend(code: Code) -> Code:
             f"complement extension produced distance {out.min_distance}, "
             f"expected {2 * code.min_distance}")
     return out
-
-
-def word_to_mask(word) -> int:
-    """Binary word (bit per orthant, coordinate i = orthant i) -> bitmask int."""
-    m = 0
-    for i, b in enumerate(word):
-        if b:
-            m |= 1 << i
-    return m
 
 
 # ---------------------------------------------------------------------------

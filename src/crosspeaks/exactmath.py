@@ -8,7 +8,6 @@ quantities without trusting floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
 
 from .errors import ParameterError
 
@@ -64,13 +63,6 @@ def compare_exp_neg(x: Fraction, value: Fraction, terms: int = 32) -> int:
         if hi < value:
             return -1
     raise ParameterError("compare_exp_neg: could not separate; raise terms")
-
-
-def floor_log2(value: int) -> int:
-    """Exact floor(log2(value)) for a positive integer."""
-    if value <= 0:
-        raise ParameterError("floor_log2 requires a positive integer")
-    return value.bit_length() - 1
 
 
 def log2_bounds(y: Fraction, precision_bits: int = 10) -> tuple[Fraction, Fraction]:

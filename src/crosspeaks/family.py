@@ -20,6 +20,7 @@ integer arithmetic, that every pair clears 1 - e^(-k/(16n)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,13 +29,12 @@ import numpy as np
 from . import codes as codes_mod
 from .codes import Code, certified_code
 from .errors import BudgetExceededError, ParameterError, VerificationError
-from .exactmath import ceil_fraction, compare_exp_neg, exp_neg_bounds
+from .exactmath import compare_exp_neg, exp_neg_bounds
 from .geometry import InnerBody, inner_volume, make_geometry
 
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_K = 8
 DEFAULT_FAMILY_CAP = 1 << 20
-DEFAULT_PAIR_CHECK_CAP = 10_000_000
 
 MANIFEST_COMMENT = "# crosspeaks family manifest v1"
 MASK_DTYPE = np.uint32  # one bit per orthant, so inner families need n <= 5
@@ -68,6 +68,8 @@ def inner_family_from_code(n: int, code: Code) -> InnerFamily:
     """Wrap a binary code as an inner family, validating the family invariants."""
     if code.alphabet_size != 2:
         raise ParameterError(f"inner code must be binary, got q={code.alphabet_size}")
+    if n < 2:
+        raise ParameterError("inner families need n >= 2")
     orthants = 1 << n
     if orthants > np.iinfo(MASK_DTYPE).bits:
         raise ParameterError(
@@ -177,9 +179,15 @@ class ProductFamily:
     def outer_matrix(self) -> np.ndarray:
         return np.array(self.outer.words, dtype=np.int64)
 
+    @functools.cached_property
+    def _peak_masks(self) -> np.ndarray:
+        masks = self.inner.masks().astype(np.int64)[self.outer_matrix()]
+        masks.flags.writeable = False
+        return masks
+
     def mask_matrix(self) -> np.ndarray:
-        """(size, k) matrix of per-factor peak masks."""
-        return self.inner.masks().astype(np.int64)[self.outer_matrix()]
+        """(size, k) matrix of per-factor peak masks, built once and read-only."""
+        return self._peak_masks
 
 
 def product_family_from_parts(inner: InnerFamily, outer: Code) -> ProductFamily:
@@ -256,10 +264,6 @@ def exact_distance(a: ProductBody, b: ProductBody) -> Fraction:
     return Fraction(big - inter, big)
 
 
-def exact_distance_inner(a: InnerBody, b: InnerBody) -> Fraction:
-    return exact_distance(ProductBody((a,)), ProductBody((b,)))
-
-
 # ---------------------------------------------------------------------------
 # separation certificate
 
@@ -302,7 +306,7 @@ class SeparationReport:
     k: int
     family_size: int
     pairs_checked: int
-    mode: str  # "all" or "sampled"
+    mode: str  # always "all": every distinct pair is checked
     min_distance: Fraction
     floor_lo: Fraction
     floor_hi: Fraction
@@ -310,110 +314,79 @@ class SeparationReport:
     min_differing_factors: int
 
 
-class _PairChecker:
-    """Vectorized per-pair checks shared by the all-pairs and sampled scans."""
-
-    def __init__(self, n: int, k: int) -> None:
-        self.n = n
-        self.k = k
-        self.w = 1 << (n - 1)
-        self.r = (1 << n) * (n - 1)
-        self.threshold, self.den = _pair_threshold(n, k, self.w)
-        # every factor R + m_i is at most R + w, so products stay <= den:
-        # int64 when den fits, exact Python ints otherwise
-        self.exact = self.den > np.iinfo(np.int64).max
-        self.shared_cap = 3 * (1 << n)  # compare 8*m <= 3*2^n
-        self.need_diff = -((-k) // 2)
-        self.pairs = 0
-        self.worst_num = -1
-        self.worst_pair = (0, 0)
-        self.max_shared = 0
-        self.min_diff_factors = k + 1
-
-    def check(self, left_masks: np.ndarray, right_masks: np.ndarray,
-              i_ids: np.ndarray, j_ids: np.ndarray) -> None:
-        shared = np.bitwise_count(left_masks & right_masks).astype(np.int64)
-        differs = left_masks != right_masks
-        diff_counts = differs.sum(axis=1)
-        self.pairs += len(shared)
-
-        over_cap = differs & (shared * 8 > self.shared_cap)
-        if over_cap.any():
-            row, col = np.argwhere(over_cap)[0]
-            raise VerificationError(
-                f"pair ({int(i_ids[row])}, {int(j_ids[row])}): factor {int(col)} "
-                f"shares {int(shared[row, col])} peaks, over 3*2^n/8")
-        if differs.any():
-            self.max_shared = max(self.max_shared, int(shared[differs].max()))
-
-        low = diff_counts < self.need_diff
-        if low.any():
-            row = int(low.nonzero()[0][0])
-            raise VerificationError(
-                f"pair ({int(i_ids[row])}, {int(j_ids[row])}) differs in "
-                f"{int(diff_counts[row])} factors, under ceil(k/2) = {self.need_diff}")
-        self.min_diff_factors = min(self.min_diff_factors,
-                                    int(diff_counts.min(initial=self.k + 1)))
-
-        factors = self.r + np.where(differs, shared, self.w)
-        num = (factors.astype(object) if self.exact else factors).prod(axis=1)
-        over = num > self.threshold
-        if over.any():
-            row = int(over.nonzero()[0][0])
-            raise VerificationError(
-                f"pair ({int(i_ids[row])}, {int(j_ids[row])}): distance "
-                f"1 - {int(num[row])}/{self.den} fails the floor "
-                f"1 - e^(-{self.k}/(16*{self.n}))")
-        row = int(num.argmax())
-        if int(num[row]) > self.worst_num:
-            self.worst_num = int(num[row])
-            self.worst_pair = (int(i_ids[row]), int(j_ids[row]))
-
-
 def certify_separation(family: ProductFamily, *,
-                       max_pairs: int = DEFAULT_PAIR_CHECK_CAP,
+                       max_pairs: int = codes_mod.DEFAULT_PAIR_BUDGET,
                        seed: int = 0) -> SeparationReport:
-    """Check every (or, past max_pairs, a seeded sample of) distinct pair for:
+    """Check every distinct pair for:
 
       * normalized distance > 1 - e^(-k/(16n))        (exact integer compare)
       * shared peaks <= 3 * 2^n / 8 in differing factors
       * at least ceil(k/2) differing factors
 
-    Raises VerificationError naming the offending pair on any violation.
+    Raises VerificationError naming the offending pair on any violation, and
+    BudgetExceededError before scanning when the F(F-1)/2 pairs exceed
+    max_pairs (the budget certified_code scans outer codes under).  seed is
+    accepted and has no effect: the scan draws nothing.
     """
     n, k = family.n, family.k
-    masks = family.mask_matrix()
     f = family.size
     if f < 2:
         raise ParameterError("separation needs at least two bodies")
-    checker = _PairChecker(n, k)
     total_pairs = f * (f - 1) // 2
+    if total_pairs > max_pairs:
+        raise BudgetExceededError(
+            f"{f} bodies means {total_pairs} pairs, over the budget of {max_pairs}")
+    masks = family.mask_matrix()
+    w = 1 << (n - 1)
+    r = (1 << n) * (n - 1)
+    threshold, den = _pair_threshold(n, k, w)
+    # every factor R + m_i is at most R + w, so products stay <= den:
+    # int64 when den fits, exact Python ints otherwise
+    exact = den > np.iinfo(np.int64).max
+    need_diff = -((-k) // 2)
+    worst_num = -1
+    max_shared = 0
+    min_diff_factors = k + 1
+    for i in range(f - 1):
+        right = masks[i + 1:]
+        shared = np.bitwise_count(masks[i] & right).astype(np.int64)
+        differs = masks[i] != right
+        diff_counts = differs.sum(axis=1)
 
-    if total_pairs <= max_pairs:
-        mode = "all"
-        for i in range(f - 1):
-            checker.check(masks[i][None, :], masks[i + 1:],
-                          np.full(f - 1 - i, i), np.arange(i + 1, f))
-    else:
-        mode = "sampled"
-        rng = np.random.default_rng(seed)
-        lefts = rng.integers(0, f, size=max_pairs)
-        rights = rng.integers(0, f, size=max_pairs)
-        keep = lefts != rights
-        lefts, rights = lefts[keep], rights[keep]
-        for start in range(0, len(lefts), 1 << 16):
-            sl = slice(start, start + (1 << 16))
-            checker.check(masks[lefts[sl]], masks[rights[sl]],
-                          lefts[sl], rights[sl])
+        over_cap = differs & (shared * 8 > 3 * (1 << n))
+        if over_cap.any():
+            row, col = np.argwhere(over_cap)[0]
+            raise VerificationError(
+                f"pair ({i}, {i + 1 + int(row)}): factor {int(col)} "
+                f"shares {int(shared[row, col])} peaks, over 3*2^n/8")
+        if differs.any():
+            max_shared = max(max_shared, int(shared[differs].max()))
+
+        low = diff_counts < need_diff
+        if low.any():
+            row = int(low.nonzero()[0][0])
+            raise VerificationError(
+                f"pair ({i}, {i + 1 + row}) differs in "
+                f"{int(diff_counts[row])} factors, under ceil(k/2) = {need_diff}")
+        min_diff_factors = min(min_diff_factors, int(diff_counts.min()))
+
+        factors = r + np.where(differs, shared, w)
+        num = (factors.astype(object) if exact else factors).prod(axis=1)
+        over = num > threshold
+        if over.any():
+            row = int(over.nonzero()[0][0])
+            raise VerificationError(
+                f"pair ({i}, {i + 1 + row}): distance "
+                f"1 - {int(num[row])}/{den} fails the floor "
+                f"1 - e^(-{k}/(16*{n}))")
+        worst_num = max(worst_num, int(num.max()))
 
     floor_lo, floor_hi = separation_floor(n, k)
-    min_distance = (1 - Fraction(checker.worst_num, checker.den)
-                    if checker.worst_num >= 0 else Fraction(1))
     return SeparationReport(
-        n=n, k=k, family_size=f, pairs_checked=checker.pairs, mode=mode,
-        min_distance=min_distance, floor_lo=floor_lo, floor_hi=floor_hi,
-        max_shared_on_diff=checker.max_shared,
-        min_differing_factors=checker.min_diff_factors)
+        n=n, k=k, family_size=f, pairs_checked=total_pairs, mode="all",
+        min_distance=1 - Fraction(worst_num, den), floor_lo=floor_lo,
+        floor_hi=floor_hi, max_shared_on_diff=max_shared,
+        min_differing_factors=min_diff_factors)
 
 
 def certify_cardinality(family: ProductFamily) -> None:

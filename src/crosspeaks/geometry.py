@@ -40,17 +40,6 @@ MAX_Q_ORACLE_DIM = 12
 # ---------------------------------------------------------------------------
 # orthant encoding
 
-def signs_to_index(signs) -> int:
-    """Encode a {-1,+1} sign vector as an integer: bit i set iff signs[i] = +1."""
-    index = 0
-    for i, s in enumerate(signs):
-        if s == 1:
-            index |= 1 << i
-        elif s != -1:
-            raise ParameterError(f"sign vector entries must be -1 or +1, got {s!r}")
-    return index
-
-
 def index_to_signs(n: int, index: int) -> tuple[int, ...]:
     """Decode an orthant index back to its {-1,+1} sign vector."""
     if not 0 <= index < (1 << n):
@@ -71,11 +60,6 @@ class OrthantSign:
         if not 0 <= self.index < (1 << self.n):
             raise ParameterError(
                 f"orthant index {self.index} out of range for n={self.n}")
-
-    @classmethod
-    def from_signs(cls, signs) -> "OrthantSign":
-        signs = tuple(signs)
-        return cls(len(signs), signs_to_index(signs))
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -196,19 +180,6 @@ def full_body(n: int) -> InnerBody:
     return InnerBody(n, frozenset(range(1 << n)))
 
 
-def parse_inner_body(text: str) -> InnerBody:
-    text = text.strip()
-    try:
-        left, right = text.split(";")
-        if not left.startswith("n=") or not right.startswith("peaks="):
-            raise ValueError
-        n = int(left[2:])
-        mask = int(right[6:], 16)
-    except ValueError as exc:
-        raise ParameterError(f"malformed body text {text!r}") from exc
-    return body_from_mask(n, mask)
-
-
 def inner_volume(body: InnerBody) -> Fraction:
     g = make_geometry(body.n)
     return g.core_volume + body.peak_count * g.peak_volume
@@ -297,36 +268,31 @@ def _orthant_indices(points: np.ndarray) -> np.ndarray:
     return ((points > 0).astype(np.int64) * weights).sum(axis=1)
 
 
-def classify_batch(n: int, points: np.ndarray) -> np.ndarray:
-    """Vector classify_point over float points; returns integer labels
-    (< 2^n peak index, 2^n core, 2^n + 1 outside)."""
-    points = np.asarray(points, dtype=np.float64)
+def _classify_rows(n: int, points: np.ndarray, one) -> np.ndarray:
+    """classify_point over the rows of `points`, with `one` the unit (1.0 for
+    float points, the scale for integer-scaled points)."""
     if points.ndim != 2 or points.shape[1] != n:
         raise ParameterError("points must be a (count, n) array")
     t = np.abs(points)
     total = t.sum(axis=1)
-    in_core = total <= 1.0
-    in_peak = ~in_core & (total <= 1.0 + t.min(axis=1))
+    in_core = total <= one
+    in_peak = ~in_core & (total <= one + t.min(axis=1))
     labels = np.full(len(points), outside_label_value(n), dtype=np.int64)
     labels[in_core] = core_label_value(n)
     labels[in_peak] = _orthant_indices(points)[in_peak]
     return labels
 
 
+def classify_batch(n: int, points: np.ndarray) -> np.ndarray:
+    """Vector classify_point over float points; returns integer labels
+    (< 2^n peak index, 2^n core, 2^n + 1 outside)."""
+    return _classify_rows(n, np.asarray(points, dtype=np.float64), 1.0)
+
+
 def classify_scaled_batch(n: int, ipoints: np.ndarray, scale: int) -> np.ndarray:
     """Exact vector classification of rational points X / scale given as an
     int64 array X.  All comparisons are integer, so boundary ties are exact."""
-    ipoints = np.asarray(ipoints, dtype=np.int64)
-    if ipoints.ndim != 2 or ipoints.shape[1] != n:
-        raise ParameterError("ipoints must be a (count, n) array")
-    t = np.abs(ipoints)
-    total = t.sum(axis=1)
-    in_core = total <= scale
-    in_peak = ~in_core & (total <= scale + t.min(axis=1))
-    labels = np.full(len(ipoints), outside_label_value(n), dtype=np.int64)
-    labels[in_core] = core_label_value(n)
-    labels[in_peak] = _orthant_indices(ipoints)[in_peak]
-    return labels
+    return _classify_rows(n, np.asarray(ipoints, dtype=np.int64), scale)
 
 
 def _membership_from_labels(body: InnerBody, labels: np.ndarray) -> np.ndarray:
@@ -339,10 +305,6 @@ def _membership_from_labels(body: InnerBody, labels: np.ndarray) -> np.ndarray:
             member = member.copy()
             member[peak_rows] = mask[labels[peak_rows]]
     return member
-
-
-def membership_batch(body: InnerBody, points: np.ndarray) -> np.ndarray:
-    return _membership_from_labels(body, classify_batch(body.n, points))
 
 
 def membership_scaled_batch(body: InnerBody, ipoints: np.ndarray, scale: int) -> np.ndarray:
@@ -483,9 +445,3 @@ def sample_inner_batch(body: InnerBody, count: int, rng: np.random.Generator
     points is (count, n) float64, labels the integer region labels."""
     labels = sample_region_labels(body, count, rng)
     return region_points(body.n, labels, rng), labels
-
-
-def sample_inner(body: InnerBody, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Draw one uniform point of the body and the label of its region."""
-    pts, labels = sample_inner_batch(body, 1, rng)
-    return pts[0], int(labels[0])

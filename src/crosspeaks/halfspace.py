@@ -85,12 +85,6 @@ def direction_set(n: int, k: int, random_count: int,
     return np.vstack(rows), kinds
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _body_stream(seed_words: tuple[int, ...], body: ProductBody) -> np.random.Generator:
     digest = hashlib.sha256(body.text().encode("ascii")).digest()
     hash_words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
@@ -123,7 +117,7 @@ def halfspace_discrepancy(a: ProductBody, b: ProductBody, dirs: int,
         raise ParameterError("need at least one random direction")
     if samples < MIN_SAMPLES:
         raise ParameterError(f"need samples >= {MIN_SAMPLES} per body")
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)  # a Generator comes back unchanged
     # one shared base seed; everything below is keyed off it so that the
     # result depends on (base, {a, b}) as a set, not on argument order
     base = tuple(int(w) for w in rng.integers(1 << 32, size=4))

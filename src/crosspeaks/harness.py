@@ -91,8 +91,10 @@ class OracleSession:
         return answers
 
 
-def _consistent_from_masks(transcript: Transcript, masks: np.ndarray) -> np.ndarray:
-    """Boolean row mask over the family's (size, k) peak-mask matrix."""
+def consistent_indices(transcript: Transcript, family: ProductFamily) -> np.ndarray:
+    """Indices of family bodies consistent with every transcript answer:
+    observed peaks present, membership bits matching."""
+    masks = family.mask_matrix()
     k = masks.shape[1]
     core = core_label_value(transcript.n)
     required = [0] * k             # per factor: peaks that must be present
@@ -106,7 +108,7 @@ def _consistent_from_masks(transcript: Transcript, masks: np.ndarray) -> np.ndar
             for j, (idx, ans) in enumerate(zip(e[1].indices, e[2])):
                 prev = forced.get((j, idx))
                 if prev is not None and prev != ans:
-                    return np.zeros(len(masks), dtype=bool)
+                    return np.empty(0, dtype=np.intp)
                 forced[(j, idx)] = ans
     alive = np.ones(len(masks), dtype=bool)
     for j in range(k):
@@ -115,27 +117,7 @@ def _consistent_from_masks(transcript: Transcript, masks: np.ndarray) -> np.ndar
     for (j, idx), ans in forced.items():
         bit = (masks[:, j] >> idx) & 1
         alive &= bit == (1 if ans else 0)
-    return alive
-
-
-def consistent_indices(transcript: Transcript, family: ProductFamily) -> np.ndarray:
-    """Indices of family bodies consistent with every transcript answer:
-    observed peaks present, membership bits matching."""
-    return np.flatnonzero(_consistent_from_masks(transcript, family.mask_matrix()))
-
-
-def ml_consistency_learner(transcript: Transcript, family: ProductFamily,
-                           rng: np.random.Generator | None = None) -> int:
-    """Lowest-index family body consistent with the transcript (all
-    consistent bodies carry equal posterior mass under a uniform prior, so
-    any fixed tie-break is maximum-likelihood; pass rng for a seeded uniform
-    tie-break instead of index order)."""
-    idx = consistent_indices(transcript, family)
-    if len(idx) == 0:
-        raise VerificationError("no family body is consistent with the transcript")
-    if rng is None:
-        return int(idx[0])
-    return int(idx[int(rng.integers(len(idx)))])
+    return np.flatnonzero(alive)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +139,10 @@ class MLConsistencyLearner:
                      so a longer budget always refines the consistent set
     policy="census"  sweep membership queries (j, j, ..., j) over the 2^n
                      peak indices; 2^n answered queries pin every factor
+
+    It names the lowest-index consistent body, or with shuffle=True a uniform
+    one (consistent bodies carry equal posterior mass under a uniform prior,
+    so either tie-break is maximum-likelihood).
     """
 
     def __init__(self, policy: str = "random", shuffle: bool = False):
@@ -164,12 +150,6 @@ class MLConsistencyLearner:
             raise ParameterError(f"unknown policy {policy!r}")
         self.policy = policy
         self.shuffle = shuffle
-        self._mask_cache: tuple[int, np.ndarray] | None = None
-
-    def _masks(self, family: ProductFamily) -> np.ndarray:
-        if self._mask_cache is None or self._mask_cache[0] != id(family):
-            self._mask_cache = (id(family), family.mask_matrix())
-        return self._mask_cache[1]
 
     def play(self, session: OracleSession, family: ProductFamily,
              rng: np.random.Generator) -> int:
@@ -181,8 +161,7 @@ class MLConsistencyLearner:
                 if session.remaining <= 0:
                     break
                 session.membership((index,) * family.k)
-        alive = _consistent_from_masks(session.transcript, self._masks(family))
-        idx = np.flatnonzero(alive)
+        idx = consistent_indices(session.transcript, family)
         if len(idx) == 0:
             raise VerificationError("no family body is consistent with the transcript")
         if self.shuffle:

@@ -220,7 +220,7 @@ def check_family_separation(ctx: _Context) -> str:
     for fam in (ctx.fam32, ctx.family):
         key = (fam.n, fam.k)
         rep = family_mod.certify_separation(fam, seed=ctx.seed)
-        if key in MIN_DISTANCES and rep.mode == "all":
+        if key in MIN_DISTANCES:
             _require(rep.min_distance == MIN_DISTANCES[key],
                      f"min distance at {key} is {rep.min_distance}, "
                      f"pinned {MIN_DISTANCES[key]}", ctx.seed)

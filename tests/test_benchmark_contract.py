@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from crosspeaks.family import certify_separation
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -21,3 +23,12 @@ def test_traced_names_resolve(monkeypatch):
                if not callable(getattr(importlib.import_module(f"crosspeaks.{module}"),
                                        name, None))]
     assert missing == []
+
+
+def test_certify_separation_takes_a_seed_and_covers_every_pair(family_32):
+    # the construct workload passes a per-pass seed and rejects any report
+    # that is not mode "all" over F(F-1)/2 pairs
+    for seed in (0, 11, 2024):
+        report = certify_separation(family_32, seed=seed)
+        assert report.mode == "all"
+        assert report.pairs_checked == family_32.size * (family_32.size - 1) // 2

@@ -201,6 +201,16 @@ def test_verify_rejects_masks_too_wide(capsys, tmp_path):
     assert "peak masks" in stderr
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_verify_rejects_factor_dimension_below_2(capsys, tmp_path, n):
+    path = tmp_path / "small_n.manifest"
+    path.write_text(f"n={n} k=1 inner_size=2 outer_size=2\n0\n1\n"
+                    "q=2 len=2 dmin=2\n10\n01\n")
+    code, _, stderr = run(capsys, "verify", "--manifest", str(path))
+    assert code == 2
+    assert "n >= 2" in stderr
+
+
 def test_verify_rejects_non_integer_code_symbol(capsys, tmp_path):
     path = tmp_path / "badword.manifest"
     path.write_text("n=2 k=1 inner_size=2 outer_size=1\n0\n"
@@ -237,9 +247,12 @@ def test_bad_argument_values_exit_2(capsys, manifest_32, tmp_path, argv):
         args[1:1] = ["--manifest", manifest_32]
     if argv[-1] in unwritable:
         # an output path in a missing directory, or a directory: the command
-        # runs and reports the write failure as a parameter error
+        # reports the write failure as a parameter error before it prints
+        # anything (a game plays no trial)
         assert main(args) == 2
-        assert "cannot write" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err
+        assert captured.out == ""
         return
     # rejected by argparse, which exits with 2, before any command runs
     with pytest.raises(SystemExit) as exc:

@@ -11,33 +11,35 @@ from hypothesis import strategies as st
 
 from crosspeaks.codes import (certified_code, complement_extend, format_code,
                               gv_floor, gv_greedy, min_distance_exhaustive,
-                              parse_code, v_q, word_to_mask)
+                              parse_code)
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
+from crosspeaks.exactmath import binomial_ball_size
 
 
 # ---------------------------------------------------------------------------
 # ball sizes and the size floor
 
 def test_v_q_examples():
-    assert v_q(2, 4, 1) == 5
-    assert v_q(2, 4, 2) == 11
+    # V_q(n, r), the Hamming-ball size behind the greedy floor
+    assert binomial_ball_size(2, 4, 1) == 5
+    assert binomial_ball_size(2, 4, 2) == 11
     for q in (2, 3, 16):
         for n in (1, 4, 8):
-            assert v_q(q, n, 0) == 1
-            assert v_q(q, n, n) == q ** n
+            assert binomial_ball_size(q, n, 0) == 1
+            assert binomial_ball_size(q, n, n) == q ** n
 
 
 def test_v_q_matches_comb_sum():
     for q, n, r in itertools.product((2, 3, 16), (1, 4, 8), range(9)):
         want = sum(math.comb(n, i) * (q - 1) ** i for i in range(min(r, n) + 1))
-        assert v_q(q, n, r) == want
+        assert binomial_ball_size(q, n, r) == want
 
 
 def test_gv_floor_examples():
     assert gv_floor(2, 4, 2) == math.ceil(16 / 5)  # = 4
-    assert gv_floor(2, 8, 4) == math.ceil(256 / v_q(2, 8, 3))
-    assert gv_floor(16, 4, 2) == math.ceil(16 ** 4 / v_q(16, 4, 1))
+    assert gv_floor(2, 8, 4) == math.ceil(256 / binomial_ball_size(2, 8, 3))
+    assert gv_floor(16, 4, 2) == math.ceil(16 ** 4 / binomial_ball_size(16, 4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +215,6 @@ def test_certified_rejects_bad_words():
         certified_code(2, 2, [(0, 1), (0, 1)])  # duplicate
     with pytest.raises(ParameterError):
         certified_code(1, 2, [(0, 0)])
-
-
-def test_word_to_mask():
-    assert word_to_mask((1, 0, 1, 1)) == 0b1101
-    assert word_to_mask((0,) * 8) == 0
-    assert word_to_mask((1,) * 8) == 255
 
 
 # ---------------------------------------------------------------------------

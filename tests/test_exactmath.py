@@ -8,7 +8,7 @@ import pytest
 
 from crosspeaks.errors import ParameterError
 from crosspeaks.exactmath import (binomial_ball_size, ceil_fraction,
-                                  compare_exp_neg, exp_neg_bounds, floor_log2,
+                                  compare_exp_neg, exp_neg_bounds,
                                   log2_bounds, simplex_volume)
 
 
@@ -38,13 +38,6 @@ def test_compare_exp_neg_signs():
     # tight pair around e^-1/12 = 0.920044...
     assert compare_exp_neg(Fraction(1, 12), Fraction(92004, 100000)) == 1
     assert compare_exp_neg(Fraction(1, 12), Fraction(92005, 100000)) == -1
-
-
-def test_floor_log2():
-    for v, want in [(1, 0), (2, 1), (3, 1), (4, 2), (1023, 9), (1024, 10)]:
-        assert floor_log2(v) == want
-    with pytest.raises(ParameterError):
-        floor_log2(0)
 
 
 def test_log2_bounds_bracket():

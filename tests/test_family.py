@@ -21,16 +21,16 @@ from crosspeaks.exactmath import compare_exp_neg
 from crosspeaks.family import (ProductBody, ProductFamily, build_inner_family,
                                build_product_family, certify_cardinality,
                                certify_equal_volumes, certify_separation,
-                               exact_distance, exact_distance_inner,
+                               exact_distance,
                                format_manifest, inner_family_from_code,
                                intersection_volume, intersection_volume_inner,
                                parse_manifest, product_family_from_parts,
                                read_manifest,
                                separation_floor, separation_holds,
                                write_manifest)
-from crosspeaks.geometry import (InnerBody, body_from_mask, inner_volume,
-                                 make_geometry, membership_batch,
-                                 sample_inner_batch)
+from crosspeaks.geometry import (InnerBody, body_from_mask, classify_batch,
+                                 core_label_value, inner_volume,
+                                 make_geometry, sample_inner_batch)
 from crosspeaks.codes import certified_code, gv_greedy
 
 F = Fraction
@@ -92,6 +92,10 @@ def _pair_sharing(fam, shared):
     raise AssertionError(f"no pair sharing {shared} peaks")
 
 
+def _inner_distance(a, b):
+    return exact_distance(ProductBody((a,)), ProductBody((b,)))
+
+
 def test_inner_distance_formula():
     # n=3: ratio core/peak = 16, weight 4, so a pair sharing m peaks sits at
     # 1 - (16+m)/20
@@ -99,9 +103,9 @@ def test_inner_distance_formula():
     for m in (2, 3):
         a, b = _pair_sharing(fam, m)
         assert intersection_volume_inner(a, b) == F(4, 3) + m * F(1, 12)
-        assert exact_distance_inner(a, b) == 1 - F(16 + m, 20)
+        assert _inner_distance(a, b) == 1 - F(16 + m, 20)
     a, b = _pair_sharing(fam, 3)
-    assert exact_distance_inner(a, b) == F(1, 20)
+    assert _inner_distance(a, b) == F(1, 20)
 
 
 def test_inner_distance_monte_carlo(rng):
@@ -111,7 +115,8 @@ def test_inner_distance_monte_carlo(rng):
     a, b = _pair_sharing(fam, 3)
     count = 2_000_000
     pts, _ = sample_inner_batch(a, count, rng)
-    miss = 1.0 - float(np.mean(membership_batch(b, pts)))
+    hit = np.isin(classify_batch(3, pts), [core_label_value(3), *b.peaks])
+    miss = 1.0 - float(np.mean(hit))
     sigma = math.sqrt(0.05 * 0.95 / count)
     assert abs(miss - 0.05) < 3 * sigma
 
@@ -129,11 +134,11 @@ def test_product_distance_two_factors():
 def test_distance_identity_and_symmetry():
     fam = build_inner_family(3)
     for a, b in itertools.combinations(fam.bodies, 2):
-        d = exact_distance_inner(a, b)
-        assert d == exact_distance_inner(b, a)
+        d = _inner_distance(a, b)
+        assert d == _inner_distance(b, a)
         assert 0 < d < 1
     for a in fam.bodies:
-        assert exact_distance_inner(a, a) == 0
+        assert _inner_distance(a, a) == 0
 
 
 def test_distance_triangle_sampled(family_32, rng):
@@ -145,7 +150,7 @@ def test_distance_triangle_sampled(family_32, rng):
 
 def test_distance_rejects_mismatched_shapes():
     with pytest.raises(ParameterError):
-        exact_distance_inner(InnerBody(2, frozenset()), InnerBody(3, frozenset()))
+        _inner_distance(InnerBody(2, frozenset()), InnerBody(3, frozenset()))
     pa = ProductBody((InnerBody(3, frozenset()),))
     pb = ProductBody((InnerBody(3, frozenset()),) * 2)
     with pytest.raises(ParameterError):
@@ -278,10 +283,22 @@ def test_certify_separation_matches_brute_force(n, k, data):
     assert rep.min_differing_factors == min(diffs)
 
 
-def test_certify_separation_sampled_mode(family_34):
-    rep = certify_separation(family_34, max_pairs=50_000, seed=7)
-    assert rep.mode == "sampled"
-    assert rep.min_distance >= F(39, 400)
+def test_certify_separation_pair_budget(family_32):
+    pairs = 256 * 255 // 2
+    with pytest.raises(BudgetExceededError):
+        certify_separation(family_32, max_pairs=pairs - 1)
+    rep = certify_separation(family_32, max_pairs=pairs, seed=1)
+    assert rep.mode == "all" and rep.pairs_checked == pairs
+    assert certify_separation(family_32, seed=2) == rep  # seed has no effect
+    # the budget is checked before the scan: these words differ in one
+    # factor of four, which the scan would reject
+    inner = _inner_family(3)
+    bad = ProductFamily(inner, certified_code(
+        inner.size, 4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]))
+    with pytest.raises(BudgetExceededError):
+        certify_separation(bad, max_pairs=2)
+    with pytest.raises(VerificationError):
+        certify_separation(bad, max_pairs=3)
 
 
 def test_certify_cardinality_and_volumes(family_32, family_34):
@@ -319,6 +336,16 @@ def test_binary_outer_code_over_two_body_inner_family():
     assert family.size == 8
     assert family.outer_matrix().tolist() == [list(w) for w in outer.words]
     assert family.mask_matrix()[1].tolist() == [0b0011, 0b0011, 0b1100, 0b1100]
+
+
+def test_mask_matrix_built_once_read_only(family_32):
+    masks = family_32.mask_matrix()
+    assert family_32.mask_matrix() is masks
+    assert not masks.flags.writeable
+    with pytest.raises(ValueError):
+        masks[0, 0] = 0
+    assert masks.tolist() == [[family_32.inner.bodies[s].mask for s in w]
+                              for w in family_32.outer.words]
 
 
 def test_build_rejects_bad_parameters():

@@ -7,19 +7,18 @@ import pytest
 
 from crosspeaks.errors import ParameterError
 from crosspeaks.exactmath import simplex_volume
-from crosspeaks.geometry import (InnerBody, OrthantSign, bare_body,
+from crosspeaks.geometry import (OrthantSign, bare_body,
                                  body_from_mask, classify_batch,
                                  classify_point, classify_scaled_batch,
                                  core_label_value, full_body, index_to_signs,
                                  inner_volume, label_text, make_geometry,
-                                 membership_batch, membership_inner,
+                                 membership_inner,
                                  membership_q_oracle, membership_scaled_batch,
-                                 outside_label_value, parse_inner_body,
+                                 outside_label_value,
                                  peak_vertices, q_halfspace_normals,
                                  q_membership_scaled_batch, region_expectations,
-                                 region_points, sample_inner,
-                                 sample_inner_batch, sample_region_label_rows,
-                                 signs_to_index)
+                                 region_points,
+                                 sample_inner_batch, sample_region_label_rows)
 
 F = Fraction
 
@@ -78,7 +77,7 @@ def test_orthant_roundtrip():
         for index in range(1 << n):
             signs = index_to_signs(n, index)
             assert all(s in (-1, 1) for s in signs)
-            assert signs_to_index(signs) == index
+            assert sum(1 << i for i, s in enumerate(signs) if s == 1) == index
     # bit i set means coordinate i positive
     assert index_to_signs(3, 0b101) == (1, -1, 1)
 
@@ -87,7 +86,7 @@ def test_orthant_bad_values():
     with pytest.raises(ParameterError):
         OrthantSign(3, 8)
     with pytest.raises(ParameterError):
-        signs_to_index((1, 0, 1))
+        index_to_signs(3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +226,9 @@ def test_inner_volume_monotone():
 def test_body_text_roundtrip():
     body = body_from_mask(3, 0x0F)
     assert body.text() == "n=3;peaks=0f"
-    assert parse_inner_body("n=3;peaks=0f") == body
-    full = full_body(4)
-    assert parse_inner_body(full.text()) == full
-    with pytest.raises(ParameterError):
-        parse_inner_body("n=3;peaks=zz")
+    for body in (body, full_body(4), bare_body(2)):
+        n, mask = body.text().split(";")
+        assert body_from_mask(int(n[2:]), int(mask[6:], 16)) == body
 
 
 def test_body_peak_queries():
@@ -249,7 +246,7 @@ def test_body_peak_queries():
 def test_sample_single_reports_its_region(rng):
     body = body_from_mask(3, 0x0F)
     for _ in range(200):
-        x, lab = sample_inner(body, rng)
+        (x,), (lab,) = sample_inner_batch(body, 1, rng)
         assert classify_point(3, [float(c) for c in x]) == lab
         assert membership_inner(body, [float(c) for c in x])
 
@@ -258,7 +255,7 @@ def test_sample_batch_classifies_back(rng):
     body = body_from_mask(3, 0xA5)
     pts, labels = sample_inner_batch(body, 20_000, rng)
     assert np.array_equal(classify_batch(3, pts), labels)
-    assert np.all(membership_batch(body, pts))
+    assert np.isin(labels, [core_label_value(3), *body.peaks]).all()
 
 
 def test_sample_region_frequencies(rng):

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
+from crosspeaks.codes import certified_code
+from crosspeaks.family import build_inner_family, product_family_from_parts
 from crosspeaks.geometry import core_label_value
 from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, GameConfig, GameStats,
                                 MLConsistencyLearner, OracleSession,
                                 RandomGuessLearner,
                                 RESULTS_CSV_COLUMNS, choose_parameters,
                                 consistent_indices, game_result_row,
-                                ml_consistency_learner, query_lower_bound,
+                                query_lower_bound,
                                 run_game, success_upper_bound,
                                 write_results_csv)
 from crosspeaks.oracles import MembershipQuery, Transcript, parse_transcript_log
@@ -108,10 +110,11 @@ def test_run_game_flags_budget_violations(family_32):
 # ---------------------------------------------------------------------------
 # consistency learner mechanics
 
-def test_ml_learner_empty_transcript_lowest_index(family_32):
-    assert ml_consistency_learner(Transcript(3), family_32) == 0
-    pick = ml_consistency_learner(Transcript(3), family_32,
-                                  np.random.default_rng(5))
+def test_ml_learner_empty_transcript_lowest_index(family_32, rng):
+    session = OracleSession(family_32.body(9), 0, rng)
+    assert MLConsistencyLearner().play(session, family_32, rng) == 0
+    pick = MLConsistencyLearner(shuffle=True).play(session, family_32,
+                                                   np.random.default_rng(5))
     assert 0 <= pick < family_32.size
 
 
@@ -166,13 +169,41 @@ def test_contradictory_membership_answers_empty(family_32):
     t.record_membership(MembershipQuery((3, 3)), (True, True))
     t.record_membership(MembershipQuery((3, 3)), (False, True))
     assert len(consistent_indices(t, family_32)) == 0
+    session = OracleSession(family_32.body(0), 0, np.random.default_rng(1))
+    session.transcript = t
     with pytest.raises(VerificationError):
-        ml_consistency_learner(t, family_32)
+        MLConsistencyLearner().play(session, family_32, np.random.default_rng(2))
 
 
 def test_learner_rejects_unknown_policy():
     with pytest.raises(ParameterError):
         MLConsistencyLearner("psychic")
+
+
+def test_learner_reused_on_a_family_at_a_freed_address():
+    # one learner plays a family, the family is freed, and a family with other
+    # bodies lands at its address: the learner must read the new family's
+    # peaks, so the 8-query census still names every hidden body
+    inner = build_inner_family(3)
+    even, odd = (certified_code(inner.size, 1, [(s,) for s in range(p, inner.size, 2)])
+                 for p in (0, 1))
+    learner = MLConsistencyLearner(policy="census")
+
+    def successes(family):
+        config = GameConfig(family=family, query_budget=8, epsilon=F(1, 128),
+                            trials=50, seed=SEED)
+        return run_game(config, learner).successes
+
+    for _ in range(100):
+        first = product_family_from_parts(inner, even)
+        assert successes(first) == 50
+        address = id(first)
+        del first
+        second = product_family_from_parts(inner, odd)
+        if id(second) == address:
+            assert successes(second) == 50
+            return
+    pytest.fail("no family landed at a freed family's address")
 
 
 # ---------------------------------------------------------------------------
