@@ -60,7 +60,7 @@ def _point(text: str) -> tuple[Fraction, ...]:
 def _load_family(path: str):
     try:
         return read_manifest(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
         raise ParameterError(f"cannot read manifest {path}: {exc}") from exc
 
 
@@ -148,10 +148,10 @@ def _cmd_game(args) -> int:
 
 def _cmd_bounds(args) -> int:
     choice = choose_parameters(args.d, args.epsilon)
+    qb = query_lower_bound(args.d, args.epsilon, args.delta)  # may fail: print nothing yet
     print(f"d={choice.d} epsilon={choice.epsilon}")
     print(f"n={choice.n} k={choice.k} sqrt(d/L)={choice.sqrt_ratio!r}")
     print(f"separation_satisfied={choice.separation_satisfied}")
-    qb = query_lower_bound(args.d, args.epsilon, args.delta)
     print(f"delta={qb.delta} regime={qb.regime}")
     print(f"q_floor={qb.q_floor}")
     print(f"family_bound_log2={qb.family_bound_log2!r} "

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .exactmath import binomial_ball_size
 
+# budgets, read at call time: words a greedy scan enumerates, pairs a certificate compares
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 DEFAULT_PAIR_BUDGET = 50_000_000
 _WINDOW = 1 << 12  # bitmap words searched at a time for the next free word
@@ -47,15 +48,16 @@ def _validate_words(q: int, length: int, words) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def min_distance_exhaustive(words, *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Exact minimum pairwise Hamming distance over all word pairs."""
+def min_distance_exhaustive(words) -> int:
+    """Exact minimum pairwise Hamming distance over all word pairs; more than
+    DEFAULT_PAIR_BUDGET pairs raise BudgetExceededError before the scan."""
     words = [tuple(w) for w in words]
     m = len(words)
     if m < 2:
         raise ParameterError("minimum distance needs at least two words")
-    if m * (m - 1) // 2 > pair_budget:
-        raise BudgetExceededError(
-            f"{m} words means {m*(m-1)//2} pairs, over the budget of {pair_budget}")
+    if m * (m - 1) // 2 > DEFAULT_PAIR_BUDGET:
+        raise BudgetExceededError(f"{m} words means {m*(m-1)//2} pairs, "
+                                  f"over the budget of {DEFAULT_PAIR_BUDGET}")
     top = max(max(w, default=0) for w in words)
     arr = np.array(words, dtype=np.min_scalar_type(top))  # uint8 unless a symbol needs more
     best = arr.shape[1] + 1
@@ -83,12 +85,11 @@ class Code:
         return len(self.words)
 
 
-def certified_code(q: int, length: int, words, *,
-                   pair_budget: int = DEFAULT_PAIR_BUDGET) -> Code:
+def certified_code(q: int, length: int, words) -> Code:
     if q < 2:
         raise ParameterError("alphabet size must be >= 2")
     words = _validate_words(q, length, words)
-    dmin = min_distance_exhaustive(words, pair_budget=pair_budget)
+    dmin = min_distance_exhaustive(words)
     return Code(alphabet_size=q, length=length, words=words, min_distance=dmin)
 
 
@@ -104,9 +105,7 @@ def _ball_shifts(q: int, length: int, radius: int) -> tuple[np.ndarray, np.ndarr
     return shifts, np.count_nonzero(shifts, axis=1)
 
 
-def gv_greedy(q: int, length: int, min_dist: int, *,
-              enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-              pair_budget: int = DEFAULT_PAIR_BUDGET) -> Code:
+def gv_greedy(q: int, length: int, min_dist: int) -> Code:
     """Deterministic greedy code: scan all q^length words in lexicographic
     order, keep each word whose distance to everything kept is >= min_dist.
     A bitmap of one bool per word marks each kept word's Hamming ball: m kept
@@ -114,20 +113,22 @@ def gv_greedy(q: int, length: int, min_dist: int, *,
 
     The returned Code has its minimum distance re-certified exhaustively.
     The size floor q^length / V_q(length, min_dist - 1) is a hard assertion.
+    Either budget raises BudgetExceededError before the scan.
     """
     if q < 2 or length < 1 or not 1 <= min_dist <= length:
         raise ParameterError(f"bad greedy-code parameters q={q} len={length} d={min_dist}")
     total = q ** length
-    if total > enumeration_budget:
+    if total > DEFAULT_ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"q^length = {total} exceeds the enumeration budget {enumeration_budget}; "
+            f"q^length = {total} exceeds the enumeration budget "
+            f"{DEFAULT_ENUMERATION_BUDGET}; "
             "supply a smaller instance or an explicit code")
     floor = gv_floor(q, length, min_dist)
-    if floor * (floor - 1) // 2 > pair_budget:
+    if floor * (floor - 1) // 2 > DEFAULT_PAIR_BUDGET:
         # the code reaches the floor, so certifying it would exceed the budget
         raise BudgetExceededError(
             f"at least {floor} words means at least {floor * (floor - 1) // 2} pairs, "
-            f"over the budget of {pair_budget}")
+            f"over the budget of {DEFAULT_PAIR_BUDGET}")
 
     radius = min_dist - 1
     half = length // 2  # the ball is marked as first-half ball x second-half ball blocks
@@ -148,7 +149,7 @@ def gv_greedy(q: int, length: int, min_dist: int, *,
                 grid[np.ix_(his[hi_weight == i], los[lo_weight <= radius - i])] = True
 
     words = tuple(map(tuple, (np.array(kept)[:, None] // place % q).tolist()))
-    code = certified_code(q, length, words, pair_budget=pair_budget)
+    code = certified_code(q, length, words)
     if code.size > 1 and code.min_distance < min_dist:
         raise VerificationError("greedy code certification came in under the target distance")
     if code.size < floor:

@@ -1,7 +1,7 @@
 """Families of hard-to-tell-apart bodies, indexed by error-correcting codes.
 
 Inner level: fix n, take the greedy binary code of length 2^(n-1) and
-distance max(1, ceil(2^n/8)), and extend each word by its complement.  The
+distance ceil(2^n/8), and extend each word by its complement.  The
 extended words are constant-weight 2^(n-1) subsets of the 2^n orthants, so
 each becomes an InnerBody with exactly half the peaks, any two differing in
 at least 2^n/4 peaks, i.e. symmetric-difference volume >= vol(O_n)/(4(n-1)).
@@ -14,7 +14,9 @@ dimension d = kn.  The normalized distance
 
 factorizes: for equal-volume bodies it is 1 - prod_i (R + m_i) / (R + w)
 with R = 2^n (n-1), w = 2^(n-1) the per-factor peak count, and m_i the
-number of shared peaks in factor i.  certify_separation checks, in exact
+number of shared peaks in factor i.  The inner code's distance keeps
+m_i <= 3 * 2^n / 8 in differing factors and the outer code's makes at least
+ceil(k/2) factors differ; certify_separation reads both and checks, in exact
 integer arithmetic, that every pair clears 1 - e^(-k/(16n)).
 """
 
@@ -30,11 +32,11 @@ from . import codes as codes_mod
 from .codes import Code, certified_code
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .exactmath import compare_exp_neg, exp_neg_bounds
-from .geometry import InnerBody, inner_volume, make_geometry
+from .geometry import InnerBody, core_weight, inner_volume, make_geometry
 
+# construction caps, read at call time
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_K = 8
-DEFAULT_FAMILY_CAP = 1 << 20
 
 MANIFEST_COMMENT = "# crosspeaks family manifest v1"
 MASK_DTYPE = np.uint32  # one bit per orthant, so inner families need n <= 5
@@ -90,20 +92,24 @@ def inner_family_from_code(n: int, code: Code) -> InnerFamily:
     return InnerFamily(n=n, code=code, bodies=bodies)
 
 
-def build_inner_family(n: int, *, max_n: int = DEFAULT_MAX_N,
-                       enumeration_budget: int = codes_mod.DEFAULT_ENUMERATION_BUDGET
-                       ) -> InnerFamily:
+def inner_seed_distance(n: int) -> int:
+    """ceil(2^n / 8), the inner seed code's distance (doubled by extension)."""
+    return -((-(1 << n)) // 8)
+
+
+def outer_distance_floor(k: int) -> int:
+    """ceil(k/2), the fewest factors in which two family bodies may differ."""
+    return -((-k) // 2)
+
+
+def build_inner_family(n: int) -> InnerFamily:
     """Greedy seed code over length 2^(n-1), complement-extended."""
     if n < 2:
         raise ParameterError("inner families need n >= 2")
-    if n > max_n:
-        raise BudgetExceededError(
-            f"n={n} over the construction cap {max_n}; raise max_n explicitly")
-    half = 1 << (n - 1)
-    min_dist = max(1, -((-(1 << n)) // 8))  # ceil(2^n / 8)
-    seed = codes_mod.gv_greedy(2, half, min_dist, enumeration_budget=enumeration_budget)
-    code = codes_mod.complement_extend(seed)
-    return inner_family_from_code(n, code)
+    if n > DEFAULT_MAX_N:
+        raise BudgetExceededError(f"n={n} over the construction cap {DEFAULT_MAX_N}")
+    seed = codes_mod.gv_greedy(2, 1 << (n - 1), inner_seed_distance(n))
+    return inner_family_from_code(n, codes_mod.complement_extend(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +200,23 @@ def product_family_from_parts(inner: InnerFamily, outer: Code) -> ProductFamily:
     if outer.alphabet_size != inner.size:
         raise ParameterError(
             f"outer alphabet {outer.alphabet_size} != inner family size {inner.size}")
-    need = -((-outer.length) // 2)  # ceil(k/2)
+    need = outer_distance_floor(outer.length)
     if outer.size >= 2 and outer.min_distance < need:
         raise VerificationError(
             f"outer min distance {outer.min_distance} under ceil(k/2) = {need}")
     return ProductFamily(inner=inner, outer=outer)
 
 
-def build_product_family(n: int, k: int, *, outer: Code | None = None,
-                         max_n: int = DEFAULT_MAX_N, max_k: int = DEFAULT_MAX_K,
-                         enumeration_budget: int = codes_mod.DEFAULT_ENUMERATION_BUDGET,
-                         family_cap: int = DEFAULT_FAMILY_CAP) -> ProductFamily:
+def build_product_family(n: int, k: int) -> ProductFamily:
+    """The inner family at n under the greedy outer code of length k and
+    distance ceil(k/2); product_family_from_parts takes any other outer code."""
     if k < 1:
         raise ParameterError("product families need k >= 1")
-    if k > max_k:
-        raise BudgetExceededError(f"k={k} over the construction cap {max_k}")
-    inner = build_inner_family(n, max_n=max_n, enumeration_budget=enumeration_budget)
-    if outer is None:
-        outer = codes_mod.gv_greedy(inner.size, k, -((-k) // 2),
-                                    enumeration_budget=enumeration_budget)
-    family = product_family_from_parts(inner, outer)
-    if family.size > family_cap:
-        raise BudgetExceededError(
-            f"family of {family.size} bodies over the cap {family_cap}")
-    return family
+    if k > DEFAULT_MAX_K:
+        raise BudgetExceededError(f"k={k} over the construction cap {DEFAULT_MAX_K}")
+    inner = build_inner_family(n)
+    outer = codes_mod.gv_greedy(inner.size, k, outer_distance_floor(k))
+    return product_family_from_parts(inner, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def exact_distance(a: ProductBody, b: ProductBody) -> Fraction:
     """
     if a.n != b.n or a.k != b.k:
         raise ParameterError("intersection needs matching (n, k)")
-    r = (1 << a.n) * (a.n - 1)
+    r = core_weight(a.n)
     vol_a = vol_b = inter = 1
     for fa, fb in zip(a.factors, b.factors):
         vol_a *= r + len(fa.peaks)
@@ -288,8 +287,7 @@ def _pair_threshold(n: int, k: int, w: int) -> tuple[int, int]:
     den * e^(-x) is never an integer and T = floor(den * e^(-x)) is decided
     exactly from rational bounds on e^(-x).
     """
-    r = (1 << n) * (n - 1)
-    den = (r + w) ** k
+    den = (core_weight(n) + w) ** k
     terms = 32
     while True:
         lo, hi = exp_neg_bounds(Fraction(k, 16 * n), terms)
@@ -314,71 +312,59 @@ class SeparationReport:
     min_differing_factors: int
 
 
-def certify_separation(family: ProductFamily, *,
-                       max_pairs: int = codes_mod.DEFAULT_PAIR_BUDGET,
-                       seed: int = 0) -> SeparationReport:
-    """Check every distinct pair for:
+def certify_separation(family: ProductFamily, *, seed: int = 0) -> SeparationReport:
+    """Check that every two bodies are over 1 - e^(-k/(16n)) apart:
 
-      * normalized distance > 1 - e^(-k/(16n))        (exact integer compare)
-      * shared peaks <= 3 * 2^n / 8 in differing factors
-      * at least ceil(k/2) differing factors
+      * shared peaks <= 3 * 2^n / 8 in differing factors: implied by the inner
+        code's distance (>= 2^n / 4); the scan finds each pair's count
+      * at least ceil(k/2) differing factors: the outer code's min_distance
+      * distance 1 - prod (R + m_i) / (R + w)^k over the floor: the scan,
+        one exact integer compare per pair
 
-    Raises VerificationError naming the offending pair on any violation, and
-    BudgetExceededError before scanning when the F(F-1)/2 pairs exceed
-    max_pairs (the budget certified_code scans outer codes under).  seed is
+    The library builds a Code only through certified_code, so both distances
+    are exhaustively certified.  Raises VerificationError on any violation
+    (naming the pair when the scan finds it), and BudgetExceededError first
+    when the F(F-1)/2 pairs exceed codes.DEFAULT_PAIR_BUDGET.  seed is
     accepted and has no effect: the scan draws nothing.
     """
-    n, k = family.n, family.k
-    f = family.size
+    n, k, f = family.n, family.k, family.size
     if f < 2:
         raise ParameterError("separation needs at least two bodies")
     total_pairs = f * (f - 1) // 2
-    if total_pairs > max_pairs:
+    if total_pairs > codes_mod.DEFAULT_PAIR_BUDGET:
         raise BudgetExceededError(
-            f"{f} bodies means {total_pairs} pairs, over the budget of {max_pairs}")
+            f"{f} bodies means {total_pairs} pairs, over the budget of "
+            f"{codes_mod.DEFAULT_PAIR_BUDGET}")
+    min_diff, need = family.outer.min_distance, outer_distance_floor(k)
+    if min_diff < need:
+        raise VerificationError(f"outer min distance {min_diff} under ceil(k/2) = {need}")
     masks = family.mask_matrix()
     w = 1 << (n - 1)
-    r = (1 << n) * (n - 1)
+    r = core_weight(n)
     threshold, den = _pair_threshold(n, k, w)
     # every factor R + m_i is at most R + w, so products stay <= den:
     # int64 when den fits, exact Python ints otherwise
-    exact = den > np.iinfo(np.int64).max
-    need_diff = -((-k) // 2)
+    dtype = object if den > np.iinfo(np.int64).max else np.int64
     worst_num = -1
     max_shared = 0
-    min_diff_factors = k + 1
     for i in range(f - 1):
-        right = masks[i + 1:]
-        shared = np.bitwise_count(masks[i] & right).astype(np.int64)
-        differs = masks[i] != right
-        diff_counts = differs.sum(axis=1)
-
-        over_cap = differs & (shared * 8 > 3 * (1 << n))
-        if over_cap.any():
-            row, col = np.argwhere(over_cap)[0]
+        # peaks body i shares with each later body, per factor; every body
+        # has w peaks, so equal factors share w and differing ones fewer
+        shared = np.bitwise_count(masks[i] & masks[i + 1:])
+        row_shared = int(shared.max(where=shared < w, initial=0))
+        if 8 * row_shared > 3 << n:
+            row = int((shared == row_shared).any(axis=1).argmax())
             raise VerificationError(
-                f"pair ({i}, {i + 1 + int(row)}): factor {int(col)} "
-                f"shares {int(shared[row, col])} peaks, over 3*2^n/8")
-        if differs.any():
-            max_shared = max(max_shared, int(shared[differs].max()))
-
-        low = diff_counts < need_diff
-        if low.any():
-            row = int(low.nonzero()[0][0])
-            raise VerificationError(
-                f"pair ({i}, {i + 1 + row}) differs in "
-                f"{int(diff_counts[row])} factors, under ceil(k/2) = {need_diff}")
-        min_diff_factors = min(min_diff_factors, int(diff_counts.min()))
-
-        factors = r + np.where(differs, shared, w)
-        num = (factors.astype(object) if exact else factors).prod(axis=1)
+                f"pair ({i}, {i + 1 + row}) shares {row_shared} peaks in a "
+                "differing factor, over 3*2^n/8")
+        max_shared = max(max_shared, row_shared)
+        num = (r + shared.astype(dtype)).prod(axis=1)
         over = num > threshold
         if over.any():
-            row = int(over.nonzero()[0][0])
+            row = int(over.argmax())
             raise VerificationError(
-                f"pair ({i}, {i + 1 + row}): distance "
-                f"1 - {int(num[row])}/{den} fails the floor "
-                f"1 - e^(-{k}/(16*{n}))")
+                f"pair ({i}, {i + 1 + row}): distance 1 - {int(num[row])}/{den} "
+                f"fails the floor 1 - e^(-{k}/(16*{n}))")
         worst_num = max(worst_num, int(num.max()))
 
     floor_lo, floor_hi = separation_floor(n, k)
@@ -386,7 +372,7 @@ def certify_separation(family: ProductFamily, *,
         n=n, k=k, family_size=f, pairs_checked=total_pairs, mode="all",
         min_distance=1 - Fraction(worst_num, den), floor_lo=floor_lo,
         floor_hi=floor_hi, max_shared_on_diff=max_shared,
-        min_differing_factors=min_diff_factors)
+        min_differing_factors=min_diff)
 
 
 def certify_cardinality(family: ProductFamily) -> None:
@@ -455,5 +441,5 @@ def parse_manifest(text: str) -> ProductFamily:
 
 
 def read_manifest(path) -> ProductFamily:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_manifest(fh.read())

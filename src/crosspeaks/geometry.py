@@ -337,9 +337,9 @@ def _present_peaks(body: InnerBody) -> np.ndarray:
     return np.array(sorted(body.peaks), dtype=np.int64)
 
 
-def _core_weight(n: int) -> int:
-    # core_volume / peak_volume = 2^n (n-1): an integer, so region selection
-    # can use exact integer weights (core -> 2^n (n-1), each peak -> 1).
+def core_weight(n: int) -> int:
+    """R = core_volume / peak_volume = 2^n (n-1), an integer: region selection
+    and exact distances weigh the core as R and each peak as 1."""
     return (1 << n) * (n - 1)
 
 
@@ -360,7 +360,7 @@ def sample_region_label_rows(bodies, count: int, rng: np.random.Generator) -> np
     n = bodies[0].n
     if any(b.n != n for b in bodies):
         raise ParameterError("all bodies must share the same dimension")
-    r = _core_weight(n)
+    r = core_weight(n)
     counts = [b.peak_count for b in bodies]
     high = r + counts[0] if counts.count(counts[0]) == len(counts) else r + np.array(counts)
     u = rng.integers(0, high, size=(count, len(bodies)))

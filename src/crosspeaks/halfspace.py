@@ -34,6 +34,7 @@ from .geometry import index_to_signs
 from .oracles import continuous_random_batch
 
 MIN_SAMPLES = 1000
+NOISE_FLOOR_P_FAIL = 1e-3  # chance two same-law samples exceed noise_floor
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -48,13 +49,13 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def noise_floor(samples: int, directions: int, p_fail: float = 1e-3) -> float:
+def noise_floor(samples: int, directions: int) -> float:
     """Threshold the max-over-directions KS statistic of two same-law
-    samples exceeds with probability <= p_fail (DKW plus a union bound over
-    both samples and all directions)."""
+    samples exceeds with probability <= NOISE_FLOOR_P_FAIL (DKW plus a union
+    bound over both samples and all directions)."""
     if samples < 1 or directions < 1:
         raise ParameterError("need samples >= 1 and directions >= 1")
-    return math.sqrt(2.0 * math.log(4.0 * directions / p_fail) / samples)
+    return math.sqrt(2.0 * math.log(4.0 * directions / NOISE_FLOOR_P_FAIL) / samples)
 
 
 def direction_set(n: int, k: int, random_count: int,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,13 +38,16 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .exactmath import binomial_ball_size, ceil_fraction, log2_bounds
-from .family import ProductBody, ProductFamily, exact_distance, separation_holds
+from .family import (ProductBody, ProductFamily, exact_distance, inner_seed_distance,
+                     separation_holds)
 from .geometry import core_label_value, sample_region_label_rows
 from .oracles import (MembershipQuery, Transcript, answer_space_size,
                       discrete_membership)
 
-# a game trial may draw at most this many region labels (query budget x k)
-MAX_LABELS_PER_TRIAL = 1 << 20
+# caps and budgets, read at call time
+MAX_LABELS_PER_TRIAL = 1 << 20  # region labels one game trial may draw (budget x k)
+QUERY_SEARCH_CAP = 1 << 40      # largest q the query-bound search tries
+EXACT_TERM_BUDGET = 1 << 14     # ball-sum terms the exact family-size floor may take
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +305,8 @@ def choose_parameters(d: int, epsilon) -> ParameterChoice:
     """Split a target dimension d into k factors of dimension n:
     n = smallest power of two >= sqrt(d / ln(1/(1 - 2 eps))), k = d/n.
 
-    Requires d a power of two and 8/d <= epsilon <= 1/8.  The chain
+    Requires d a power of two and 8/d <= epsilon <= 1/8, and raises
+    BudgetExceededError when d/L is too large for a float.  The chain
     2 <= sqrt(d/L) <= n < 4 sqrt(d/L) <= d is asserted.  Note the selection
     maximizes the answer-space blowup 2^n; at this n the separation
     condition 2 eps < 1 - e^(-k/(16n)) generally does NOT hold (it would
@@ -313,6 +318,8 @@ def choose_parameters(d: int, epsilon) -> ParameterChoice:
     if not Fraction(8, d) <= epsilon <= Fraction(1, 8):
         raise ParameterError(f"epsilon={epsilon} outside [8/d, 1/8] for d={d}")
     big_l = math.log(1 / float(1 - 2 * epsilon))
+    if not big_l or d.bit_length() > sys.float_info.max_exp or d / big_l == math.inf:
+        raise BudgetExceededError(f"d/L for d={d}, epsilon={epsilon} does not fit a float")
     x = math.sqrt(d / big_l)
     n = 1
     while n < x:
@@ -341,13 +348,13 @@ class QueryBound:
     asymptotic_log2: float       # sqrt(d / ln(1/(1-2 eps))), for context
 
 
-def _least_q(satisfies, cap: int = 1 << 40) -> int:
+def _least_q(satisfies) -> int:
     if satisfies(0):
         return 0
     hi = 1
     while not satisfies(hi):
         hi *= 2
-        if hi > cap:
+        if hi > QUERY_SEARCH_CAP:
             raise BudgetExceededError("query bound search exceeded its cap")
     lo = hi // 2
     while hi - lo > 1:
@@ -376,8 +383,7 @@ def _least_q_certified(n: int, k: int, exponent: int, one_minus: Fraction) -> in
 
 
 def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
-                      family_size: int | None = None,
-                      exact_term_budget: int = 1 << 14) -> QueryBound:
+                      family_size: int | None = None) -> QueryBound:
     """Least q such that (2^n+1)^(kq) >= (1 - delta) * family-size bound:
     below it, any learner's success probability on the (n, k) family falls
     under 1 - delta.
@@ -385,14 +391,19 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
     The family-size lower bound is, in order of preference: an explicitly
     supplied size; the exact big-integer floor (ceil(2^m / V_2(m, r)) / 4)^(k/2)
     with m = 2^(n-1) and r = ceil(2^n/8) - 1 when the ball sum is within
-    exact_term_budget terms; else the certified floor 2^((3m/16 - 2) k / 2)
-    from the entropy bound V_2(m, r) <= 2^(13m/16) for r <= m/4.
+    EXACT_TERM_BUDGET terms; else the certified floor 2^((3m/16 - 2) k / 2)
+    from the entropy bound V_2(m, r) <= 2^(13m/16) for r <= m/4.  A floor
+    whose log2 is no float raises BudgetExceededError before 2^n is built.
     """
     choice = choose_parameters(d, epsilon)
     n, k = choice.n, choice.k
     delta = Fraction(delta)
     if not 0 <= delta < 1:
         raise ParameterError("delta must lie in [0, 1)")
+    # the certified exponent (3 * 2^(n-5) - 2) * k/2 is about 3 * 2^(n-6) * k
+    if family_size is None and n - 6 + math.log2(3 * k) > sys.float_info.max_exp:
+        raise BudgetExceededError(
+            f"the family-size floor for n={n}, k={k} has a log2 past a float's range")
     one_minus = 1 - delta
     base = (1 << n) + 1
     a, b = one_minus.numerator, one_minus.denominator
@@ -405,8 +416,8 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
         bound_log2 = math.log2(family_size)
     else:
         m = 1 << (n - 1)
-        radius = -((-(1 << n)) // 8) - 1
-        if radius + 1 <= exact_term_budget:
+        radius = inner_seed_distance(n) - 1
+        if radius + 1 <= EXACT_TERM_BUDGET:
             regime = "exact"
             ball = binomial_ball_size(2, m, radius)
             g = ((1 << m) + ball - 1) // ball

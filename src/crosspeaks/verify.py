@@ -194,8 +194,7 @@ def check_codes_greedy(ctx: _Context) -> str:
 def check_codes_complement(ctx: _Context) -> str:
     for n in (3, 4):
         length = 1 << (n - 1)
-        dist = max(1, -((-(1 << n)) // 8))
-        base = codes.gv_greedy(2, length, dist)
+        base = codes.gv_greedy(2, length, family_mod.inner_seed_distance(n))
         ext = codes.complement_extend(base)
         _require(ext.min_distance == 2 * codes.min_distance_exhaustive(base.words),
                  f"complement extension at n={n} did not double distance", ctx.seed)

@@ -1,10 +1,16 @@
 """End-to-end subcommand runs through cli.main; every assertion reads the
 printed output or the exit code, nothing reaches into internals."""
 
+import pathlib
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crosspeaks.cli import main
 from crosspeaks.family import read_manifest
+
+FAM32 = pathlib.Path(__file__).resolve().parents[1] / "perfbench/fixtures/fam32.manifest"
 
 
 def run(capsys, *argv):
@@ -150,6 +156,17 @@ def test_bounds_rejects_big_epsilon(capsys):
     assert "epsilon" in stderr
 
 
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log2_d=st.integers(6, 40), epsilon=st.sampled_from(("1/8", "1/64")))
+def test_bounds_large_d_exits_cleanly(capsys, log2_d, epsilon):
+    # past d = 2^16 the certified family floor's log2 outgrows a float:
+    # budget exceeded, before any 2^n-sized integer is built
+    code, stdout, _ = run(capsys, "bounds", "--d", str(1 << log2_d), "--epsilon", epsilon)
+    assert code in (0, 2, 4)
+    assert (stdout == "") == (code != 0)
+
+
 # ---------------------------------------------------------------------------
 # halfspace-gap
 
@@ -259,6 +276,28 @@ def test_bad_argument_values_exit_2(capsys, manifest_32, tmp_path, argv):
         main(args)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_is_parameter_error(capsys, tmp_path):
+    path = tmp_path / "latin1.manifest"
+    path.write_bytes(b"n=3 k=2 inner_size=16 outer_size=2\n0,1\n1,0\n"
+                     b"q=2 len=8 dmin=4\n\xff\n")
+    code, _, stderr = run(capsys, "verify", "--manifest", str(path))
+    assert code == 2
+    assert "cannot read manifest" in stderr and "utf-8" in stderr
+
+
+@settings(deadline=None, max_examples=60)
+@given(edits=st.lists(st.tuples(st.integers(0, FAM32.stat().st_size - 1),
+                                st.integers(0, 255)), min_size=1, max_size=3))
+def test_corrupted_manifest_exits_cleanly(tmp_path_factory, edits):
+    raw = bytearray(FAM32.read_bytes())
+    for pos, byte in edits:
+        raw[pos] = byte
+    path = tmp_path_factory.getbasetemp() / "corrupted.manifest"
+    path.write_bytes(bytes(raw))
+    argv = ["sample", "--manifest", str(path), "--body-index", "7", "--count", "3"]
+    assert main(argv) in (0, 2, 3)
 
 
 def test_manifest_inner_code_must_be_binary(capsys, tmp_path):

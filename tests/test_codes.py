@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crosspeaks import codes
 from crosspeaks.codes import (certified_code, complement_extend, format_code,
                               gv_floor, gv_greedy, min_distance_exhaustive,
                               parse_code)
@@ -121,7 +122,7 @@ def test_greedy_deterministic():
 
 def test_greedy_budget():
     with pytest.raises(BudgetExceededError):
-        gv_greedy(2, 30, 4, enumeration_budget=1 << 24)
+        gv_greedy(2, 30, 4)
 
 
 def test_greedy_pair_budget_checked_before_scan():
@@ -200,10 +201,16 @@ def test_min_distance_needs_two_words():
         min_distance_exhaustive([(0, 1)])
 
 
-def test_min_distance_pair_budget():
-    words = list(itertools.product((0, 1), repeat=4))
+def test_min_distance_pair_budget(monkeypatch):
+    words = list(itertools.product((0, 1), repeat=4))  # 120 pairs
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 119)
     with pytest.raises(BudgetExceededError):
-        min_distance_exhaustive(words, pair_budget=10)
+        min_distance_exhaustive(words)
+    # the budget is checked before the scan: ragged words would fail in it
+    with pytest.raises(BudgetExceededError):
+        min_distance_exhaustive(words[:-1] + [(0, 1)])
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 120)
+    assert min_distance_exhaustive(words) == 1
 
 
 def test_certified_rejects_bad_words():

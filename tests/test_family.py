@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosspeaks import codes
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
 from crosspeaks.exactmath import compare_exp_neg
@@ -23,6 +24,7 @@ from crosspeaks.family import (ProductBody, ProductFamily, build_inner_family,
                                certify_equal_volumes, certify_separation,
                                exact_distance,
                                format_manifest, inner_family_from_code,
+                               inner_seed_distance, outer_distance_floor,
                                intersection_volume, intersection_volume_inner,
                                parse_manifest, product_family_from_parts,
                                read_manifest,
@@ -197,6 +199,13 @@ def test_inner_symmetric_difference_floor():
 # ---------------------------------------------------------------------------
 # separation certificates
 
+def test_construction_code_distances():
+    assert [inner_seed_distance(n) for n in range(2, 6)] == [1, 1, 2, 4]
+    assert [outer_distance_floor(k) for k in range(1, 6)] == [1, 1, 2, 2, 3]
+    for n in (2, 3, 4):  # complement extension doubles the seed distance
+        assert build_inner_family(n).code.min_distance == 2 * inner_seed_distance(n)
+
+
 def test_separation_floor_brackets():
     lo, hi = separation_floor(3, 1)
     assert lo < hi
@@ -283,22 +292,26 @@ def test_certify_separation_matches_brute_force(n, k, data):
     assert rep.min_differing_factors == min(diffs)
 
 
-def test_certify_separation_pair_budget(family_32):
+def test_certify_separation_pair_budget(family_32, monkeypatch):
     pairs = 256 * 255 // 2
-    with pytest.raises(BudgetExceededError):
-        certify_separation(family_32, max_pairs=pairs - 1)
-    rep = certify_separation(family_32, max_pairs=pairs, seed=1)
-    assert rep.mode == "all" and rep.pairs_checked == pairs
-    assert certify_separation(family_32, seed=2) == rep  # seed has no effect
-    # the budget is checked before the scan: these words differ in one
-    # factor of four, which the scan would reject
+    # these words differ in one factor of four, which the certificate rejects
     inner = _inner_family(3)
     bad = ProductFamily(inner, certified_code(
         inner.size, 4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]))
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", pairs - 1)
     with pytest.raises(BudgetExceededError):
-        certify_separation(bad, max_pairs=2)
+        certify_separation(family_32)
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", pairs)
+    rep = certify_separation(family_32, seed=1)
+    assert rep.mode == "all" and rep.pairs_checked == pairs
+    assert certify_separation(family_32, seed=2) == rep  # seed has no effect
+    # the budget is checked before the scan
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 2)
+    with pytest.raises(BudgetExceededError):
+        certify_separation(bad)
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 3)
     with pytest.raises(VerificationError):
-        certify_separation(bad, max_pairs=3)
+        certify_separation(bad)
 
 
 def test_certify_cardinality_and_volumes(family_32, family_34):

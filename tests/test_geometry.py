@@ -10,7 +10,8 @@ from crosspeaks.exactmath import simplex_volume
 from crosspeaks.geometry import (OrthantSign, bare_body,
                                  body_from_mask, classify_batch,
                                  classify_point, classify_scaled_batch,
-                                 core_label_value, full_body, index_to_signs,
+                                 core_label_value, core_weight, full_body,
+                                 index_to_signs,
                                  inner_volume, label_text, make_geometry,
                                  membership_inner,
                                  membership_q_oracle, membership_scaled_batch,
@@ -47,6 +48,7 @@ def test_geometry_identities_range():
         assert g.core_volume == F(2 ** n, math.factorial(n))
         assert g.peak_volume == g.core_volume / ((1 << n) * (n - 1))
         assert (1 << n) * g.peak_volume == g.core_volume / (n - 1)
+        assert core_weight(n) == g.core_volume / g.peak_volume
 
 
 def test_total_peak_share():
