@@ -2,9 +2,10 @@
 
 Inner level: fix n, take the greedy binary code of length 2^(n-1) and
 distance ceil(2^n/8), and extend each word by its complement.  The
-extended words are constant-weight 2^(n-1) subsets of the 2^n orthants, so
-each becomes an InnerBody with exactly half the peaks, any two differing in
-at least 2^n/4 peaks, i.e. symmetric-difference volume >= vol(O_n)/(4(n-1)).
+extended words are constant-weight 2^(n-1) words over the 2^n orthants, and
+each word is a body's peak mask (coordinate i = orthant i = mask bit i): an
+InnerBody with exactly half the peaks, any two differing in at least 2^n/4
+peaks, i.e. symmetric-difference volume >= vol(O_n)/(4(n-1)).
 
 Product level: a q-ary outer code (alphabet = the inner bodies, length k,
 distance >= ceil(k/2)) turns each codeword into a k-fold product body in
@@ -39,7 +40,7 @@ DEFAULT_MAX_N = 4
 DEFAULT_MAX_K = 8
 
 MANIFEST_COMMENT = "# crosspeaks family manifest v1"
-MASK_DTYPE = np.uint32  # one bit per orthant, so inner families need n <= 5
+MAX_MASK_BITS = 32  # 2^n-bit peak masks must fit the int64 mask matrix: n <= 5
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +63,6 @@ class InnerFamily:
     def size(self) -> int:
         return len(self.bodies)
 
-    def masks(self) -> np.ndarray:
-        return np.array([b.mask for b in self.bodies], dtype=MASK_DTYPE)
-
 
 def inner_family_from_code(n: int, code: Code) -> InnerFamily:
     """Wrap a binary code as an inner family, validating the family invariants."""
@@ -73,10 +71,10 @@ def inner_family_from_code(n: int, code: Code) -> InnerFamily:
     if n < 2:
         raise ParameterError("inner families need n >= 2")
     orthants = 1 << n
-    if orthants > np.iinfo(MASK_DTYPE).bits:
+    if orthants > MAX_MASK_BITS:
         raise ParameterError(
             f"n={n} needs {orthants}-bit peak masks; at most "
-            f"{np.iinfo(MASK_DTYPE).bits} bits (n <= 5) are supported")
+            f"{MAX_MASK_BITS} bits (n <= 5) are supported")
     if code.length != orthants:
         raise ParameterError(
             f"code length {code.length} != 2^n = {orthants}")
@@ -87,8 +85,7 @@ def inner_family_from_code(n: int, code: Code) -> InnerFamily:
     if code.size >= 2 and 4 * code.min_distance < orthants:
         raise VerificationError(
             f"min distance {code.min_distance} under the floor {orthants}/4")
-    bodies = tuple(
-        InnerBody(n, frozenset(i for i, b in enumerate(w) if b)) for w in code.words)
+    bodies = tuple(InnerBody(n, sum(b << i for i, b in enumerate(w))) for w in code.words)
     return InnerFamily(n=n, code=code, bodies=bodies)
 
 
@@ -182,18 +179,14 @@ class ProductFamily:
         word = self.outer.words[index]
         return ProductBody(tuple(self.inner.bodies[s] for s in word))
 
-    def outer_matrix(self) -> np.ndarray:
-        return np.array(self.outer.words, dtype=np.int64)
-
     @functools.cached_property
-    def _peak_masks(self) -> np.ndarray:
-        masks = self.inner.masks().astype(np.int64)[self.outer_matrix()]
+    def mask_matrix(self) -> np.ndarray:
+        """(size, k) int64 matrix of per-factor peak masks, built once and
+        read-only."""
+        masks = np.array([b.mask for b in self.inner.bodies], dtype=np.int64)[
+            np.array(self.outer.words, dtype=np.intp)]
         masks.flags.writeable = False
         return masks
-
-    def mask_matrix(self) -> np.ndarray:
-        """(size, k) matrix of per-factor peak masks, built once and read-only."""
-        return self._peak_masks
 
 
 def product_family_from_parts(inner: InnerFamily, outer: Code) -> ProductFamily:
@@ -228,7 +221,7 @@ def intersection_volume_inner(a: InnerBody, b: InnerBody) -> Fraction:
     if a.n != b.n:
         raise ParameterError("intersection needs equal dimensions")
     g = make_geometry(a.n)
-    shared = len(a.peaks & b.peaks)
+    shared = (a.mask & b.mask).bit_count()
     return g.core_volume + shared * g.peak_volume
 
 
@@ -256,9 +249,9 @@ def exact_distance(a: ProductBody, b: ProductBody) -> Fraction:
     r = core_weight(a.n)
     vol_a = vol_b = inter = 1
     for fa, fb in zip(a.factors, b.factors):
-        vol_a *= r + len(fa.peaks)
-        vol_b *= r + len(fb.peaks)
-        inter *= r + len(fa.peaks & fb.peaks)
+        vol_a *= r + fa.peak_count
+        vol_b *= r + fb.peak_count
+        inter *= r + (fa.mask & fb.mask).bit_count()
     big = max(vol_a, vol_b)
     return Fraction(big - inter, big)
 
@@ -338,7 +331,7 @@ def certify_separation(family: ProductFamily, *, seed: int = 0) -> SeparationRep
     min_diff, need = family.outer.min_distance, outer_distance_floor(k)
     if min_diff < need:
         raise VerificationError(f"outer min distance {min_diff} under ceil(k/2) = {need}")
-    masks = family.mask_matrix()
+    masks = family.mask_matrix
     w = 1 << (n - 1)
     r = core_weight(n)
     threshold, den = _pair_threshold(n, k, w)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -133,32 +134,25 @@ def peak_vertices(n: int, orthant: OrthantSign) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class InnerBody:
-    """The cross-polytope O_n plus a chosen subset of its 2^n peaks."""
+    """The cross-polytope O_n plus the peaks named by a 2^n-bit mask: bit i
+    is set iff orthant i carries a peak."""
 
     n: int
-    peaks: frozenset[int]
+    mask: int
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ParameterError("InnerBody needs n >= 2")
-        object.__setattr__(self, "peaks", frozenset(self.peaks))
-        for p in self.peaks:
-            if not 0 <= p < (1 << self.n):
-                raise ParameterError(f"peak orthant {p} out of range for n={self.n}")
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for p in self.peaks:
-            m |= 1 << p
-        return m
+        object.__setattr__(self, "mask", operator.index(self.mask))
+        if self.mask < 0 or self.mask.bit_length() > 1 << self.n:
+            raise ParameterError(f"peak mask {self.mask:#x} out of range for n={self.n}")
 
     @property
     def peak_count(self) -> int:
-        return len(self.peaks)
+        return self.mask.bit_count()
 
     def has_peak(self, orthant_index: int) -> bool:
-        return orthant_index in self.peaks
+        return orthant_index >= 0 and bool(self.mask >> orthant_index & 1)
 
     def text(self) -> str:
         """Serialized form: n=<int>;peaks=<hex of 2^n bits, orthant 0 = LSB>."""
@@ -167,17 +161,24 @@ class InnerBody:
 
 
 def body_from_mask(n: int, mask: int) -> InnerBody:
-    if not 0 <= mask < (1 << (1 << n)):
-        raise ParameterError(f"peak mask {mask:#x} out of range for n={n}")
-    return InnerBody(n, frozenset(i for i in range(1 << n) if (mask >> i) & 1))
+    return InnerBody(n, mask)
 
 
 def bare_body(n: int) -> InnerBody:
-    return InnerBody(n, frozenset())
+    return InnerBody(n, 0)
 
 
 def full_body(n: int) -> InnerBody:
-    return InnerBody(n, frozenset(range(1 << n)))
+    return InnerBody(n, (1 << (1 << n)) - 1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _present_peaks(body: InnerBody) -> np.ndarray:
+    """The body's peak orthants in increasing order, the one table derived
+    from its mask; cached, since every game trial draws from it."""
+    peaks = np.array([i for i in range(1 << body.n) if body.mask >> i & 1], dtype=np.int64)
+    peaks.flags.writeable = False
+    return peaks
 
 
 def inner_volume(body: InnerBody) -> Fraction:
@@ -212,7 +213,7 @@ def classify_point(n: int, x) -> int:
 def membership_inner(body: InnerBody, x) -> bool:
     """Exact membership for a cross-polytope-with-peaks body."""
     label = classify_point(body.n, x)
-    return label == core_label_value(body.n) or label in body.peaks
+    return label == core_label_value(body.n) or body.has_peak(label)
 
 
 @functools.lru_cache(maxsize=32)
@@ -232,8 +233,8 @@ def q_halfspace_normals(n: int) -> np.ndarray:
 
 def membership_q_oracle(n: int, missing, x) -> bool:
     """Membership decided purely by halfspaces, an independent route from
-    classify_point.  `missing` lists the orthants (indices or OrthantSign)
-    whose peaks the body does NOT have.
+    classify_point.  `missing` lists the orthant indices whose peaks the body
+    does NOT have.
     """
     if n > MAX_Q_ORACLE_DIM:
         raise ParameterError(f"halfspace oracle capped at n <= {MAX_Q_ORACLE_DIM}")
@@ -248,8 +249,7 @@ def membership_q_oracle(n: int, missing, x) -> bool:
                 acc = acc + x[i] if ai > 0 else acc - x[i]
         if acc > 1:
             return False
-    for m in missing:
-        index = m.index if isinstance(m, OrthantSign) else int(m)
+    for index in missing:
         signs = index_to_signs(n, index)
         acc = 0
         for i in range(n):
@@ -296,15 +296,7 @@ def classify_scaled_batch(n: int, ipoints: np.ndarray, scale: int) -> np.ndarray
 
 
 def _membership_from_labels(body: InnerBody, labels: np.ndarray) -> np.ndarray:
-    member = labels == core_label_value(body.n)
-    if body.peaks:
-        peak_rows = labels < core_label_value(body.n)
-        if peak_rows.any():
-            mask = np.zeros(1 << body.n, dtype=bool)
-            mask[sorted(body.peaks)] = True
-            member = member.copy()
-            member[peak_rows] = mask[labels[peak_rows]]
-    return member
+    return (labels == core_label_value(body.n)) | np.isin(labels, _present_peaks(body))
 
 
 def membership_scaled_batch(body: InnerBody, ipoints: np.ndarray, scale: int) -> np.ndarray:
@@ -318,24 +310,14 @@ def q_membership_scaled_batch(n: int, missing, ipoints: np.ndarray, scale: int) 
     ipoints = np.asarray(ipoints, dtype=np.int64)
     normals = q_halfspace_normals(n).astype(np.int64)
     member = (ipoints @ normals.T <= scale).all(axis=1)
-    missing = list(missing)
-    if missing:
-        rows = []
-        for m in missing:
-            index = m.index if isinstance(m, OrthantSign) else int(m)
-            rows.append(index_to_signs(n, index))
-        signs = np.array(rows, dtype=np.int64)
-        member &= (ipoints @ signs.T <= scale).all(axis=1)
+    rows = [index_to_signs(n, index) for index in missing]
+    if rows:
+        member &= (ipoints @ np.array(rows, dtype=np.int64).T <= scale).all(axis=1)
     return member
 
 
 # ---------------------------------------------------------------------------
 # sampling
-
-@functools.lru_cache(maxsize=4096)
-def _present_peaks(body: InnerBody) -> np.ndarray:
-    return np.array(sorted(body.peaks), dtype=np.int64)
-
 
 def core_weight(n: int) -> int:
     """R = core_volume / peak_volume = 2^n (n-1), an integer: region selection
@@ -384,12 +366,9 @@ def region_expectations(body: InnerBody) -> tuple[np.ndarray, list[Fraction]]:
     law on the body: the core plus every present peak."""
     g = make_geometry(body.n)
     vol = inner_volume(body)
-    values = [core_label_value(body.n)]
-    probs = [g.core_volume / vol]
-    for index in sorted(body.peaks):
-        values.append(index)
-        probs.append(g.peak_volume / vol)
-    return np.array(values, dtype=np.int64), probs
+    peaks = _present_peaks(body)
+    values = np.concatenate(([core_label_value(body.n)], peaks))
+    return values, [g.core_volume / vol] + [g.peak_volume / vol] * len(peaks)
 
 
 def _simplex_weights(count: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -191,18 +191,19 @@ def _pair_list(family: ProductFamily, pairs, rng: np.random.Generator):
         for i, j in out:
             if not (0 <= i < size and 0 <= j < size and i != j):
                 raise ParameterError(f"bad pair ({i}, {j}) for family of {size}")
-        return out
-    if pairs < 1:
+    elif pairs >= total:
+        out = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    else:
+        seen: set[tuple[int, int]] = set()
+        while len(seen) < pairs:
+            i, j = (int(x) for x in rng.integers(size, size=2))
+            if i == j:
+                continue
+            seen.add((min(i, j), max(i, j)))
+        out = sorted(seen)
+    if not out:
         raise ParameterError("need at least one pair to scan")
-    if pairs >= total:
-        return [(i, j) for i in range(size) for j in range(i + 1, size)]
-    seen: set[tuple[int, int]] = set()
-    while len(seen) < pairs:
-        i, j = (int(x) for x in rng.integers(size, size=2))
-        if i == j:
-            continue
-        seen.add((min(i, j), max(i, j)))
-    return sorted(seen)
+    return out
 
 
 def corollary_explore(family: ProductFamily, pairs, dirs: int, samples: int,

@@ -97,24 +97,28 @@ class OracleSession:
 
 def consistent_indices(transcript: Transcript, family: ProductFamily) -> np.ndarray:
     """Indices of family bodies consistent with every transcript answer:
-    observed peaks present, membership bits matching."""
-    masks = family.mask_matrix()
+    observed peaks present, membership bits matching.  A transcript of
+    another factor dimension, or an entry not k wide, is a ParameterError."""
+    masks = family.mask_matrix
     k = masks.shape[1]
+    if transcript.n != family.n:
+        raise ParameterError(f"transcript has n={transcript.n}, family has n={family.n}")
     core = core_label_value(transcript.n)
+    alive = np.ones(len(masks), dtype=bool)
     required = [0] * k             # per factor: peaks that must be present
     forced: dict[tuple[int, int], bool] = {}   # (factor, index) -> answer
     for e in transcript.entries:
+        width = len(e[1]) if e[0] == "R" else e[1].k
+        if width != k:
+            raise ParameterError(f"transcript entry is {width} wide, family has k={k}")
         if e[0] == "R":
             for j, label in enumerate(e[1]):
                 if label < core:
                     required[j] |= 1 << label
         else:
             for j, (idx, ans) in enumerate(zip(e[1].indices, e[2])):
-                prev = forced.get((j, idx))
-                if prev is not None and prev != ans:
-                    return np.empty(0, dtype=np.intp)
-                forced[(j, idx)] = ans
-    alive = np.ones(len(masks), dtype=bool)
+                if forced.setdefault((j, idx), ans) != ans:
+                    alive[:] = False   # contradictory answers admit no body
     for j in range(k):
         if required[j]:
             alive &= (masks[:, j] & required[j]) == required[j]
@@ -237,9 +241,9 @@ def run_game(config: GameConfig, learner) -> GameStats:
     """Play config.trials independent rounds of hide-and-identify.
 
     Each trial draws a hidden body uniformly, gives the learner a budgeted
-    oracle session, and scores the returned hypothesis (a family index, or
-    any ProductBody) by exact distance.  A learner that overdraws its budget
-    forfeits the trial; this is counted separately.
+    oracle session, and scores the family index it names by exact distance.
+    A learner that overdraws its budget forfeits the trial; this is counted
+    separately.
     """
     family = config.family
     successes = exact_ids = violations = 0
@@ -256,33 +260,26 @@ def run_game(config: GameConfig, learner) -> GameStats:
         except BudgetExceededError:
             violations += 1
             continue
-        if isinstance(hypothesis, (int, np.integer)):
-            identified = int(hypothesis) == hidden_index
-            hyp_body = None if identified else family.body(int(hypothesis))
-        else:
-            hyp_body = hypothesis
-            identified = exact_distance(hyp_body, hidden) == 0
-        if identified:
+        if hypothesis == hidden_index:
             exact_ids += 1
             successes += 1
-        elif exact_distance(hyp_body, hidden) <= config.epsilon:
+        elif exact_distance(family.body(hypothesis), hidden) <= config.epsilon:
             successes += 1
     return GameStats(trials=config.trials, successes=successes,
                      exact_identifications=exact_ids, budget_violations=violations)
 
 
 def success_upper_bound(n: int, k: int, q: int, family_size: int,
-                        epsilon: Fraction | None = None) -> Fraction:
+                        epsilon: Fraction) -> Fraction:
     """min(1, (2^n + 1)^(kq) / family_size), exact.
 
     Valid as a success bound only under the separation condition
     2*epsilon < 1 - e^(-k/(16n)) (each answer tuple commits to at most one
-    body).  Pass epsilon to have that precondition decided exactly and
-    refused when unmet; without it the caller owns the precondition.
+    body), which is decided exactly and refused when unmet.
     """
     if q < 0 or family_size < 1:
         raise ParameterError("need q >= 0 and a non-empty family")
-    if epsilon is not None and not separation_holds(n, k, Fraction(epsilon)):
+    if not separation_holds(n, k, Fraction(epsilon)):
         raise ParameterError(
             "success_upper_bound needs 2*epsilon below the separation floor")
     return min(Fraction(1), Fraction(answer_space_size(n, k) ** q, family_size))

@@ -126,6 +126,10 @@ def parse_transcript_log(n: int, text: str) -> Transcript:
                             for s in right.strip().split(","))
             except (ValueError, KeyError) as exc:
                 raise ParameterError(f"malformed membership line {line!r}") from exc
+            if len(idx) != len(ans) or not all(0 <= i < (1 << n) for i in idx):
+                raise ParameterError(
+                    f"membership line {line!r} needs one answer per peak index "
+                    f"below 2^{n}")
             t.record_membership(MembershipQuery(idx), ans)
         else:
             raise ParameterError(f"unknown transcript line {line!r}")
@@ -183,7 +187,7 @@ def discrete_membership(body: ProductBody, query: MembershipQuery) -> tuple[bool
     for i in query.indices:
         if not 0 <= i < (1 << n):
             raise ParameterError(f"peak index {i} out of range for n={n}")
-    return tuple(i in f.peaks for i, f in zip(query.indices, body.factors))
+    return tuple(f.has_peak(i) for i, f in zip(query.indices, body.factors))
 
 
 def simulate_continuous_from_discrete(n: int, labels,

@@ -243,7 +243,7 @@ def check_manifest_roundtrip(ctx: _Context) -> str:
     again = family_mod.parse_manifest(text)
     _require(family_mod.format_manifest(again) == text,
              "manifest did not round-trip byte-identically", ctx.seed)
-    _require(bool(np.array_equal(again.mask_matrix(), ctx.fam32.mask_matrix())),
+    _require(bool(np.array_equal(again.mask_matrix, ctx.fam32.mask_matrix)),
              "re-parsed manifest builds different bodies", ctx.seed)
     return f"manifest of {ctx.fam32.size} bodies round-trips byte-identically"
 

@@ -307,3 +307,85 @@ def test_manifest_inner_code_must_be_binary(capsys, tmp_path):
     code, _, stderr = run(capsys, "verify", "--manifest", str(path))
     assert code == 2
     assert "binary" in stderr
+
+
+# ---------------------------------------------------------------------------
+# random argv
+
+_SMALL = ("-1", "0", "1", "2", "3", "x", "1/0", "", "1,2")
+_BIG = str(10 ** 11)
+_HUGE = str(10 ** 14)  # an array this long is past any address space: refused at once
+_ANY = _SMALL + (_BIG,)
+_FILES = ("{fam32}", "{missing}", "{dir}", "{empty}", "{garbage}")
+
+# per subcommand: option -> (base value, or None to leave the option out;
+# the values a draw may put in its place).  The bases run at once; so does
+# every replacement: trials stay small, families at or under (3, 2) plus
+# values over the construction caps, allocation sizes small or 10^14.
+# verify's manifest is never readable or left out, and game's --trials is
+# never left out: either would run the whole battery or 1000 trials.
+_ARGV_OPTIONS = {
+    "gen-family": {"--n": ("2", _ANY + ("5",)),
+                   "--k": ("2", ("-1", "0", "1", "x", "1/0", "", "1,2", _BIG, "9")),
+                   "--out": ("{out}", ("{missing}", "{dir}", ""))},
+    "verify": {"--manifest": ("{garbage}", ("{missing}", "{dir}", "{empty}")),
+               "--seed": ("0", _ANY)},
+    "sample": {"--manifest": ("{fam32}", _FILES), "--body-index": ("7", _ANY),
+               "--count": ("3", _SMALL + (_HUGE,)), "--seed": ("0", _ANY),
+               "--format": (None, ("points", "labels", "x"))},
+    "member": {"--manifest": ("{fam32}", _FILES), "--body-index": ("0", _ANY),
+               "--point": ("1/2,0,0,1/4,0,0",
+                           _SMALL + ("0,0,0,0,0,0", "9/10,9/10,0,0,0,0", "1/0,0,0,0,0,0"))},
+    "game": {"--manifest": ("{fam32}", _FILES), "--q": ("2", _ANY),
+             "--epsilon": ("1/64", _ANY + ("1/16",)), "--trials": ("3", _SMALL),
+             "--seed": ("0", _ANY), "--learner": (None, ("ml", "random", "x")),
+             "--csv": (None, ("{out}", "{missing}", "{dir}"))},
+    "bounds": {"--d": ("1024", _ANY + ("64",)), "--epsilon": ("1/8", _ANY + ("1/64",)),
+               "--delta": (None, _ANY + ("1/2",))},
+    "halfspace-gap": {"--manifest": ("{fam32}", _FILES),
+                      "--pair": ("0,255", _SMALL + ("0,0", "0,256", "1,2,3")),
+                      "--dirs": ("2", _SMALL + (_HUGE,)),
+                      "--samples": ("1000", _SMALL + (_HUGE,)), "--seed": ("0", _ANY)},
+}
+_ARGV_KEPT = {("verify", "--manifest"), ("game", "--trials")}
+
+
+@st.composite
+def _argv(draw, command):
+    """The command's base argv with up to three options replaced, left out
+    (unless kept) or given twice, and perhaps a stray token."""
+    options = _ARGV_OPTIONS[command]
+    changed = draw(st.sets(st.sampled_from(sorted(options) + ["stray"]), max_size=3))
+    argv = [command]
+    for name, (base, others) in options.items():
+        if name not in changed:
+            argv += [name, base] if base is not None else []
+            continue
+        kept = (command, name) in _ARGV_KEPT
+        for value in draw(st.lists(st.sampled_from(others), min_size=kept, max_size=2)):
+            argv += [name, value]
+    if "stray" in changed:
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(_SMALL + ("--bogus",))))
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV_OPTIONS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_random_argv_exits_cleanly(tmp_path_factory, command, data):
+    # any token list either runs or exits 2, 3 or 4 (argparse's own exit
+    # counts as 2), never with a traceback
+    root = tmp_path_factory.getbasetemp() / "argv"
+    root.mkdir(exist_ok=True)
+    (root / "empty").write_text("")
+    (root / "garbage").write_text("hello\n")
+    paths = {"{fam32}": str(FAM32), "{missing}": str(root / "absent" / "f"),
+             "{dir}": str(root), "{empty}": str(root / "empty"),
+             "{garbage}": str(root / "garbage"), "{out}": str(root / "out")}
+    argv = [paths.get(token, token) for token in data.draw(_argv(command))]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv

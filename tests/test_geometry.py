@@ -257,7 +257,7 @@ def test_sample_batch_classifies_back(rng):
     body = body_from_mask(3, 0xA5)
     pts, labels = sample_inner_batch(body, 20_000, rng)
     assert np.array_equal(classify_batch(3, pts), labels)
-    assert np.isin(labels, [core_label_value(3), *body.peaks]).all()
+    assert np.isin(labels, [core_label_value(3), 0, 2, 5, 7]).all()
 
 
 def test_sample_region_frequencies(rng):

@@ -164,5 +164,6 @@ def test_corollary_explore_rejects_bad_pairs(family_32):
         corollary_explore(family_32, [(0, 0)], dirs=4, samples=1000, seed=1)
     with pytest.raises(ParameterError):
         corollary_explore(family_32, [(0, 999)], dirs=4, samples=1000, seed=1)
-    with pytest.raises(ParameterError):
-        corollary_explore(family_32, 0, dirs=4, samples=1000, seed=1)
+    for pairs in (0, -3, []):
+        with pytest.raises(ParameterError):
+            corollary_explore(family_32, pairs, dirs=4, samples=1000, seed=1)

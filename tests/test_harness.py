@@ -175,6 +175,18 @@ def test_contradictory_membership_answers_empty(family_32):
         MLConsistencyLearner().play(session, family_32, np.random.default_rng(2))
 
 
+@pytest.mark.parametrize("n, log", [
+    (3, "M 1,2,3 -> true,true,true"),   # three factors against k=2
+    (3, "R P1,C,C"),
+    (3, "R C"),
+    (2, "R P1,C"),                      # n=2 transcript against an n=3 family
+    (4, ""),
+])
+def test_consistent_indices_rejects_other_shapes(family_32, n, log):
+    with pytest.raises(ParameterError):
+        consistent_indices(parse_transcript_log(n, log), family_32)
+
+
 def test_learner_rejects_unknown_policy():
     with pytest.raises(ParameterError):
         MLConsistencyLearner("psychic")
@@ -321,20 +333,20 @@ def test_run_game_reproducible(family_32):
 # the success upper bound
 
 def test_upper_bound_zero_queries(family_32):
-    assert success_upper_bound(3, 2, 0, family_32.size) == F(1, 256)
+    assert success_upper_bound(3, 2, 0, family_32.size, F(1, 64)) == F(1, 256)
 
 
 def test_upper_bound_literal():
     # answer space 9 per factor, 4 factors: one query already covers a
     # family of 1075, so the bound saturates
-    assert success_upper_bound(3, 4, 1, 1075) == 1
-    assert success_upper_bound(3, 4, 0, 1075) == F(1, 1075)
+    assert success_upper_bound(3, 4, 1, 1075, F(1, 32)) == 1
+    assert success_upper_bound(3, 4, 0, 1075, F(1, 32)) == F(1, 1075)
 
 
 def test_upper_bound_growth_per_query():
     big = 10 ** 40
-    b1 = success_upper_bound(3, 4, 1, big)
-    b2 = success_upper_bound(3, 4, 2, big)
+    b1 = success_upper_bound(3, 4, 1, big, F(1, 32))
+    b2 = success_upper_bound(3, 4, 2, big, F(1, 32))
     assert b2 == b1 * 9 ** 4
 
 
@@ -343,9 +355,9 @@ def test_upper_bound_checks_separation_when_asked():
     with pytest.raises(ParameterError):
         success_upper_bound(3, 4, 0, 4096, epsilon=F(1, 16))
     with pytest.raises(ParameterError):
-        success_upper_bound(3, 4, -1, 4096)
+        success_upper_bound(3, 4, -1, 4096, F(1, 32))
     with pytest.raises(ParameterError):
-        success_upper_bound(3, 4, 0, 0)
+        success_upper_bound(3, 4, 0, 0, F(1, 32))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def _factor_bodies(draw):
     for _ in range(m):
         size = draw(st.integers(0, 1 << n)) if equal is None else equal
         order = draw(st.permutations(range(1 << n)))
-        bodies.append(InnerBody(n, frozenset(order[:size])))
+        bodies.append(InnerBody(n, sum(1 << i for i in order[:size])))
     return tuple(bodies)
 
 
@@ -92,7 +92,8 @@ def test_label_rows_equal_sequential_draws(bodies, count, seed):
     for _ in range(count):
         for b in bodies:
             u = int(scalar.integers(0, r + b.peak_count, size=1)[0])
-            by_hand.append(core_label_value(n) if u < r else sorted(b.peaks)[u - r])
+            peaks = [i for i in range(1 << n) if b.has_peak(i)]
+            by_hand.append(core_label_value(n) if u < r else peaks[u - r])
     body = ProductBody(bodies)
     assert rows.shape == (count, len(bodies))
     assert rows.tolist() == [list(discrete_random(body, twin)) for _ in range(count)]
@@ -228,7 +229,7 @@ def test_answer_space_enumeration():
 
 
 def test_answer_validation():
-    # the checks a random-draw answer must pass, made where logs are parsed
+    # the checks a logged answer must pass, made where logs are parsed
     for line in ("R",                  # no labels at all
                  "R ",
                  "R C,",               # an empty label
@@ -237,7 +238,12 @@ def test_answer_validation():
                  "R P8",               # orthant 8 needs n >= 4
                  "R P-1",
                  "R P",
-                 "R Pzz"):
+                 "R Pzz",
+                 "M 1,2 -> true",      # one answer per probed index
+                 "M 0 -> true,false",
+                 "M 99,0 -> true,true",  # indices are orthants below 2^n
+                 "M 8,0 -> true,true",
+                 "M -1,0 -> true,true"):
         with pytest.raises(ParameterError):
             parse_transcript_log(3, line)
     with pytest.raises(ParameterError):
