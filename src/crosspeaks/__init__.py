@@ -25,11 +25,9 @@ from .harness import (GameConfig, GameStats, MLConsistencyLearner,
                       RandomGuessLearner, choose_parameters,
                       query_lower_bound, run_game,
                       success_upper_bound, write_results_csv)
-from .oracles import (MembershipQuery, Transcript, answer_space_size,
-                      continuous_membership, continuous_random,
+from .oracles import (Transcript, answer_space_size, continuous_membership,
                       continuous_random_batch, discrete_membership,
-                      discrete_random, parse_transcript_log,
-                      simulate_continuous_from_discrete)
+                      discrete_random, parse_transcript_log)
 
 __version__ = "0.1.0"
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParameterError, VerificationError
-from .family import (ProductBody, ProductFamily, exact_distance,
-                     separation_floor)
+from .family import ProductBody, ProductFamily, exact_distance, separation_holds
 from .geometry import index_to_signs
 from .oracles import continuous_random_batch
 
@@ -156,7 +156,7 @@ class CorollaryReport:
     """Exact distances vs estimated halfspace discrepancies over a pair scan.
 
     distance_floor_verified: every scanned pair's exact distance exceeds the
-        family floor 1 - e^(-k/(16n)) (rational-bracket comparison).
+        family floor 1 - e^(-k/(16n)) (decided exactly).
     corollary_regime: min scanned exact distance > 1/8, the regime where
         far-apart-but-halfspace-close is the headline contrast; at small
         (n, k) the floor sits below 1/8 and this flag records it honestly.
@@ -186,16 +186,20 @@ class CorollaryReport:
 def _pair_list(family: ProductFamily, pairs, rng: np.random.Generator):
     size = family.size
     total = size * (size - 1) // 2
-    if not isinstance(pairs, int):
+    try:
+        count = operator.index(pairs)    # any integral count, numpy's too
+    except TypeError:
+        count = None
+    if count is None:
         out = [(int(i), int(j)) for i, j in pairs]
         for i, j in out:
             if not (0 <= i < size and 0 <= j < size and i != j):
                 raise ParameterError(f"bad pair ({i}, {j}) for family of {size}")
-    elif pairs >= total:
+    elif count >= total:
         out = [(i, j) for i in range(size) for j in range(i + 1, size)]
     else:
         seen: set[tuple[int, int]] = set()
-        while len(seen) < pairs:
+        while len(seen) < count:
             i, j = (int(x) for x in rng.integers(size, size=2))
             if i == j:
                 continue
@@ -218,7 +222,6 @@ def corollary_explore(family: ProductFamily, pairs, dirs: int, samples: int,
     master = np.random.SeedSequence(seed)
     pair_rng = np.random.default_rng(master.spawn(1)[0])
     scan = _pair_list(family, pairs, pair_rng)
-    floor_lo, floor_hi = separation_floor(family.n, family.k)
     rows = []
     min_est = (math.inf, None)
     max_est = (-math.inf, None)
@@ -235,7 +238,8 @@ def corollary_explore(family: ProductFamily, pairs, dirs: int, samples: int,
             min_est = (est.estimate, (i, j))
         if est.estimate > max_est[0]:
             max_est = (est.estimate, (i, j))
-    if min_dist <= floor_hi:
+    # min_dist is rational and the floor irrational, so they never tie
+    if separation_holds(family.n, family.k, min_dist / 2):
         raise VerificationError(
             f"pair scan found distance {min_dist} at or under the family floor")
     report = CorollaryReport(

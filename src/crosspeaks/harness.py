@@ -2,11 +2,12 @@
 counting bounds that limit any learner.
 
 A game hides a uniformly drawn family body behind the discrete oracles and
-lets the learner spend at most q queries before naming a hypothesis.  The
-hypothesis succeeds if its normalized distance to the hidden body is at most
-epsilon; with 2*epsilon below the family's separation floor, at most one
-body can ever be that close, so success coincides with exact identification
-for in-family hypotheses.
+lets the learner spend at most q queries before naming a family index.  A
+trial succeeds iff that index is the hidden one: distinct family bodies are
+more than the separation floor 1 - e^(-k/(16n)) apart (see run_game), and
+GameConfig keeps 2*epsilon below that floor, so the hidden body is the only
+member within epsilon of itself and epsilon-accuracy is exact
+identification.
 
 The fan-out bound: q queries can split the family into at most
 (2^n + 1)^(kq) classes, so any learner's success probability is at most
@@ -38,14 +39,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .exactmath import binomial_ball_size, ceil_fraction, log2_bounds
-from .family import (ProductBody, ProductFamily, exact_distance, inner_seed_distance,
-                     separation_holds)
+from .family import ProductBody, ProductFamily, inner_seed_distance, separation_holds
 from .geometry import core_label_value, sample_region_label_rows
-from .oracles import (MembershipQuery, Transcript, answer_space_size,
-                      discrete_membership)
+from .oracles import Transcript, answer_space_size, discrete_membership
 
 # caps and budgets, read at call time
 MAX_LABELS_PER_TRIAL = 1 << 20  # region labels one game trial may draw (budget x k)
+MAX_TRIALS = 1 << 20            # trials one game may play
 QUERY_SEARCH_CAP = 1 << 40      # largest q the query-bound search tries
 EXACT_TERM_BUDGET = 1 << 14     # ball-sum terms the exact family-size floor may take
 
@@ -73,9 +73,6 @@ class OracleSession:
         if count > self.remaining:
             raise BudgetExceededError("query budget exhausted")
 
-    def random(self) -> tuple[int, ...]:
-        return tuple(self.random_batch(1)[0].tolist())
-
     def random_batch(self, count: int) -> np.ndarray:
         """`count` random-oracle queries as one (count, k) label draw, taken
         query by query and recorded one transcript entry per row.  A batch
@@ -89,9 +86,9 @@ class OracleSession:
 
     def membership(self, indices) -> tuple[bool, ...]:
         self._spend()
-        query = MembershipQuery(tuple(int(i) for i in indices))
-        answers = discrete_membership(self._body, query)
-        self.transcript.record_membership(query, answers)
+        indices = tuple(int(i) for i in indices)
+        answers = discrete_membership(self._body, indices)
+        self.transcript.record_membership(indices, answers)
         return answers
 
 
@@ -108,15 +105,14 @@ def consistent_indices(transcript: Transcript, family: ProductFamily) -> np.ndar
     required = [0] * k             # per factor: peaks that must be present
     forced: dict[tuple[int, int], bool] = {}   # (factor, index) -> answer
     for e in transcript.entries:
-        width = len(e[1]) if e[0] == "R" else e[1].k
-        if width != k:
-            raise ParameterError(f"transcript entry is {width} wide, family has k={k}")
+        if len(e[1]) != k:
+            raise ParameterError(f"transcript entry is {len(e[1])} wide, family has k={k}")
         if e[0] == "R":
             for j, label in enumerate(e[1]):
                 if label < core:
                     required[j] |= 1 << label
         else:
-            for j, (idx, ans) in enumerate(zip(e[1].indices, e[2])):
+            for j, (idx, ans) in enumerate(zip(e[1], e[2])):
                 if forced.setdefault((j, idx), ans) != ans:
                     alive[:] = False   # contradictory answers admit no body
     for j in range(k):
@@ -148,16 +144,14 @@ class MLConsistencyLearner:
     policy="census"  sweep membership queries (j, j, ..., j) over the 2^n
                      peak indices; 2^n answered queries pin every factor
 
-    It names the lowest-index consistent body, or with shuffle=True a uniform
-    one (consistent bodies carry equal posterior mass under a uniform prior,
-    so either tie-break is maximum-likelihood).
+    It names the lowest-index consistent body: consistent bodies carry equal
+    posterior mass under a uniform prior, so any of them is maximum-likelihood.
     """
 
-    def __init__(self, policy: str = "random", shuffle: bool = False):
+    def __init__(self, policy: str = "random"):
         if policy not in ("random", "census"):
             raise ParameterError(f"unknown policy {policy!r}")
         self.policy = policy
-        self.shuffle = shuffle
 
     def play(self, session: OracleSession, family: ProductFamily,
              rng: np.random.Generator) -> int:
@@ -172,8 +166,6 @@ class MLConsistencyLearner:
         idx = consistent_indices(session.transcript, family)
         if len(idx) == 0:
             raise VerificationError("no family body is consistent with the transcript")
-        if self.shuffle:
-            return int(idx[int(rng.integers(len(idx)))])
         return int(idx[0])
 
 
@@ -187,8 +179,8 @@ class GameConfig:
     Requires 2*epsilon < 1 - e^(-k/(16n)) (decided exactly), so that an
     epsilon-ball around any hypothesis contains at most one family body and
     per-trial success is unambiguous.  A budget whose labels per trial
-    (query_budget * k) exceed MAX_LABELS_PER_TRIAL is refused with
-    BudgetExceededError.
+    (query_budget * k) exceed MAX_LABELS_PER_TRIAL, or more than MAX_TRIALS
+    trials, is refused with BudgetExceededError.
     """
 
     family: ProductFamily
@@ -213,6 +205,9 @@ class GameConfig:
             raise BudgetExceededError(
                 f"query budget {self.query_budget} x k={self.family.k} is over "
                 f"the cap of {MAX_LABELS_PER_TRIAL} labels per trial")
+        if self.trials > MAX_TRIALS:
+            raise BudgetExceededError(
+                f"{self.trials} trials is over the cap of {MAX_TRIALS}")
 
 
 @dataclass(frozen=True)
@@ -241,18 +236,26 @@ def run_game(config: GameConfig, learner) -> GameStats:
     """Play config.trials independent rounds of hide-and-identify.
 
     Each trial draws a hidden body uniformly, gives the learner a budgeted
-    oracle session, and scores the family index it names by exact distance.
-    A learner that overdraws its budget forfeits the trial; this is counted
-    separately.
+    oracle session, and succeeds iff the family index it names is the hidden
+    one; an index outside [0, F) is a ParameterError.  A learner that
+    overdraws its budget forfeits the trial; this is counted separately.
+
+    Scoring by identity is scoring by epsilon-distance.  On a factor where two
+    members differ, their inner bodies are at least 2^n/4 apart as peak masks
+    (checked by inner_family_from_code), so they share at most 3*2^n/8 of
+    their w = 2^n/2 peaks, and the factor's volume ratio (R+m)/(R+w) is at
+    most 1 - 1/(8n-4).  At least ceil(k/2) factors differ (checked by
+    product_family_from_parts), so distinct members are more than
+    1 - e^(-k/(16n-8)) > 1 - e^(-k/(16n)) apart, and GameConfig keeps
+    2*epsilon below that floor: no wrong index is within epsilon.
     """
     family = config.family
-    successes = exact_ids = violations = 0
+    successes = violations = 0
     for t in range(config.trials):
         trial_seq = np.random.SeedSequence(config.seed, spawn_key=(t,))
         hidden_seq, oracle_seq, learner_seq = trial_seq.spawn(3)
         hidden_index = int(np.random.default_rng(hidden_seq).integers(family.size))
-        hidden = family.body(hidden_index)
-        session = OracleSession(hidden, config.query_budget,
+        session = OracleSession(family.body(hidden_index), config.query_budget,
                                 np.random.default_rng(oracle_seq))
         try:
             hypothesis = learner.play(session, family,
@@ -260,13 +263,12 @@ def run_game(config: GameConfig, learner) -> GameStats:
         except BudgetExceededError:
             violations += 1
             continue
+        if not 0 <= hypothesis < family.size:
+            raise ParameterError(f"hypothesis {hypothesis} outside [0, {family.size})")
         if hypothesis == hidden_index:
-            exact_ids += 1
-            successes += 1
-        elif exact_distance(family.body(hypothesis), hidden) <= config.epsilon:
             successes += 1
     return GameStats(trials=config.trials, successes=successes,
-                     exact_identifications=exact_ids, budget_violations=violations)
+                     exact_identifications=successes, budget_violations=violations)
 
 
 def success_upper_bound(n: int, k: int, q: int, family_size: int,

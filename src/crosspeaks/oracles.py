@@ -2,11 +2,11 @@
 
 Four oracles, all driven by a caller-supplied numpy Generator:
 
-  continuous_random     uniform point of the body
-  continuous_membership point in body?
-  discrete_random       per-factor region label (core or a present peak),
-                        with probabilities exactly proportional to volumes
-  discrete_membership   per-factor "is peak #i present?" bits
+  continuous_random_batch  uniform points of the body
+  continuous_membership    point in body?
+  discrete_random          per-factor region label (core or a present peak),
+                           with probabilities exactly proportional to volumes
+  discrete_membership      per-factor "is peak #i present?" bits
 
 Labels are the integers of geometry: a value below 2^n is a peak's orthant
 index, 2^n is the core.  discrete_random is one row of
@@ -14,23 +14,23 @@ geometry.sample_region_label_rows, which draws query by query (factor by
 factor within a row), so q calls consume the generator exactly as one
 q-row draw does; the game's OracleSession.random_batch relies on that.
 discrete_random_batch and continuous_random_batch draw factor by factor
-instead (column j takes `count` consecutive draws); continuous_random is
-their one-row case, where the two orders coincide.
+instead (column j takes `count` consecutive draws).
 
 A discrete random answer carries everything needed to regenerate a
 continuous sample: conditioned on the label, the point is uniform on that
-region, so simulate_continuous_from_discrete(n, labels) has exactly the
-distribution of continuous_random on the same body.  Both turn labels into
-points through one function, geometry.region_points: continuous_random via
+region, so simulate_batch(n, labels) has exactly the distribution of
+continuous_random_batch on the same body.  Both turn labels into points
+through one function, geometry.region_points: continuous_random_batch via
 sample_inner_batch, the simulator factor by factor.  Every body answers a
 random query with one of (2^n + 1)^k possible label tuples (2^n peaks or
 core, per factor), which is the fan-out that bounds what q queries can
 distinguish.
 
 Transcripts record queries append-only, random draws as tuples of integer
-labels, and serialize one line per query: 'R <label,...>' for random
-draws, 'M <idx,...> -> <bool,...>' for membership probes; labels are 'C'
-or 'P<orthant-hex>'.
+labels and membership probes as tuples of integer peak indices, and
+serialize one line per query: 'R <label,...>' for random draws,
+'M <idx,...> -> <bool,...>' for membership probes; labels are 'C' or
+'P<orthant-hex>'.
 """
 
 from __future__ import annotations
@@ -44,21 +44,6 @@ from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,
                        region_points, sample_inner_batch,
                        sample_region_label_rows, sample_region_labels)
-
-
-@dataclass(frozen=True)
-class MembershipQuery:
-    """Per-factor peak indices to probe: 'does factor j carry peak indices[j]?'"""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.indices:
-            raise ParameterError("a membership query needs at least one factor")
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
 
 
 @dataclass
@@ -79,8 +64,9 @@ class Transcript:
         """One random-draw entry per row of a (count, k) label matrix."""
         self.entries.extend(("R", tuple(row)) for row in rows.tolist())
 
-    def record_membership(self, query: MembershipQuery, answers: tuple[bool, ...]) -> None:
-        self.entries.append(("M", query, answers))
+    def record_membership(self, indices: tuple[int, ...],
+                          answers: tuple[bool, ...]) -> None:
+        self.entries.append(("M", indices, answers))
 
     def to_log(self) -> str:
         lines = []
@@ -88,7 +74,7 @@ class Transcript:
             if e[0] == "R":
                 lines.append("R " + ",".join(label_text(self.n, v) for v in e[1]))
             else:
-                idx = ",".join(str(i) for i in e[1].indices)
+                idx = ",".join(str(i) for i in e[1])
                 ans = ",".join("true" if b else "false" for b in e[2])
                 lines.append(f"M {idx} -> {ans}")
         return "\n".join(lines)
@@ -109,7 +95,9 @@ def _parse_draw_label(n: int, token: str) -> int:
 
 
 def parse_transcript_log(n: int, text: str) -> Transcript:
-    """Inverse of Transcript.to_log for n-dimensional factors."""
+    """Inverse of Transcript.to_log for n-dimensional factors (n >= 2)."""
+    if n < 2:
+        raise ParameterError(f"transcript factors need n >= 2, got n={n}")
     t = Transcript(n)
     for line in text.splitlines():
         line = line.strip()
@@ -130,7 +118,7 @@ def parse_transcript_log(n: int, text: str) -> Transcript:
                 raise ParameterError(
                     f"membership line {line!r} needs one answer per peak index "
                     f"below 2^{n}")
-            t.record_membership(MembershipQuery(idx), ans)
+            t.record_membership(idx, ans)
         else:
             raise ParameterError(f"unknown transcript line {line!r}")
     return t
@@ -139,13 +127,9 @@ def parse_transcript_log(n: int, text: str) -> Transcript:
 # ---------------------------------------------------------------------------
 # continuous oracles
 
-def continuous_random(body: ProductBody, rng: np.random.Generator) -> np.ndarray:
-    """One uniform point of the product body, as a length-kn vector."""
-    return continuous_random_batch(body, 1, rng)[0]
-
-
 def continuous_random_batch(body: ProductBody, count: int,
                             rng: np.random.Generator) -> np.ndarray:
+    """(count, k*n) uniform points of the product body, factor by factor."""
     cols = [sample_inner_batch(f, count, rng)[0] for f in body.factors]
     return np.concatenate(cols, axis=1)
 
@@ -179,30 +163,24 @@ def discrete_random_batch(body: ProductBody, count: int,
     return out
 
 
-def discrete_membership(body: ProductBody, query: MembershipQuery) -> tuple[bool, ...]:
-    """Peak-presence bit per factor for the queried orthant indices."""
-    if query.k != body.k:
-        raise ParameterError(f"query has {query.k} indices, body has {body.k} factors")
+def discrete_membership(body: ProductBody, indices: tuple[int, ...]) -> tuple[bool, ...]:
+    """Peak-presence bit per factor for the queried orthant indices, one
+    index per factor."""
+    if len(indices) != body.k:
+        raise ParameterError(f"query has {len(indices)} indices, body has {body.k} factors")
     n = body.n
-    for i in query.indices:
+    for i in indices:
         if not 0 <= i < (1 << n):
             raise ParameterError(f"peak index {i} out of range for n={n}")
-    return tuple(f.has_peak(i) for i, f in zip(query.indices, body.factors))
-
-
-def simulate_continuous_from_discrete(n: int, labels,
-                                      rng: np.random.Generator) -> np.ndarray:
-    """Regenerate a uniform point of the labeled region, factor by factor.
-
-    Because continuous_random is a mixture over regions with the label
-    distribution of discrete_random, feeding this a discrete draw yields
-    exactly the continuous oracle's distribution."""
-    return simulate_batch(n, np.asarray(labels)[None], rng)[0]
+    return tuple(f.has_peak(i) for i, f in zip(indices, body.factors))
 
 
 def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vector form: (count, k) integer labels -> (count, k*n) points, drawn
-    factor by factor through geometry.region_points."""
+    """Regenerate uniform points of the labeled regions: (count, k) integer
+    labels -> (count, k*n) points, drawn factor by factor through
+    geometry.region_points.  Because continuous_random_batch is a mixture
+    over regions with the label law of discrete_random, feeding this
+    discrete draws yields exactly the continuous oracle's distribution."""
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ParameterError(

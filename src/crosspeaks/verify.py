@@ -1,14 +1,15 @@
 """Superset invariant runner: every module's checkable claims in one list.
 
 run_verification executes the checks in order and stops at the first
-failure; each result carries enough numbers to reproduce (the master seed
-is part of every failure message).  The constants in REGRESSIONS were
-produced by this code and are pinned so that silent behavior drift fails
-loudly.
+failure; each result carries enough numbers to reproduce, and
+run_verification appends the master seed to every failure message.  The
+pinned constants below were produced by this code, so that silent behavior
+drift fails loudly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,28 +45,25 @@ class CheckResult:
 class _Context:
     def __init__(self, fam: family_mod.ProductFamily | None, seed: int):
         self.seed = seed
-        self._family = fam
-        self._fam32 = None
+        self._given = fam
 
-    @property
+    @functools.cached_property
     def family(self) -> family_mod.ProductFamily:
-        if self._family is None:
-            self._family = family_mod.build_product_family(3, 4)
-        return self._family
+        if self._given is None:
+            return family_mod.build_product_family(3, 4)
+        return self._given
 
-    @property
+    @functools.cached_property
     def fam32(self) -> family_mod.ProductFamily:
-        if self._fam32 is None:
-            self._fam32 = family_mod.build_product_family(3, 2)
-        return self._fam32
+        return family_mod.build_product_family(3, 2)
 
     def rng(self, salt: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, salt]))
 
 
-def _require(condition: bool, message: str, seed: int) -> None:
+def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise VerificationError(f"{message} (seed={seed})")
+        raise VerificationError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +72,19 @@ def _require(condition: bool, message: str, seed: int) -> None:
 def check_geometry_identities(ctx: _Context) -> str:
     for n in range(2, 9):
         g = geometry.make_geometry(n)
-        _require(g.alpha == Fraction(n, n - 1), f"alpha wrong at n={n}", ctx.seed)
+        _require(g.alpha == Fraction(n, n - 1), f"alpha wrong at n={n}")
         _require(g.core_volume == Fraction(2 ** n, math.factorial(n)),
-                 f"core volume wrong at n={n}", ctx.seed)
+                 f"core volume wrong at n={n}")
         _require((1 << n) * g.peak_volume == g.core_volume / (n - 1),
-                 f"total peak volume identity fails at n={n}", ctx.seed)
+                 f"total peak volume identity fails at n={n}")
         orthants = range(1 << n) if n <= 4 else (0, (1 << n) - 1, 1)
         for index in orthants:
             vertices = geometry.peak_vertices(n, geometry.OrthantSign(n, index))
             _require(simplex_volume(vertices) == g.peak_volume,
-                     f"determinant oracle disagrees at n={n}, orthant={index}",
-                     ctx.seed)
+                     f"determinant oracle disagrees at n={n}, orthant={index}")
         full = geometry.inner_volume(geometry.full_body(n))
         _require(full == g.core_volume * (1 + Fraction(1, n - 1)),
-                 f"full-body volume wrong at n={n}", ctx.seed)
+                 f"full-body volume wrong at n={n}")
     return "n=2..8: peak volume equals determinant oracle, 2^n*peak = core/(n-1)"
 
 
@@ -108,7 +105,7 @@ def check_membership_equivalence(ctx: _Context) -> str:
             mismatch = int(np.sum(member != q_member))
             _require(mismatch == 0,
                      f"membership vs facet test: {mismatch} disagreements "
-                     f"on {body.text()}", ctx.seed)
+                     f"on {body.text()}")
             checked += points
     return f"{checked} scaled rational points, region vs facet membership identical"
 
@@ -124,13 +121,13 @@ def check_convexity(ctx: _Context) -> str:
                               size=(60_000, n)).astype(np.int64)
         inside = coords[geometry.membership_scaled_batch(body, coords, scale)]
         half = len(inside) // 2
-        _require(half >= 1000, "not enough interior hits to test convexity", ctx.seed)
+        _require(half >= 1000, "not enough interior hits to test convexity")
         a, b = inside[:half], inside[half:2 * half]
         lam = rng.integers(0, 1025, size=(half, 1)).astype(np.int64)
         mix = a * lam + b * (1024 - lam)      # scale becomes scale * 1024
         ok = geometry.membership_scaled_batch(body, mix, scale * 1024)
         _require(bool(np.all(ok)),
-                 f"convex combination left {body.text()}", ctx.seed)
+                 f"convex combination left {body.text()}")
         combos += half
     return f"{combos} exact rational convex combinations stayed inside"
 
@@ -146,13 +143,12 @@ def check_sampler_regions(ctx: _Context) -> str:
         values, expected = geometry.region_expectations(body)
         counts = np.array([int(np.sum(labels == v)) for v in values])
         _require(int(counts.sum()) == samples,
-                 f"sampled point classified outside {body.text()}", ctx.seed)
+                 f"sampled point classified outside {body.text()}")
         if len(values) > 1:
             ratios = np.array([float(e) for e in expected])
             chi = scipy_stats.chisquare(counts, ratios * samples)
             _require(chi.pvalue > 1e-3,
-                     f"region frequencies off on {body.text()}: p={chi.pvalue:.2e}",
-                     ctx.seed)
+                     f"region frequencies off on {body.text()}: p={chi.pvalue:.2e}")
             worst = min(worst, float(chi.pvalue))
     return f"region chi-square over 3 bodies x {samples} samples, min p={worst:.3f}"
 
@@ -164,7 +160,7 @@ def check_sampler_symmetry(ctx: _Context) -> str:
     sigma = float(np.std(pts, axis=0).max()) / math.sqrt(len(pts))
     mean = np.abs(pts.mean(axis=0))
     _require(bool(np.all(mean < 5 * sigma)),
-             f"core sampler sign-asymmetric: means {pts.mean(axis=0)}", ctx.seed)
+             f"core sampler sign-asymmetric: means {pts.mean(axis=0)}")
     return f"coordinate means |m| < 5 sigma on the bare body ({mean.max():.2e})"
 
 
@@ -175,19 +171,18 @@ def check_codes_greedy(ctx: _Context) -> str:
     for (q, length, dist), size in GREEDY_SIZES.items():
         code = codes.gv_greedy(q, length, dist)
         _require(code.size == size,
-                 f"greedy ({q},{length},{dist}) size {code.size} != pinned {size}",
-                 ctx.seed)
+                 f"greedy ({q},{length},{dist}) size {code.size} != pinned {size}")
         _require(code.size >= codes.gv_floor(q, length, dist),
-                 f"greedy ({q},{length},{dist}) under its size floor", ctx.seed)
+                 f"greedy ({q},{length},{dist}) under its size floor")
         again = codes.gv_greedy(q, length, dist)
         _require(code.words == again.words,
-                 f"greedy ({q},{length},{dist}) not deterministic", ctx.seed)
+                 f"greedy ({q},{length},{dist}) not deterministic")
         _require(codes.min_distance_exhaustive(code.words) >= dist,
-                 f"greedy ({q},{length},{dist}) distance not certified", ctx.seed)
+                 f"greedy ({q},{length},{dist}) distance not certified")
     even = tuple(w for w in itertools.product((0, 1), repeat=4)
                  if sum(w) % 2 == 0)
     _require(codes.gv_greedy(2, 4, 2).words == even,
-             "greedy (2,4,2) is not the even-weight words", ctx.seed)
+             "greedy (2,4,2) is not the even-weight words")
     return f"{len(GREEDY_SIZES)} greedy codes at pinned sizes, distances re-certified"
 
 
@@ -197,10 +192,10 @@ def check_codes_complement(ctx: _Context) -> str:
         base = codes.gv_greedy(2, length, family_mod.inner_seed_distance(n))
         ext = codes.complement_extend(base)
         _require(ext.min_distance == 2 * codes.min_distance_exhaustive(base.words),
-                 f"complement extension at n={n} did not double distance", ctx.seed)
+                 f"complement extension at n={n} did not double distance")
         _require(all(sum(w) == length for w in ext.words),
-                 f"extension at n={n} not constant weight", ctx.seed)
-        _require(ext.size == base.size, f"extension at n={n} lost words", ctx.seed)
+                 f"extension at n={n} not constant weight")
+        _require(ext.size == base.size, f"extension at n={n} lost words")
     return "complement extension doubles distance and fixes weight at len/2"
 
 
@@ -222,10 +217,10 @@ def check_family_separation(ctx: _Context) -> str:
         if key in MIN_DISTANCES:
             _require(rep.min_distance == MIN_DISTANCES[key],
                      f"min distance at {key} is {rep.min_distance}, "
-                     f"pinned {MIN_DISTANCES[key]}", ctx.seed)
+                     f"pinned {MIN_DISTANCES[key]}")
         if key in FAMILY_SIZES:
             _require(fam.size == FAMILY_SIZES[key],
-                     f"family size at {key} drifted to {fam.size}", ctx.seed)
+                     f"family size at {key} drifted to {fam.size}")
         out.append(f"{key}: {rep.pairs_checked} pairs ({rep.mode}), "
                    f"min {rep.min_distance}")
     return "; ".join(out)
@@ -242,9 +237,9 @@ def check_manifest_roundtrip(ctx: _Context) -> str:
     text = family_mod.format_manifest(ctx.fam32)
     again = family_mod.parse_manifest(text)
     _require(family_mod.format_manifest(again) == text,
-             "manifest did not round-trip byte-identically", ctx.seed)
+             "manifest did not round-trip byte-identically")
     _require(bool(np.array_equal(again.mask_matrix, ctx.fam32.mask_matrix)),
-             "re-parsed manifest builds different bodies", ctx.seed)
+             "re-parsed manifest builds different bodies")
     return f"manifest of {ctx.fam32.size} bodies round-trips byte-identically"
 
 
@@ -259,12 +254,10 @@ def check_oracle_branching(ctx: _Context) -> str:
     values, expected = geometry.region_expectations(body)
     legal = set(int(v) for v in values)
     seen = set(int(v) for v in np.unique(labels))
-    _require(seen <= legal, f"oracle produced illegal labels {seen - legal}",
-             ctx.seed)
+    _require(seen <= legal, f"oracle produced illegal labels {seen - legal}")
     counts = np.array([int(np.sum(labels == v)) for v in values])
     chi = scipy_stats.chisquare(counts, np.array([float(e) for e in expected]) * draws)
-    _require(chi.pvalue > 1e-3, f"label frequencies off: p={chi.pvalue:.2e}",
-             ctx.seed)
+    _require(chi.pvalue > 1e-3, f"label frequencies off: p={chi.pvalue:.2e}")
     return f"discrete labels match volume ratios (p={chi.pvalue:.3f}), no illegal labels"
 
 
@@ -276,11 +269,11 @@ def check_transcript_roundtrip(ctx: _Context) -> str:
         if rng.integers(2):
             tr.record_random(oracles.discrete_random(body, rng))
         else:
-            q = oracles.MembershipQuery(tuple(int(i) for i in rng.integers(8, size=2)))
-            tr.record_membership(q, oracles.discrete_membership(body, q))
+            indices = tuple(rng.integers(8, size=2).tolist())
+            tr.record_membership(indices, oracles.discrete_membership(body, indices))
     log = tr.to_log()
     _require(oracles.parse_transcript_log(3, log).to_log() == log,
-             "transcript log did not round-trip", ctx.seed)
+             "transcript log did not round-trip")
     return "40-entry transcript round-trips through its text log"
 
 
@@ -296,8 +289,7 @@ def check_simulation_match(ctx: _Context) -> str:
         p = scipy_stats.ks_2samp(direct[:, c], simulated[:, c]).pvalue
         worst = min(worst, float(p))
     _require(worst > 1e-3,
-             f"simulated continuous law drifts from direct sampling: p={worst:.2e}",
-             ctx.seed)
+             f"simulated continuous law drifts from direct sampling: p={worst:.2e}")
     return f"discrete->continuous simulation matches direct law (min coord p={worst:.3f})"
 
 
@@ -307,28 +299,25 @@ def check_simulation_match(ctx: _Context) -> str:
 def check_bounds_regressions(ctx: _Context) -> str:
     c1 = harness.choose_parameters(1024, Fraction(1, 8))
     c2 = harness.choose_parameters(1024, Fraction(1, 128))
-    _require((c1.n, c1.k) == (64, 16), f"split(1024, 1/8) gave {(c1.n, c1.k)}",
-             ctx.seed)
-    _require((c2.n, c2.k) == (256, 4), f"split(1024, 1/128) gave {(c2.n, c2.k)}",
-             ctx.seed)
+    _require((c1.n, c1.k) == (64, 16), f"split(1024, 1/8) gave {(c1.n, c1.k)}")
+    _require((c2.n, c2.k) == (256, 4), f"split(1024, 1/128) gave {(c2.n, c2.k)}")
     for (d, eps, delta), (value, regime) in QUERY_FLOORS.items():
         qb = harness.query_lower_bound(d, eps, delta)
         _require((qb.q_floor, qb.regime) == (value, regime),
-                 f"query floor at d={d} drifted to {qb.q_floor} ({qb.regime})",
-                 ctx.seed)
+                 f"query floor at d={d} drifted to {qb.q_floor} ({qb.regime})")
     _require(QUERY_FLOORS[(1024, Fraction(1, 8), Fraction(1, 2))][0] >= 1 << 50,
-             "d=1024 query floor fell under 2^50", ctx.seed)
+             "d=1024 query floor fell under 2^50")
     ratios = []
     for e in range(6, 15):
         qb = harness.query_lower_bound(1 << e, Fraction(1, 8))
         ratios.append(math.log2(qb.q_floor) / qb.asymptotic_log2)
     _require(all(0.25 <= r <= 4 for r in ratios),
-             f"log2(q)/sqrt(d/L) left [1/4, 4]: {ratios}", ctx.seed)
+             f"log2(q)/sqrt(d/L) left [1/4, 4]: {ratios}")
     q_all = harness.query_lower_bound(64, Fraction(1, 8), Fraction(0)).q_floor
     q_half = harness.query_lower_bound(64, Fraction(1, 8), Fraction(1, 2)).q_floor
-    _require(q_all >= q_half, "query floor not monotone in delta", ctx.seed)
+    _require(q_all >= q_half, "query floor not monotone in delta")
     _require(harness.query_lower_bound(64, Fraction(1, 8), family_size=1).q_floor == 0,
-             "singleton family needs no queries", ctx.seed)
+             "singleton family needs no queries")
     return (f"splits pinned, query floors pinned, grid ratio in "
             f"[{min(ratios):.2f}, {max(ratios):.2f}]")
 
@@ -341,7 +330,7 @@ def check_game_zero_budget(ctx: _Context) -> str:
     p = 1.0 / fam.size
     sigma = math.sqrt(p * (1 - p) / cfg.trials)
     _require(abs(stats.success_rate - p) <= 5 * sigma,
-             f"blind success rate {stats.success_rate} vs 1/F={p}", ctx.seed)
+             f"blind success rate {stats.success_rate} vs 1/F={p}")
     return f"q=0 success {stats.success_rate:.4f} within 5 sigma of 1/{fam.size}"
 
 
@@ -350,10 +339,9 @@ def check_game_census(ctx: _Context) -> str:
                              epsilon=Fraction(1, 64), trials=300, seed=ctx.seed)
     stats = harness.run_game(cfg, harness.MLConsistencyLearner(policy="census"))
     _require(stats.success_rate == 1.0,
-             f"census learner failed {cfg.trials - stats.successes} trials",
-             ctx.seed)
+             f"census learner failed {cfg.trials - stats.successes} trials")
     _require(stats.exact_identifications == stats.trials,
-             "census successes were not identifications", ctx.seed)
+             "census successes were not identifications")
     return "membership census identifies the hidden body in 300/300 trials"
 
 
@@ -372,9 +360,9 @@ def check_game_monotone_and_bound(ctx: _Context) -> str:
                               1.0 / cfg.trials) / cfg.trials)
         _require(stats.success_rate <= float(bound) + 5 * sigma,
                  f"empirical success {stats.success_rate} beats the "
-                 f"fan-out bound {float(bound):.4f} at q={q}", ctx.seed)
+                 f"fan-out bound {float(bound):.4f} at q={q}")
     _require(all(a <= b for a, b in zip(rates, rates[1:])),
-             f"success not monotone in q: {rates}", ctx.seed)
+             f"success not monotone in q: {rates}")
     return f"success {rates} non-decreasing in q, all under the fan-out bound"
 
 
@@ -387,18 +375,17 @@ def check_halfspace_estimator(ctx: _Context) -> str:
     frac = float(np.mean(pts[:, 0] <= 0))
     sigma = 0.5 / math.sqrt(len(pts))
     _require(abs(frac - 0.5) <= 3 * sigma,
-             f"axis CDF at 0 is {frac}, expected 1/2", ctx.seed)
+             f"axis CDF at 0 is {frac}, expected 1/2")
     a, b = ctx.fam32.body(3), ctx.fam32.body(250)
     self_est = halfspace.halfspace_discrepancy(a, a, dirs=16, samples=1500,
                                                rng=ctx.rng(9))
-    _require(self_est.estimate == 0.0, "self-discrepancy not exactly zero",
-             ctx.seed)
+    _require(self_est.estimate == 0.0, "self-discrepancy not exactly zero")
     _require(self_est.estimate <= self_est.noise_floor,
-             "zero fell above the noise floor", ctx.seed)
+             "zero fell above the noise floor")
     ab = halfspace.halfspace_discrepancy(a, b, dirs=16, samples=1500, rng=ctx.rng(9))
     ba = halfspace.halfspace_discrepancy(b, a, dirs=16, samples=1500, rng=ctx.rng(9))
-    _require(ab.estimate == ba.estimate, "estimate not symmetric", ctx.seed)
-    _require(0.0 <= ab.estimate <= 1.0, "estimate left [0, 1]", ctx.seed)
+    _require(ab.estimate == ba.estimate, "estimate not symmetric")
+    _require(0.0 <= ab.estimate <= 1.0, "estimate left [0, 1]")
     return (f"axis CDF {frac:.4f}~1/2, self-test exactly 0, "
             f"symmetric estimate {ab.estimate:.3f}")
 
@@ -406,9 +393,8 @@ def check_halfspace_estimator(ctx: _Context) -> str:
 def check_halfspace_scan(ctx: _Context) -> str:
     rep = halfspace.corollary_explore(ctx.fam32, pairs=4, dirs=8, samples=1200,
                                       seed=ctx.seed)
-    _require(rep.distance_floor_verified, "scan admitted a pair at the floor",
-             ctx.seed)
-    _require(len(rep.rows) == 4, "scan row count off", ctx.seed)
+    _require(rep.distance_floor_verified, "scan admitted a pair at the floor")
+    _require(len(rep.rows) == 4, "scan row count off")
     return (f"4-pair scan: min exact distance {rep.min_exact_distance}, "
             f"flat={rep.flat_landscape}")
 
@@ -447,7 +433,7 @@ def run_verification(fam: family_mod.ProductFamily | None = None,
         try:
             detail = fn(ctx)
         except (CrosspeaksError, AssertionError) as exc:
-            results.append(CheckResult(name, False, str(exc)))
+            results.append(CheckResult(name, False, f"{exc} (seed={seed})"))
             break
         results.append(CheckResult(name, True, detail))
     return results

@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps package functions by name; every name it
-lists must keep resolving, or a traced run breaks without a failing test."""
+"""The benchmark's tracer wraps package functions by name, and its workloads
+call the package's API; every name it lists must keep resolving and every
+workload must keep running, or a benchmark run breaks without a failing
+test."""
 
 import importlib
 import importlib.util
@@ -8,14 +10,23 @@ from pathlib import Path
 
 from crosspeaks.family import certify_separation
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py, imported with perfbench/ on the path as the
+    benchmark runs it, and without writing bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_resolve(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench(monkeypatch, "tracing")
     assert tracing.TRACED
     missing = [f"{module}.{name}"
                for module, names in tracing.TRACED.items()
@@ -32,3 +43,16 @@ def test_certify_separation_takes_a_seed_and_covers_every_pair(family_32):
         report = certify_separation(family_32, seed=seed)
         assert report.mode == "all"
         assert report.pairs_checked == family_32.size * (family_32.size - 1) // 2
+
+
+def test_game_workload_runs_clean(monkeypatch):
+    # pass 0's (3,2) steps play every learner policy and budget of the
+    # workload through run_game, and each output must pass its check
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    game = workloads.Game(0)
+    game.setup()
+    game.load()
+    steps = [(name, thunk) for name, thunk in game.steps(0) if name.startswith("fam32-")]
+    assert len(steps) == 5
+    for name, thunk in steps:
+        assert game.check(name, thunk()) == [], name

@@ -320,10 +320,11 @@ _FILES = ("{fam32}", "{missing}", "{dir}", "{empty}", "{garbage}")
 
 # per subcommand: option -> (base value, or None to leave the option out;
 # the values a draw may put in its place).  The bases run at once; so does
-# every replacement: trials stay small, families at or under (3, 2) plus
-# values over the construction caps, allocation sizes small or 10^14.
-# verify's manifest is never readable or left out, and game's --trials is
-# never left out: either would run the whole battery or 1000 trials.
+# every replacement: trials small or 10^11 (over the trials cap), families
+# at or under (3, 2) plus values over the construction caps, allocation
+# sizes small or 10^14.  verify's manifest is never readable or left out,
+# and game's --trials is never left out: either would run the whole
+# battery or 1000 trials.
 _ARGV_OPTIONS = {
     "gen-family": {"--n": ("2", _ANY + ("5",)),
                    "--k": ("2", ("-1", "0", "1", "x", "1/0", "", "1,2", _BIG, "9")),
@@ -337,7 +338,7 @@ _ARGV_OPTIONS = {
                "--point": ("1/2,0,0,1/4,0,0",
                            _SMALL + ("0,0,0,0,0,0", "9/10,9/10,0,0,0,0", "1/0,0,0,0,0,0"))},
     "game": {"--manifest": ("{fam32}", _FILES), "--q": ("2", _ANY),
-             "--epsilon": ("1/64", _ANY + ("1/16",)), "--trials": ("3", _SMALL),
+             "--epsilon": ("1/64", _ANY + ("1/16",)), "--trials": ("3", _ANY),
              "--seed": ("0", _ANY), "--learner": (None, ("ml", "random", "x")),
              "--csv": (None, ("{out}", "{missing}", "{dir}"))},
     "bounds": {"--d": ("1024", _ANY + ("64",)), "--epsilon": ("1/8", _ANY + ("1/64",)),

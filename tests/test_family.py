@@ -34,6 +34,7 @@ from crosspeaks.geometry import (InnerBody, body_from_mask, classify_batch,
                                  core_label_value, inner_volume,
                                  make_geometry, sample_inner_batch)
 from crosspeaks.codes import certified_code, gv_greedy
+from crosspeaks.verify import run_verification
 
 F = Fraction
 
@@ -317,6 +318,19 @@ def test_certify_separation_pair_budget(family_32, monkeypatch):
     monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 3)
     with pytest.raises(VerificationError):
         certify_separation(bad)
+
+
+def test_verification_failures_name_the_seed():
+    # a library error raised inside a check carries the seed, as the
+    # runner's own checks always did, and a check's text is unchanged
+    inner = _inner_family(3)
+    cases = (([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)],
+              "outer min distance 1 under ceil(k/2) = 2 (seed=7)"),
+             ([(0, 0), (0, 1)], "family size at (3, 2) drifted to 2 (seed=7)"))
+    for words, detail in cases:
+        family = ProductFamily(inner, certified_code(inner.size, len(words[0]), words))
+        last = run_verification(family, seed=7)[-1]
+        assert (last.name, last.passed, last.detail) == ("family-separation", False, detail)
 
 
 def test_certify_cardinality_and_volumes(family_32, family_34):

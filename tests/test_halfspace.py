@@ -155,8 +155,8 @@ def test_corollary_explore_explicit_pairs(family_32):
 
 def test_corollary_explore_reproducible(family_32):
     a = corollary_explore(family_32, 3, dirs=4, samples=1000, seed=5)
-    b = corollary_explore(family_32, 3, dirs=4, samples=1000, seed=5)
-    assert a.rows == b.rows
+    b = corollary_explore(family_32, np.int64(3), dirs=4, samples=1000, seed=5)
+    assert len(a.rows) == 3 and a.rows == b.rows
 
 
 def test_corollary_explore_rejects_bad_pairs(family_32):
@@ -164,6 +164,6 @@ def test_corollary_explore_rejects_bad_pairs(family_32):
         corollary_explore(family_32, [(0, 0)], dirs=4, samples=1000, seed=1)
     with pytest.raises(ParameterError):
         corollary_explore(family_32, [(0, 999)], dirs=4, samples=1000, seed=1)
-    for pairs in (0, -3, []):
+    for pairs in (0, -3, [], np.int64(0)):
         with pytest.raises(ParameterError):
             corollary_explore(family_32, pairs, dirs=4, samples=1000, seed=1)

@@ -11,7 +11,7 @@ from crosspeaks.errors import (BudgetExceededError, ParameterError,
 from crosspeaks.codes import certified_code
 from crosspeaks.family import build_inner_family, product_family_from_parts
 from crosspeaks.geometry import core_label_value
-from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, GameConfig, GameStats,
+from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, MAX_TRIALS, GameConfig, GameStats,
                                 MLConsistencyLearner, OracleSession,
                                 RandomGuessLearner,
                                 RESULTS_CSV_COLUMNS, choose_parameters,
@@ -19,7 +19,7 @@ from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, GameConfig, GameStats,
                                 query_lower_bound,
                                 run_game, success_upper_bound,
                                 write_results_csv)
-from crosspeaks.oracles import MembershipQuery, Transcript, parse_transcript_log
+from crosspeaks.oracles import Transcript, parse_transcript_log
 
 F = Fraction
 SEED = 20260816
@@ -31,12 +31,12 @@ SEED = 20260816
 def test_session_budget_enforced(family_32, rng):
     session = OracleSession(family_32.body(5), 3, rng)
     assert session.remaining == 3
-    session.random()
+    session.random_batch(1)
     session.membership((0, 1))
-    session.random()
+    session.random_batch(1)
     assert session.remaining == 0
     with pytest.raises(BudgetExceededError):
-        session.random()
+        session.random_batch(1)
     with pytest.raises(BudgetExceededError):
         session.membership((0, 0))
     assert session.transcript.query_count == 3
@@ -53,7 +53,8 @@ def test_random_batch_matches_single_queries(family_34):
     single = OracleSession(body, 8, np.random.default_rng(5))
     labels = batch.random_batch(6)
     assert labels.shape == (6, 4)
-    assert [single.random() for _ in range(6)] == [tuple(row) for row in labels.tolist()]
+    assert ([tuple(single.random_batch(1)[0].tolist()) for _ in range(6)]
+            == [tuple(row) for row in labels.tolist()])
     assert batch.transcript.to_log() == single.transcript.to_log()
     assert batch.remaining == single.remaining == 2
 
@@ -94,7 +95,7 @@ class _Overdrawer:
 
     def play(self, session, family, rng):
         for _ in range(session.budget + 1):
-            session.random()
+            session.random_batch(1)
         return 0
 
 
@@ -113,15 +114,12 @@ def test_run_game_flags_budget_violations(family_32):
 def test_ml_learner_empty_transcript_lowest_index(family_32, rng):
     session = OracleSession(family_32.body(9), 0, rng)
     assert MLConsistencyLearner().play(session, family_32, rng) == 0
-    pick = MLConsistencyLearner(shuffle=True).play(session, family_32,
-                                                   np.random.default_rng(5))
-    assert 0 <= pick < family_32.size
 
 
 def test_consistent_indices_brute_force(family_32):
     t = Transcript(3)
     t.record_random((2, core_label_value(3)))
-    t.record_membership(MembershipQuery((5, 0)), (True, False))
+    t.record_membership((5, 0), (True, False))
     fast = set(int(i) for i in consistent_indices(t, family_32))
     slow = set()
     for i in range(family_32.size):
@@ -147,7 +145,7 @@ def test_consistent_indices_property(family_32, entries):
         if e[0] == "R":
             t.record_random(e[1])
         else:
-            t.record_membership(MembershipQuery(e[1]), e[2])
+            t.record_membership(e[1], e[2])
 
     def admits(body):
         for e in entries:
@@ -166,8 +164,8 @@ def test_consistent_indices_property(family_32, entries):
 
 def test_contradictory_membership_answers_empty(family_32):
     t = Transcript(3)
-    t.record_membership(MembershipQuery((3, 3)), (True, True))
-    t.record_membership(MembershipQuery((3, 3)), (False, True))
+    t.record_membership((3, 3), (True, True))
+    t.record_membership((3, 3), (False, True))
     assert len(consistent_indices(t, family_32)) == 0
     session = OracleSession(family_32.body(0), 0, np.random.default_rng(1))
     session.transcript = t
@@ -285,6 +283,15 @@ def test_game_config_caps_labels_per_trial(family_34):
                    epsilon=F(1, 64), trials=1, seed=0)
 
 
+def test_game_config_caps_trials(family_32):
+    # the CLI maps this to exit 4 before any trial is played
+    GameConfig(family=family_32, query_budget=1, epsilon=F(1, 64),
+               trials=MAX_TRIALS, seed=0)
+    with pytest.raises(BudgetExceededError):
+        GameConfig(family=family_32, query_budget=1, epsilon=F(1, 64),
+                   trials=MAX_TRIALS + 1, seed=0)
+
+
 def test_trial_seed_sequences_match_spawned_children():
     # run_game builds trial t's stream as SeedSequence(seed, spawn_key=(t,))
     # instead of materialising SeedSequence(seed).spawn(trials)
@@ -298,27 +305,45 @@ def test_trial_seed_sequences_match_spawned_children():
 # (successes, exact identifications) over 300 trials at seed 2024, recorded
 # from the per-query game loop before the learner drew its budget in one call
 GAME_PINS = {
-    "32": {(False, "random", 0): (0, 0), (False, "random", 1): (1, 1),
-           (False, "random", 5): (4, 4), (False, "random", 20): (71, 71),
-           (False, "census", 8): (300, 300), (True, "random", 0): (2, 2),
-           (True, "random", 1): (2, 2), (True, "random", 5): (7, 7),
-           (True, "random", 20): (58, 58), (True, "census", 8): (300, 300)},
-    "34": {(False, "random", 0): (0, 0), (False, "random", 1): (0, 0),
-           (False, "random", 5): (0, 0), (False, "random", 20): (85, 85),
-           (False, "census", 8): (300, 300), (True, "random", 0): (1, 1),
-           (True, "random", 1): (0, 0), (True, "random", 5): (1, 1),
-           (True, "random", 20): (85, 85), (True, "census", 8): (300, 300)},
+    "32": {("random", 0): (0, 0), ("random", 1): (1, 1), ("random", 5): (4, 4),
+           ("random", 20): (71, 71), ("census", 8): (300, 300)},
+    "34": {("random", 0): (0, 0), ("random", 1): (0, 0), ("random", 5): (0, 0),
+           ("random", 20): (85, 85), ("census", 8): (300, 300)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(GAME_PINS))
 def test_game_stats_pinned(request, name):
     family = request.getfixturevalue(f"family_{name}")
-    for (shuffle, policy, q), (successes, exact) in GAME_PINS[name].items():
+    for (policy, q), (successes, exact) in GAME_PINS[name].items():
         config = GameConfig(family=family, query_budget=q, epsilon=F(1, 64),
                             trials=300, seed=2024)
-        stats = run_game(config, MLConsistencyLearner(policy, shuffle=shuffle))
-        assert stats == GameStats(300, successes, exact, 0), (shuffle, policy, q)
+        stats = run_game(config, MLConsistencyLearner(policy))
+        assert stats == GameStats(300, successes, exact, 0), (policy, q)
+
+
+class _Namer:
+    """Names one fixed index, whatever the oracles say."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def play(self, session, family, rng):
+        return self.index
+
+
+def test_run_game_scores_by_index(family_32):
+    config = GameConfig(family=family_32, query_budget=0, epsilon=F(1, 64),
+                        trials=200, seed=SEED)
+    hidden = [int(np.random.default_rng(
+                  np.random.SeedSequence(SEED, spawn_key=(t,)).spawn(3)[0]
+              ).integers(family_32.size)) for t in range(config.trials)]
+    for index in (0, hidden[0]):
+        stats = run_game(config, _Namer(index))
+        assert stats.successes == stats.exact_identifications == hidden.count(index)
+    for index in (-1, family_32.size):
+        with pytest.raises(ParameterError):
+            run_game(config, _Namer(index))
 
 
 def test_run_game_reproducible(family_32):

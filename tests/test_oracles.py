@@ -14,12 +14,10 @@ from crosspeaks.geometry import (InnerBody, bare_body, body_from_mask,
                                  classify_batch, core_label_value, full_body,
                                  label_text, sample_inner_batch,
                                  sample_region_label_rows)
-from crosspeaks.oracles import (MembershipQuery, Transcript, answer_space_size,
-                                continuous_membership, continuous_random,
-                                continuous_random_batch, discrete_membership,
-                                discrete_random, discrete_random_batch,
-                                parse_transcript_log,
-                                simulate_continuous_from_discrete,
+from crosspeaks.oracles import (Transcript, answer_space_size,
+                                continuous_membership, continuous_random_batch,
+                                discrete_membership, discrete_random,
+                                discrete_random_batch, parse_transcript_log,
                                 simulate_batch)
 
 
@@ -135,9 +133,9 @@ def test_continuous_membership_literals():
 
 def test_continuous_random_points_are_members(rng):
     body = _product((0x0F, 0x33, 0xC3))
-    for _ in range(100):
-        x = continuous_random(body, rng)
-        assert x.shape == (9,)
+    points = continuous_random_batch(body, 100, rng)
+    assert points.shape == (100, 9)
+    for x in points:
         assert continuous_membership(body, x)
 
 
@@ -146,13 +144,12 @@ def test_continuous_random_points_are_members(rng):
 
 def test_discrete_membership_literals():
     body = _product((0x0F, 0x0F))
-    assert discrete_membership(body, MembershipQuery((0, 7))) == (True, False)
-    assert discrete_membership(body, MembershipQuery((3, 2))) == (True, True)
-    assert discrete_membership(body, MembershipQuery((7, 4))) == (False, False)
-    with pytest.raises(ParameterError):
-        discrete_membership(body, MembershipQuery((0,)))
-    with pytest.raises(ParameterError):
-        discrete_membership(body, MembershipQuery((0, 8)))
+    assert discrete_membership(body, (0, 7)) == (True, False)
+    assert discrete_membership(body, (3, 2)) == (True, True)
+    assert discrete_membership(body, (7, 4)) == (False, False)
+    for indices in ((0,), (), (0, 8), (0, -1)):
+        with pytest.raises(ParameterError):
+            discrete_membership(body, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +175,11 @@ def test_simulate_peak_label_classifies_back(rng):
 
 
 def test_simulate_scalar_matches_label(rng):
-    ans = (core_label_value(3), 6)
-    for _ in range(200):
-        x = simulate_continuous_from_discrete(3, ans, rng)
-        assert x.shape == (6,)
-        labs = classify_batch(3, x.reshape(2, 3))
-        assert labs[0] == core_label_value(3)
-        assert labs[1] == 6
+    labels = np.tile([core_label_value(3), 6], (200, 1))
+    points = simulate_batch(3, labels, rng)
+    assert points.shape == (200, 6)
+    assert np.all(classify_batch(3, points[:, :3]) == core_label_value(3))
+    assert np.all(classify_batch(3, points[:, 3:]) == 6)
 
 
 def test_simulate_pinned_bytes(family_34):
@@ -247,8 +242,6 @@ def test_answer_validation():
         with pytest.raises(ParameterError):
             parse_transcript_log(3, line)
     with pytest.raises(ParameterError):
-        MembershipQuery(())
-    with pytest.raises(ParameterError):
         simulate_batch(3, np.array([[9]]), np.random.default_rng(0))
 
 
@@ -258,7 +251,7 @@ def test_answer_validation():
 def test_transcript_roundtrip():
     t = Transcript(3)
     t.record_random((core_label_value(3), 7))
-    t.record_membership(MembershipQuery((0, 5)), (True, False))
+    t.record_membership((0, 5), (True, False))
     log = t.to_log()
     assert log == "R C,P7\nM 0,5 -> true,false"
     back = parse_transcript_log(3, log)
@@ -275,6 +268,9 @@ def test_transcript_parse_errors():
         parse_transcript_log(3, "Z what")
     with pytest.raises(ParameterError):
         parse_transcript_log(2, "R P7")  # orthant 7 needs n >= 3
+    for n in (-1, 1):   # factors need n >= 2, as InnerBody does
+        with pytest.raises(ParameterError):
+            parse_transcript_log(n, "R C")
 
 
 def test_identical_seeds_identical_transcripts():
@@ -285,7 +281,6 @@ def test_identical_seeds_identical_transcripts():
         t = Transcript(3)
         for _ in range(50):
             t.record_random(discrete_random(body, rng))
-        q = MembershipQuery((2, 3))
-        t.record_membership(q, discrete_membership(body, q))
+        t.record_membership((2, 3), discrete_membership(body, (2, 3)))
         logs.append(t.to_log())
     assert logs[0] == logs[1]
