@@ -315,10 +315,11 @@ def certify_separation(family: ProductFamily, *, seed: int = 0) -> SeparationRep
         one exact integer compare per pair
 
     The library builds a Code only through certified_code, so both distances
-    are exhaustively certified.  Raises VerificationError on any violation
-    (naming the pair when the scan finds it), and BudgetExceededError first
-    when the F(F-1)/2 pairs exceed codes.DEFAULT_PAIR_BUDGET.  seed is
-    accepted and has no effect: the scan draws nothing.
+    are certified exactly: by XOR closure, else by the pair scan.  Raises
+    VerificationError on any violation (naming the pair when the scan finds
+    it), and BudgetExceededError first when the F(F-1)/2 pairs exceed
+    codes.DEFAULT_PAIR_BUDGET.  seed is accepted and has no effect: the scan
+    draws nothing.
     """
     n, k, f = family.n, family.k, family.size
     if f < 2:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import codes, family as family_mod, geometry, halfspace, harness, oracles
-from .errors import CrosspeaksError, VerificationError
+from .errors import CrosspeaksError, ParameterError, VerificationError
 from .exactmath import simplex_volume
 
 DEFAULT_SEED = 20260816
@@ -64,6 +63,58 @@ class _Context:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise VerificationError(message)
+
+
+# ---------------------------------------------------------------------------
+# p-values
+
+def chisquare_pvalue(observed, expected) -> float:
+    """Pearson chi-square goodness-of-fit p-value with len - 1 degrees of
+    freedom.  The tail of chi-square with integer df is closed-form
+    (Abramowitz & Stegun 26.4.4/26.4.5): with y = statistic / 2, a Poisson
+    sum e^-y sum_{i < df/2} y^i / i! for even df, and
+    erfc(sqrt y) + e^-y sum_{i=1}^{(df-1)/2} y^(i-1/2) / Gamma(i+1/2) for odd
+    df.  Each term is taken as exp of a log, so no factor underflows alone."""
+    observed = np.asarray(observed, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    if observed.ndim != 1 or observed.shape != expected.shape or len(observed) < 2:
+        raise ParameterError("chi-square needs two or more categories, "
+                             "observed and expected alike")
+    if not np.all(expected > 0):
+        raise ParameterError("chi-square needs positive expected counts")
+    y = float(((observed - expected) ** 2 / expected).sum()) / 2
+    df = len(observed) - 1
+    if y == 0:
+        return 1.0
+    log_y = math.log(y)
+    if df % 2 == 0:
+        terms = (math.exp(i * log_y - y - math.lgamma(i + 1)) for i in range(df // 2))
+        return min(1.0, math.fsum(terms))
+    terms = (math.exp((i - 0.5) * log_y - y - math.lgamma(i + 0.5))
+             for i in range(1, (df + 1) // 2))
+    return min(1.0, math.erfc(math.sqrt(y)) + math.fsum(terms))
+
+
+def ks_2samp_pvalue(a, b) -> float:
+    """Exact two-sided two-sample Kolmogorov-Smirnov p-value for equal sample
+    sizes n (Gnedenko-Korolyuk): with D = h/n,
+    P(D_n,n >= h/n) = 2 sum_{j >= 1} (-1)^(j-1) C(2n, n - jh) / C(2n, n),
+    each binomial ratio taken as exp of lgamma differences."""
+    n = len(a)
+    if n == 0 or len(b) != n:
+        raise ParameterError(f"ks p-value needs two non-empty samples of one size, "
+                             f"got {len(a)} and {len(b)}")
+    h = round(halfspace.ks_statistic(a, b) * n)
+    if h == 0:
+        return 1.0
+    log_center = 2 * math.lgamma(n + 1)
+    total = 0.0
+    for j in range(1, n // h + 1):
+        term = math.exp(log_center - math.lgamma(n - j * h + 1) - math.lgamma(n + j * h + 1))
+        if term == 0.0:
+            break  # the terms fall with j: every later one underflows too
+        total += term if j % 2 else -term
+    return min(1.0, max(0.0, 2 * total))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +197,9 @@ def check_sampler_regions(ctx: _Context) -> str:
                  f"sampled point classified outside {body.text()}")
         if len(values) > 1:
             ratios = np.array([float(e) for e in expected])
-            chi = scipy_stats.chisquare(counts, ratios * samples)
-            _require(chi.pvalue > 1e-3,
-                     f"region frequencies off on {body.text()}: p={chi.pvalue:.2e}")
-            worst = min(worst, float(chi.pvalue))
+            p = chisquare_pvalue(counts, ratios * samples)
+            _require(p > 1e-3, f"region frequencies off on {body.text()}: p={p:.2e}")
+            worst = min(worst, p)
     return f"region chi-square over 3 bodies x {samples} samples, min p={worst:.3f}"
 
 
@@ -177,7 +227,7 @@ def check_codes_greedy(ctx: _Context) -> str:
         again = codes.gv_greedy(q, length, dist)
         _require(code.words == again.words,
                  f"greedy ({q},{length},{dist}) not deterministic")
-        _require(codes.min_distance_exhaustive(code.words) >= dist,
+        _require(codes.min_distance_exhaustive(code.words) == code.min_distance >= dist,
                  f"greedy ({q},{length},{dist}) distance not certified")
     even = tuple(w for w in itertools.product((0, 1), repeat=4)
                  if sum(w) % 2 == 0)
@@ -256,9 +306,9 @@ def check_oracle_branching(ctx: _Context) -> str:
     seen = set(int(v) for v in np.unique(labels))
     _require(seen <= legal, f"oracle produced illegal labels {seen - legal}")
     counts = np.array([int(np.sum(labels == v)) for v in values])
-    chi = scipy_stats.chisquare(counts, np.array([float(e) for e in expected]) * draws)
-    _require(chi.pvalue > 1e-3, f"label frequencies off: p={chi.pvalue:.2e}")
-    return f"discrete labels match volume ratios (p={chi.pvalue:.3f}), no illegal labels"
+    p = chisquare_pvalue(counts, np.array([float(e) for e in expected]) * draws)
+    _require(p > 1e-3, f"label frequencies off: p={p:.2e}")
+    return f"discrete labels match volume ratios (p={p:.3f}), no illegal labels"
 
 
 def check_transcript_roundtrip(ctx: _Context) -> str:
@@ -286,8 +336,7 @@ def check_simulation_match(ctx: _Context) -> str:
     simulated = oracles.simulate_batch(body.n, answers, rng)
     worst = 1.0
     for c in range(body.dimension):
-        p = scipy_stats.ks_2samp(direct[:, c], simulated[:, c]).pvalue
-        worst = min(worst, float(p))
+        worst = min(worst, ks_2samp_pvalue(direct[:, c], simulated[:, c]))
     _require(worst > 1e-3,
              f"simulated continuous law drifts from direct sampling: p={worst:.2e}")
     return f"discrete->continuous simulation matches direct law (min coord p={worst:.3f})"

@@ -1,12 +1,16 @@
 """End-to-end subcommand runs through cli.main; every assertion reads the
 printed output or the exit code, nothing reaches into internals."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import crosspeaks
 from crosspeaks.cli import main
 from crosspeaks.family import read_manifest
 
@@ -17,6 +21,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only reference: no command pays for importing it
+    src = str(pathlib.Path(crosspeaks.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, crosspeaks.cli, crosspeaks.verify; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,77 @@ def test_min_distance_pair_budget(monkeypatch):
     assert min_distance_exhaustive(words) == 1
 
 
+def _span_words(m, length, basis):
+    """Every XOR combination of the packed length*m-bit basis ints, unpacked
+    into words of m-bit symbols, in sorted order."""
+    span = {0}
+    for v in basis:
+        span |= {x ^ v for x in span}
+    return [tuple(x >> (m * (length - 1 - i)) & ((1 << m) - 1) for i in range(length))
+            for x in sorted(span)]
+
+
+@st.composite
+def _spans(draw):
+    m = draw(st.integers(1, 4), label="m")  # q = 2, 4, 8, 16
+    length = draw(st.integers(1, 12 // m), label="length")
+    bits = length * m
+    basis = draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=1,
+                          max_size=min(bits, 8)), label="basis")
+    words = _span_words(m, length, basis)
+    return m, length, draw(st.permutations(words), label="order")
+
+
+@settings(deadline=None)
+@given(span=_spans())
+def test_closure_certificate_matches_pair_scan(span):
+    m, length, words = span
+    assume(len(words) >= 2)
+    want = min_distance_exhaustive(words)
+    with pytest.MonkeyPatch.context() as patch:
+        # a closed code never reaches the pair scan: a zero budget cannot bite
+        patch.setattr(codes, "DEFAULT_PAIR_BUDGET", 0)
+        assert certified_code(1 << m, length, words).min_distance == want
+
+
+@settings(deadline=None)
+@given(span=_spans(), data=st.data())
+def test_non_closed_codes_fall_back_to_pair_scan(span, data):
+    m, length, words = span
+    q = 1 << m
+    assume(len(words) >= 4)
+    i = data.draw(st.integers(0, len(words) - 1), label="index")
+    dropped = words[:i] + words[i + 1:]  # 2^r - 1 words: not a power of two
+    assert certified_code(q, length, dropped).min_distance == min_distance_exhaustive(dropped)
+    outside = [w for w in itertools.product(range(q), repeat=length) if w not in words]
+    assume(outside)
+    swapped = list(words)
+    swapped[i] = data.draw(st.sampled_from(outside), label="outsider")
+    # still 2^r distinct words, but of GF(2) rank r + 1
+    assert certified_code(q, length, swapped).min_distance == min_distance_exhaustive(swapped)
+    shift = swapped[i]  # a coset of the span: 2^r words of rank r + 1, no zero word
+    coset = [tuple(a ^ b for a, b in zip(w, shift)) for w in words]
+    assert certified_code(q, length, coset).min_distance == min_distance_exhaustive(coset)
+
+
+@settings(deadline=None)
+@given(length=st.integers(1, 4), data=st.data())
+def test_ternary_codes_certify_by_pair_scan(length, data):
+    words = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * length),
+                               min_size=2, max_size=16, unique=True), label="words")
+    assert certified_code(3, length, words).min_distance == min_distance_exhaustive(words)
+
+
+def test_greedy_code_past_the_pair_budget_certifies_by_closure(monkeypatch):
+    # the floor's 1075 words fit the budget; the code's 4096 words (8386560
+    # pairs) would not, as (16, 6, 3)'s 65536 words do not at the default
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 600_000)
+    code = gv_greedy(16, 4, 2)
+    assert code.size == 4096 and code.min_distance == 2
+    with pytest.raises(BudgetExceededError):
+        min_distance_exhaustive(code.words)
+
+
 def test_certified_rejects_bad_words():
     with pytest.raises(ParameterError):
         certified_code(2, 3, [(0, 1)])  # wrong length
@@ -222,6 +293,9 @@ def test_certified_rejects_bad_words():
         certified_code(2, 2, [(0, 1), (0, 1)])  # duplicate
     with pytest.raises(ParameterError):
         certified_code(1, 2, [(0, 0)])
+    for q, word in ((2, (0, 0)), (4, (0, 0)), (16, (3, 1)), (3, (2, 1))):
+        with pytest.raises(ParameterError):
+            certified_code(q, 2, [word])  # one word has no minimum distance
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from crosspeaks.oracles import (Transcript, answer_space_size,
                                 discrete_membership, discrete_random,
                                 discrete_random_batch, parse_transcript_log,
                                 simulate_batch)
+from crosspeaks.verify import chisquare_pvalue, ks_2samp_pvalue
 
 
 def _product(mask_per_factor, n=3):
@@ -284,3 +286,58 @@ def test_identical_seeds_identical_transcripts():
         t.record_membership((2, 3), discrete_membership(body, (2, 3)))
         logs.append(t.to_log())
     assert logs[0] == logs[1]
+
+
+# ---------------------------------------------------------------------------
+# stdlib p-values against scipy, the independent reference
+
+@settings(deadline=None)
+@given(df=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       spread=st.floats(0.01, 3.0))
+def test_chisquare_pvalue_matches_scipy(df, seed, spread):
+    gen = np.random.default_rng(seed)
+    expected = gen.uniform(1.0, 500.0, size=df + 1)
+    observed = np.maximum(0.0, np.round(
+        expected + spread * np.sqrt(expected) * gen.standard_normal(df + 1)))
+    expected *= observed.sum() / expected.sum()  # scipy wants equal totals
+    want = chisquare(observed, expected).pvalue
+    assert chisquare_pvalue(observed, expected) == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 1000), seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.floats(0.0, 1.0), levels=st.sampled_from([3, 50, 0]))
+def test_ks_2samp_pvalue_matches_scipy_exact(n, seed, shift, levels):
+    gen = np.random.default_rng(seed)
+    a, b = gen.standard_normal(n), gen.standard_normal(n) + shift
+    if levels:  # ties within and across the samples
+        a, b = np.round(a * levels), np.round(b * levels)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want = ks_2samp(a, b, method="exact").pvalue
+    if caught:
+        # scipy gives up on "exact" when rounding lifts its sum past 1 at
+        # D = 1/n, where the exact tail is 1, and answers asymptotically
+        assert round(n * ks_2samp(a, b).statistic) == 1
+        want = 1.0
+    assert ks_2samp_pvalue(a, b) == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def test_pvalues_of_identical_samples_are_one(rng):
+    a = rng.standard_normal(500)
+    assert ks_2samp_pvalue(a, a) == 1.0
+    assert ks_2samp_pvalue(a, rng.permutation(a)) == 1.0
+    assert chisquare_pvalue([10, 20, 30], [10, 20, 30]) == 1.0
+
+
+def test_pvalues_reject_bad_input():
+    with pytest.raises(ParameterError):
+        ks_2samp_pvalue([0.1, 0.2], [0.3])
+    with pytest.raises(ParameterError):
+        ks_2samp_pvalue([], [])
+    with pytest.raises(ParameterError):
+        chisquare_pvalue([5], [5])
+    with pytest.raises(ParameterError):
+        chisquare_pvalue([1, 2], [1, 2, 3])
+    with pytest.raises(ParameterError):
+        chisquare_pvalue([1, 2], [0, 3])
