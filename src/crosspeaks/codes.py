@@ -1,19 +1,22 @@
 """Error-correcting codes built by greedy scan, with minimum distance
 certified exactly: by XOR closure, else by the pair scan.
 
-gv_greedy walks a bitmap of the q^length words in lexicographic order: it
-keeps each word not yet marked and marks its Hamming ball of radius
-min_dist - 1.  The result is a maximal code, so its size meets the
-classical floor q^length / V_q(length, min_dist - 1), which is asserted on
-every build.  complement_extend doubles a binary code's length by appending
-each word's complement, which doubles the absolute minimum distance and
-makes every word constant-weight length/2.
+gv_greedy keeps, in lexicographic order, each of the q^length words not yet
+marked in a bitmap, and marks its Hamming ball of radius min_dist - 1.  The
+result is a maximal code, so its size meets the classical floor
+q^length / V_q(length, min_dist - 1), which is asserted on every build.
+complement_extend doubles a binary code's length by appending each word's
+complement, which doubles the absolute minimum distance and makes every word
+constant-weight length/2.
 
 Over an alphabet of q = 2^m symbols, greedy codes are lexicodes, which are
 closed under symbol-wise XOR (Conway & Sloane, "Lexicographic codes", IEEE
-Trans. IT 32, 1986).  A closed code's pairwise differences are its nonzero
-words, so certified_code reads its minimum distance off the least nonzero
-weight in O(F length) and scans all F(F-1)/2 pairs only for other codes.
+Trans. IT 32, 1986).  gv_greedy then builds the code by doubling: each first
+free word v adds code XOR v and marks the bitmap XOR-shifted by v, so it
+takes log2 F + 1 passes over the bitmap; other alphabets scan it window by
+window.  A closed code's pairwise differences are its nonzero words, so
+certified_code reads its minimum distance off the least nonzero weight in
+O(F length) and scans all F(F-1)/2 pairs only for other codes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .exactmath import binomial_ball_size
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 DEFAULT_PAIR_BUDGET = 50_000_000
 _WINDOW = 1 << 12  # bitmap words searched at a time for the next free word
+_FLIP_CHUNK = 1 << 20  # bitmap words one XOR-shift pass updates at a time
 
 
 def gv_floor(q: int, length: int, min_dist: int) -> int:
@@ -76,7 +80,7 @@ def min_distance_exhaustive(words) -> int:
     return best
 
 
-def _closure_distance(q: int, length: int, words) -> int | None:
+def closure_distance(q: int, length: int, words) -> int | None:
     """The minimum distance of F >= 2 distinct words that are exactly their
     span under symbol-wise XOR, read off the least nonzero weight; None when
     they are not.  They are when q = 2^m, F is a power of two and the GF(2)
@@ -125,7 +129,7 @@ def certified_code(q: int, length: int, words) -> Code:
     if q < 2:
         raise ParameterError("alphabet size must be >= 2")
     words = _validate_words(q, length, words)
-    dmin = _closure_distance(q, length, words)
+    dmin = closure_distance(q, length, words)
     if dmin is None:
         dmin = min_distance_exhaustive(words)
     return Code(alphabet_size=q, length=length, words=words, min_distance=dmin)
@@ -143,16 +147,42 @@ def _ball_shifts(q: int, length: int, radius: int) -> tuple[np.ndarray, np.ndarr
     return shifts, np.count_nonzero(shifts, axis=1)
 
 
+def _or_xor_shifted(bitmap: np.ndarray, v: int) -> None:
+    """bitmap[i] |= bitmap[i ^ v] for every index i of a 2^B-entry bitmap,
+    in place.  With t the top bit of v, each block of 2^(t+1) entries that
+    share the index bits above t pairs its low half with its high half, and
+    XOR by v's lower bits flips the half's axes of those bits: np.flip views,
+    no index array.  The halves share no entry, so numpy copies nothing, and
+    _FLIP_CHUNK entries at a time keep the passes in cache."""
+    t = v.bit_length() - 1
+    blocks = bitmap.reshape(-1, 2, *(2,) * t)  # axis a of a half is index bit t - a
+    axes = tuple(t - j for j in range(t) if v >> j & 1)
+    step = max(1, _FLIP_CHUNK >> (t + 1))
+    for start in range(0, len(blocks), step):
+        low, high = blocks[start:start + step, 0], blocks[start:start + step, 1]
+        low |= np.flip(high, axes)
+        high |= np.flip(low, axes)  # also ORs high into itself: flip is an involution
+
+
 def gv_greedy(q: int, length: int, min_dist: int) -> Code:
     """Deterministic greedy code: scan all q^length words in lexicographic
     order, keep each word whose distance to everything kept is >= min_dist.
-    A bitmap of one bool per word marks each kept word's Hamming ball: m kept
-    words take O(q^length + m V_q(length, min_dist - 1)) time.
+    A bitmap of one bool per word marks each kept word's Hamming ball.
+
+    For q = 2^m the greedy code is a lexicode, closed under XOR, and word
+    indices XOR as their symbols do.  So the code is built by doubling: mark
+    the ball around 0, take the first free word v, mark forbidden XOR v as
+    well and add code XOR v to the code, until no word is free; log2 F + 1
+    passes over the bitmap.  For other q the scan walks the bitmap window by
+    window, marking each kept word's ball: m kept words take
+    O(q^length + m V_q(length, min_dist - 1)) time.
 
     The returned Code has its minimum distance re-certified exactly: by XOR
     closure, else by the pair scan.
     The size floor q^length / V_q(length, min_dist - 1) is a hard assertion.
-    Either budget raises BudgetExceededError before the scan.
+    The enumeration budget raises BudgetExceededError before the scan, and
+    so does the pair budget when q is not a power of two and the floor's
+    pairs exceed it.
     """
     if q < 2 or length < 1 or not 1 <= min_dist <= length:
         raise ParameterError(f"bad greedy-code parameters q={q} len={length} d={min_dist}")
@@ -163,7 +193,8 @@ def gv_greedy(q: int, length: int, min_dist: int) -> Code:
             f"{DEFAULT_ENUMERATION_BUDGET}; "
             "supply a smaller instance or an explicit code")
     floor = gv_floor(q, length, min_dist)
-    if floor * (floor - 1) // 2 > DEFAULT_PAIR_BUDGET:
+    doubling = q & (q - 1) == 0  # q = 2^m: the code certifies by closure, not by pairs
+    if not doubling and floor * (floor - 1) // 2 > DEFAULT_PAIR_BUDGET:
         # the code reaches the floor, so certifying it would exceed the budget
         raise BudgetExceededError(
             f"at least {floor} words means at least {floor * (floor - 1) // 2} pairs, "
@@ -176,18 +207,31 @@ def gv_greedy(q: int, length: int, min_dist: int) -> Code:
     lo_shifts, lo_weight = _ball_shifts(q, length - half, radius)
     forbidden = np.zeros(total, dtype=bool)
     grid = forbidden.reshape(-1, q ** (length - half))
-    kept = []
-    for start in range(0, total, _WINDOW):
-        window = forbidden[start:start + _WINDOW]  # a view: it sees new marks
-        while not window.all():
-            kept.append(start + int(window.argmin()))
-            digits = kept[-1] // place % q
-            his = (digits[:half] + hi_shifts) % q @ place[:half] // grid.shape[1]
-            los = (digits[half:] + lo_shifts) % q @ place[half:]
-            for i in range(radius + 1):  # first half at distance i, second within radius - i
-                grid[np.ix_(his[hi_weight == i], los[lo_weight <= radius - i])] = True
 
-    words = tuple(map(tuple, (np.array(kept)[:, None] // place % q).tolist()))
+    def mark_ball(word: int) -> None:
+        digits = word // place % q
+        his = (digits[:half] + hi_shifts) % q @ place[:half] // grid.shape[1]
+        los = (digits[half:] + lo_shifts) % q @ place[half:]
+        for i in range(radius + 1):  # first half at distance i, second within radius - i
+            grid[np.ix_(his[hi_weight == i], los[lo_weight <= radius - i])] = True
+
+    if doubling:
+        mark_ball(0)
+        kept = np.zeros(1, dtype=np.int64)
+        while not forbidden.all():
+            v = int(forbidden.argmin())
+            _or_xor_shifted(forbidden, v)
+            kept = np.concatenate([kept, kept ^ v])
+        kept.sort()
+    else:
+        kept = []
+        for start in range(0, total, _WINDOW):
+            window = forbidden[start:start + _WINDOW]  # a view: it sees new marks
+            while not window.all():
+                kept.append(start + int(window.argmin()))
+                mark_ball(kept[-1])
+
+    words = tuple(map(tuple, (np.asarray(kept)[:, None] // place % q).tolist()))
     code = certified_code(q, length, words)
     if code.size > 1 and code.min_distance < min_dist:
         raise VerificationError("greedy code certification came in under the target distance")

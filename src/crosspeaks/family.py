@@ -17,8 +17,13 @@ factorizes: for equal-volume bodies it is 1 - prod_i (R + m_i) / (R + w)
 with R = 2^n (n-1), w = 2^(n-1) the per-factor peak count, and m_i the
 number of shared peaks in factor i.  The inner code's distance keeps
 m_i <= 3 * 2^n / 8 in differing factors and the outer code's makes at least
-ceil(k/2) factors differ; certify_separation reads both and checks, in exact
-integer arithmetic, that every pair clears 1 - e^(-k/(16n)).
+ceil(k/2) factors differ; certify_separation checks, in exact integer
+arithmetic, that every pair clears 1 - e^(-k/(16n)).  It proves this as the
+construction does when the outer code is XOR-closed: with s* the most peaks
+two distinct inner bodies share and d the outer distance, every pair has
+prod (R + m_i) <= (R + w)^(k-d) (R + s*)^d, and a pair attaining the bound
+makes it the exact minimum.  Other codes take scan_separation, which checks
+all F(F-1)/2 pairs and is the code bound's oracle.
 """
 
 from __future__ import annotations
@@ -297,29 +302,88 @@ class SeparationReport:
     k: int
     family_size: int
     pairs_checked: int
-    mode: str  # always "all": every distinct pair is checked
+    mode: str  # always "all": every distinct pair is covered
     min_distance: Fraction
     floor_lo: Fraction
     floor_hi: Fraction
     max_shared_on_diff: int
     min_differing_factors: int
+    method: str  # "code-bound" or "pair-scan"
 
 
 def certify_separation(family: ProductFamily, *, seed: int = 0) -> SeparationReport:
-    """Check that every two bodies are over 1 - e^(-k/(16n)) apart:
+    """Check that every two bodies are over 1 - e^(-k/(16n)) apart, the way
+    the construction proves it, else pair by pair.
+
+    The code bound: let s* be the most peaks two distinct inner bodies share
+    and d the outer code's minimum distance.  Two bodies differ in at least
+    d factors, so every pair has prod (R + m_i) <= (R + w)^(k-d) (R + s*)^d.
+    It is used when the outer code is XOR-closed, d >= ceil(k/2),
+    8 s* <= 3 * 2^n and the bound clears the floor, and when a witness
+    attains it: a pair (c, c XOR u), u a codeword of weight d, that shares
+    s* peaks in each of u's factors.  The bound is then the exact minimum,
+    at a cost of q^2 inner pairs and one pass over the code per u tried.
+    Otherwise scan_separation checks every pair, under the pair budget.
+
+    Both give the same report but for method; mode "all" and pairs_checked
+    = F(F-1)/2 mean every pair is covered.  The library builds a Code only
+    through certified_code, so both code distances are certified exactly.
+    Raises VerificationError on any violation and BudgetExceededError when a
+    needed scan is over budget.  seed is accepted and has no effect: neither
+    method draws anything.
+    """
+    report = _separation_by_code_bound(family)
+    return report if report is not None else scan_separation(family)
+
+
+def _separation_by_code_bound(family: ProductFamily) -> SeparationReport | None:
+    """certify_separation's code bound with its witness, or None when a
+    condition fails or no witness exists."""
+    n, k, outer = family.n, family.k, family.outer
+    d = outer.min_distance
+    if (d < outer_distance_floor(k)
+            or codes_mod.closure_distance(outer.alphabet_size, k, outer.words) is None):
+        return None
+    masks = np.array([b.mask for b in family.inner.bodies], dtype=np.int64)
+    shared = np.bitwise_count(masks[:, None] & masks)  # q x q peaks shared
+    w = 1 << (n - 1)
+    s_star = int(shared.max(where=shared < w, initial=0))  # distinct bodies share < w
+    if 8 * s_star > 3 << n:
+        return None
+    r = core_weight(n)
+    threshold, den = _pair_threshold(n, k, w)
+    bound = (r + w) ** (k - d) * (r + s_star) ** d
+    if bound > threshold:
+        return None
+    words = np.array(outer.words, dtype=np.intp)
+    for u in words[np.count_nonzero(words, axis=1) == d]:
+        support = np.flatnonzero(u)
+        c = words[:, support]  # c XOR u is a codeword: the code is closed
+        if (shared[c, c ^ u[support]] == s_star).all(axis=1).any():
+            break
+    else:
+        return None
+    f = family.size
+    floor_lo, floor_hi = separation_floor(n, k)
+    return SeparationReport(
+        n=n, k=k, family_size=f, pairs_checked=f * (f - 1) // 2, mode="all",
+        min_distance=1 - Fraction(bound, den), floor_lo=floor_lo,
+        floor_hi=floor_hi, max_shared_on_diff=s_star, min_differing_factors=d,
+        method="code-bound")
+
+
+def scan_separation(family: ProductFamily) -> SeparationReport:
+    """certify_separation by checking all F(F-1)/2 pairs, each one exact
+    integer compare; the oracle for the code bound.
 
       * shared peaks <= 3 * 2^n / 8 in differing factors: implied by the inner
         code's distance (>= 2^n / 4); the scan finds each pair's count
       * at least ceil(k/2) differing factors: the outer code's min_distance
-      * distance 1 - prod (R + m_i) / (R + w)^k over the floor: the scan,
-        one exact integer compare per pair
+      * distance 1 - prod (R + m_i) / (R + w)^k over the floor
 
-    The library builds a Code only through certified_code, so both distances
-    are certified exactly: by XOR closure, else by the pair scan.  Raises
-    VerificationError on any violation (naming the pair when the scan finds
-    it), and BudgetExceededError first when the F(F-1)/2 pairs exceed
-    codes.DEFAULT_PAIR_BUDGET.  seed is accepted and has no effect: the scan
-    draws nothing.
+    Raises BudgetExceededError first when the pairs exceed
+    codes.DEFAULT_PAIR_BUDGET, and VerificationError on any violation,
+    naming the pair when the scan finds it.
     """
     n, k, f = family.n, family.k, family.size
     if f < 2:
@@ -366,7 +430,7 @@ def certify_separation(family: ProductFamily, *, seed: int = 0) -> SeparationRep
         n=n, k=k, family_size=f, pairs_checked=total_pairs, mode="all",
         min_distance=1 - Fraction(worst_num, den), floor_lo=floor_lo,
         floor_hi=floor_hi, max_shared_on_diff=max_shared,
-        min_differing_factors=min_diff)
+        min_differing_factors=min_diff, method="pair-scan")
 
 
 def certify_cardinality(family: ProductFamily) -> None:

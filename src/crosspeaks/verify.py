@@ -9,6 +9,7 @@ drift fails loudly.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -18,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes, family as family_mod, geometry, halfspace, harness, oracles
-from .errors import CrosspeaksError, ParameterError, VerificationError
+from .errors import (BudgetExceededError, CrosspeaksError, ParameterError,
+                     VerificationError)
 from .exactmath import simplex_volume
 
 DEFAULT_SEED = 20260816
@@ -264,6 +266,11 @@ def check_family_separation(ctx: _Context) -> str:
     for fam in (ctx.fam32, ctx.family):
         key = (fam.n, fam.k)
         rep = family_mod.certify_separation(fam, seed=ctx.seed)
+        if fam is ctx.fam32:  # the code bound against its oracle, the pair scan
+            scan = family_mod.scan_separation(fam)
+            _require(rep.method == "code-bound"
+                     and dataclasses.replace(scan, method=rep.method) == rep,
+                     f"code bound {rep} and pair scan {scan} disagree at {key}")
         if key in MIN_DISTANCES:
             _require(rep.min_distance == MIN_DISTANCES[key],
                      f"min distance at {key} is {rep.min_distance}, "
@@ -475,12 +482,15 @@ CHECKS = (
 def run_verification(fam: family_mod.ProductFamily | None = None,
                      seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every check against fam (default: freshly built (3,4) family).
-    Stops at the first failure; the failing result ends the list."""
+    Stops at the first failure; the failing result ends the list.  An
+    exceeded budget is no failed check: BudgetExceededError propagates."""
     ctx = _Context(fam, seed)
     results: list[CheckResult] = []
     for name, fn in CHECKS:
         try:
             detail = fn(ctx)
+        except BudgetExceededError:
+            raise
         except (CrosspeaksError, AssertionError) as exc:
             results.append(CheckResult(name, False, f"{exc} (seed={seed})"))
             break

@@ -36,13 +36,14 @@ def test_traced_names_resolve(monkeypatch):
     assert missing == []
 
 
-def test_certify_separation_takes_a_seed_and_covers_every_pair(family_32):
+def test_certify_separation_takes_a_seed_and_covers_every_pair(family_32, family_34):
     # the construct workload passes a per-pass seed and rejects any report
-    # that is not mode "all" over F(F-1)/2 pairs
-    for seed in (0, 11, 2024):
-        report = certify_separation(family_32, seed=seed)
-        assert report.mode == "all"
-        assert report.pairs_checked == family_32.size * (family_32.size - 1) // 2
+    # that is not mode "all" over F(F-1)/2 pairs, whichever method certified
+    for family in (family_32, family_34):
+        for seed in (0, 11, 2024):
+            report = certify_separation(family, seed=seed)
+            assert report.mode == "all"
+            assert report.pairs_checked == family.size * (family.size - 1) // 2
 
 
 def test_game_workload_runs_clean(monkeypatch):

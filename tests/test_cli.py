@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import crosspeaks
+from crosspeaks import codes
 from crosspeaks.cli import main
 from crosspeaks.family import read_manifest
 
@@ -212,6 +213,15 @@ def test_verify_passes(capsys, manifest_32):
     lines = stdout.strip().splitlines()
     assert all(ln.startswith("[PASS]") for ln in lines[:-1])
     assert lines[-1].startswith("all ") and "checks passed" in lines[-1]
+
+
+def test_verify_over_budget_exits_4(capsys, monkeypatch):
+    # the pinned greedy codes' distances are re-certified by the pair scan,
+    # which a budget of 1000 pairs refuses: an exceeded budget, not a failure
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 1000)
+    code, _, stderr = run(capsys, "verify")
+    assert code == 4
+    assert "budget exceeded" in stderr
 
 
 def test_missing_manifest_is_parameter_error(capsys, tmp_path):

@@ -90,8 +90,9 @@ def _reference_greedy(q, length, min_dist):
 
 
 @settings(deadline=None)
-@given(q=st.integers(2, 5), length=st.integers(1, 6), data=st.data())
+@given(q=st.sampled_from((2, 3, 4, 5, 8)), length=st.integers(1, 6), data=st.data())
 def test_greedy_matches_reference(q, length, data):
+    # powers of two build by XOR doubling, 3 and 5 by the window scan
     min_dist = data.draw(st.integers(1, length), label="min_dist")
     # the reference is quadratic in the code size, which the Singleton bound
     # caps at q^(length - min_dist + 1); skip the few cases it would take
@@ -126,11 +127,12 @@ def test_greedy_budget():
 
 
 def test_greedy_pair_budget_checked_before_scan():
-    # gv_floor(2, 22, 2) = 182362 words: certification could never fit the
-    # default pair budget, so the scan is refused up front
+    # gv_floor(3, 13, 2) = 59049 words: over an alphabet that is no power of
+    # two only the pair scan certifies, and its 1.7e9 pairs could never fit
+    # the default pair budget, so the scan is refused up front
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
-        gv_greedy(2, 22, 2)
+        gv_greedy(3, 13, 2)
     assert time.perf_counter() - start < 2.0
 
 

@@ -5,6 +5,7 @@ intersection-volume formula and plain Monte Carlo frequency.  Keep both;
 collapsing them would leave the formula checking itself.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from crosspeaks import codes
@@ -27,7 +28,7 @@ from crosspeaks.family import (ProductBody, ProductFamily, build_inner_family,
                                inner_seed_distance, outer_distance_floor,
                                intersection_volume, intersection_volume_inner,
                                parse_manifest, product_family_from_parts,
-                               read_manifest,
+                               read_manifest, scan_separation,
                                separation_floor, separation_holds,
                                write_manifest)
 from crosspeaks.geometry import (InnerBody, body_from_mask, classify_batch,
@@ -298,19 +299,72 @@ def test_certify_separation_matches_brute_force(n, k, data):
     assert rep.min_differing_factors == min(diffs)
 
 
+def test_code_bound_certifies_past_the_pair_budget():
+    # 16384 and 65536 bodies: 1.3e8 and 2.1e9 pairs, over the default budget
+    # of 5e7, certified exactly by the code bound's witnessed minimum
+    for (n, k), want in {(4, 2): F(1, 28), (3, 6): F(1141, 8000)}.items():
+        family = build_product_family(n, k)
+        rep = certify_separation(family)
+        assert rep.method == "code-bound" and rep.mode == "all"
+        assert rep.pairs_checked == family.size * (family.size - 1) // 2
+        assert rep.min_distance == want > rep.floor_hi
+        assert rep.min_differing_factors == family.outer.min_distance
+
+
+@settings(deadline=None)
+@given(n=st.sampled_from((2, 3)), k=st.integers(1, 4), data=st.data())
+def test_code_bound_matches_pair_scan(n, k, data):
+    # outer codes that are GF(2) spans of inner indices are XOR-closed, so
+    # certify_separation tries the code bound: it must report what the pair
+    # scan reports, or raise the same VerificationError
+    inner = _inner_family(n)
+    symbol = st.integers(0, inner.size - 1)
+    basis = data.draw(st.lists(st.tuples(*[symbol] * k), min_size=1, max_size=4),
+                      label="basis")
+    span = {(0,) * k}
+    for v in basis:
+        span |= {tuple(a ^ b for a, b in zip(w, v)) for w in span}
+    assume(len(span) >= 2)
+    family = ProductFamily(inner, certified_code(inner.size, k, sorted(span)))
+    try:
+        scan = scan_separation(family)
+    except VerificationError as exc:
+        with pytest.raises(VerificationError) as raised:
+            certify_separation(family)
+        assert str(raised.value) == str(exc)
+        return
+    rep = certify_separation(family)
+    event(rep.method)
+    assert rep.method in ("code-bound", "pair-scan")
+    assert rep.min_distance == scan.min_distance
+    assert rep.max_shared_on_diff == scan.max_shared_on_diff
+    assert rep.min_differing_factors == scan.min_differing_factors
+    assert dataclasses.replace(rep, method=scan.method) == scan
+
+
 def test_certify_separation_pair_budget(family_32, monkeypatch):
-    pairs = 256 * 255 // 2
+    # family_32's 256 words minus one are not XOR-closed: only the pair scan
+    # certifies them, and the budget applies to it alone
+    open_code = ProductFamily(family_32.inner, certified_code(
+        family_32.inner.size, 2, family_32.outer.words[1:]))
+    pairs = 255 * 254 // 2
     # these words differ in one factor of four, which the certificate rejects
     inner = _inner_family(3)
     bad = ProductFamily(inner, certified_code(
         inner.size, 4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]))
     monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", pairs - 1)
     with pytest.raises(BudgetExceededError):
-        certify_separation(family_32)
+        certify_separation(open_code)
     monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", pairs)
-    rep = certify_separation(family_32, seed=1)
+    rep = certify_separation(open_code, seed=1)
     assert rep.mode == "all" and rep.pairs_checked == pairs
-    assert certify_separation(family_32, seed=2) == rep  # seed has no effect
+    assert rep.method == "pair-scan"
+    assert certify_separation(open_code, seed=2) == rep  # seed has no effect
+    # the closed code certifies by its bound, which scans no pair
+    monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 0)
+    rep = certify_separation(family_32)
+    assert rep.method == "code-bound"
+    assert rep.mode == "all" and rep.pairs_checked == 256 * 255 // 2
     # the budget is checked before the scan
     monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
