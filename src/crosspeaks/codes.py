@@ -42,34 +42,40 @@ def gv_floor(q: int, length: int, min_dist: int) -> int:
     return -((-(q ** length)) // ball)
 
 
-def _validate_words(q: int, length: int, words) -> tuple[tuple[int, ...], ...]:
-    out = []
-    seen = set()
-    for w in words:
-        w = tuple(int(s) for s in w)
-        if len(w) != length:
-            raise ParameterError(f"word {w} has length {len(w)}, expected {length}")
-        if any(not 0 <= s < q for s in w):
-            raise ParameterError(f"word {w} has symbols outside [0, {q})")
-        if w in seen:
-            raise ParameterError(f"repeated word {w}")
-        seen.add(w)
-        out.append(w)
-    return tuple(out)
+def _word_matrix(q: int, length: int, words) -> np.ndarray:
+    """words as a read-only (F, length) matrix of the narrowest unsigned
+    dtype that holds the largest symbol; ParameterError unless they are F
+    distinct words of integer symbols in [0, q)."""
+    try:
+        matrix = np.asarray(words)
+    except ValueError as exc:  # ragged rows
+        raise ParameterError(f"words are not all of length {length}") from exc
+    if matrix.ndim != 2 or matrix.shape[1] != length or not matrix.size:
+        raise ParameterError(f"words form a {matrix.shape} array, not (F >= 1, {length})")
+    # numpy holds a non-integer, or an int past int64, as a float or object
+    if matrix.dtype.kind not in "iu" or matrix.min() < 0 or matrix.max() >= q:
+        raise ParameterError(f"words have symbols that are not integers in [0, {q})")
+    matrix = matrix.astype(np.min_scalar_type(matrix.max()), order="C")
+    # words sorted as opaque items: np.unique(axis=0) is 20x slower and imports numpy.ma
+    rows = np.sort(matrix.view(f"V{length * matrix.itemsize}"), axis=0).view(matrix.dtype)
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        raise ParameterError("repeated word")
+    matrix.flags.writeable = False
+    return matrix
 
 
 def min_distance_exhaustive(words) -> int:
     """Exact minimum pairwise Hamming distance over all word pairs; more than
     DEFAULT_PAIR_BUDGET pairs raise BudgetExceededError before the scan."""
-    words = [tuple(w) for w in words]
     m = len(words)
     if m < 2:
         raise ParameterError("minimum distance needs at least two words")
     if m * (m - 1) // 2 > DEFAULT_PAIR_BUDGET:
         raise BudgetExceededError(f"{m} words means {m*(m-1)//2} pairs, "
                                   f"over the budget of {DEFAULT_PAIR_BUDGET}")
-    top = max(max(w, default=0) for w in words)
-    arr = np.array(words, dtype=np.min_scalar_type(top))  # uint8 unless a symbol needs more
+    arr = np.asarray(words)
+    if arr.dtype.kind not in "iu":  # symbols past int64 would compare as floats
+        raise ParameterError(f"symbols must be integers below 2^63, got {arr.dtype} words")
     best = arr.shape[1] + 1
     for i in range(m - 1):
         d = int(np.count_nonzero(arr[i + 1:] != arr[i], axis=1).min())
@@ -80,24 +86,23 @@ def min_distance_exhaustive(words) -> int:
     return best
 
 
-def closure_distance(q: int, length: int, words) -> int | None:
-    """The minimum distance of F >= 2 distinct words that are exactly their
-    span under symbol-wise XOR, read off the least nonzero weight; None when
-    they are not.  They are when q = 2^m, F is a power of two and the GF(2)
-    rank of the words packed as length*m-bit ints is log2 F: a span of rank
-    r has 2^r words, so it holds all F and nothing else.  Packings wider
-    than 64 bits are not tried."""
-    f, m = len(words), q.bit_length() - 1
+def closure_distance(q: int, words: np.ndarray) -> int | None:
+    """The minimum distance of an (F, length) matrix of F >= 2 distinct
+    words that are exactly their span under symbol-wise XOR, read off the
+    least nonzero weight; None when they are not.  They are when q = 2^m, F
+    is a power of two and the GF(2) rank of the words packed as length*m-bit
+    ints is log2 F: a span of rank r has 2^r words, so it holds all F and
+    nothing else.  Packings wider than 64 bits are not tried."""
+    (f, length), m = words.shape, q.bit_length() - 1
     if q != 1 << m or f < 2 or f & (f - 1) or length * m > 64:
         return None
-    symbols = np.array(words, dtype=np.uint64)
     rows = np.zeros(f, dtype=np.uint64)
-    for column in symbols.T:
+    for column in words.T:
         rows = rows << np.uint64(m) | column
     for _ in range(f.bit_length()):  # rank log2 F + 1 already disproves closure
         rows = rows[rows != 0]
         if not len(rows):  # reached only with rank log2 F: fewer cannot span F words
-            weights = np.count_nonzero(symbols, axis=1)
+            weights = np.count_nonzero(words, axis=1)
             return int(weights[weights > 0].min())
         pivot = rows[0]
         bit = pivot & ~(pivot - np.uint64(1))  # its lowest set bit
@@ -105,15 +110,16 @@ def closure_distance(q: int, length: int, words) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Code:
     """A set of distinct words over the alphabet {0, ..., alphabet_size - 1},
-    with minimum distance certified exactly: by XOR closure, else by the
-    pair scan."""
+    held as a read-only (size, length) matrix of the narrowest unsigned dtype
+    that holds the largest symbol, with minimum distance certified exactly:
+    by XOR closure, else by the pair scan."""
 
     alphabet_size: int
     length: int
-    words: tuple[tuple[int, ...], ...]
+    words: np.ndarray
     min_distance: int
 
     @property
@@ -128,8 +134,8 @@ def certified_code(q: int, length: int, words) -> Code:
     BudgetExceededError past the pair budget)."""
     if q < 2:
         raise ParameterError("alphabet size must be >= 2")
-    words = _validate_words(q, length, words)
-    dmin = closure_distance(q, length, words)
+    words = _word_matrix(q, length, words)
+    dmin = closure_distance(q, words)
     if dmin is None:
         dmin = min_distance_exhaustive(words)
     return Code(alphabet_size=q, length=length, words=words, min_distance=dmin)
@@ -231,7 +237,9 @@ def gv_greedy(q: int, length: int, min_dist: int) -> Code:
                 kept.append(start + int(window.argmin()))
                 mark_ball(kept[-1])
 
-    words = tuple(map(tuple, (np.asarray(kept)[:, None] // place % q).tolist()))
+    words = np.empty((len(kept), length), dtype=np.min_scalar_type(q - 1))
+    for j in range(length - 1, -1, -1):  # last digit first
+        kept, words[:, j] = np.divmod(kept, q)
     code = certified_code(q, length, words)
     if code.size > 1 and code.min_distance < min_dist:
         raise VerificationError("greedy code certification came in under the target distance")
@@ -249,8 +257,7 @@ def complement_extend(code: Code) -> Code:
     if code.alphabet_size != 2:
         raise ParameterError(
             f"complement extension needs a binary code, got q={code.alphabet_size}")
-    words = tuple(w + tuple(1 - b for b in w) for w in code.words)
-    out = certified_code(2, 2 * code.length, words)
+    out = certified_code(2, 2 * code.length, np.hstack([code.words, 1 - code.words]))
     if out.size >= 2 and out.min_distance != 2 * code.min_distance:
         raise VerificationError(
             f"complement extension produced distance {out.min_distance}, "
@@ -264,12 +271,9 @@ def complement_extend(code: Code) -> Code:
 
 def format_code(code: Code) -> str:
     q = code.alphabet_size
+    sep = "" if q == 2 else ","
     lines = [f"q={q} len={code.length} dmin={code.min_distance}"]
-    for w in code.words:
-        if q == 2:
-            lines.append("".join(str(b) for b in w))
-        else:
-            lines.append(",".join(str(s) for s in w))
+    lines += [sep.join(map(str, w)) for w in code.words.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -75,22 +75,22 @@ def inner_family_from_code(n: int, code: Code) -> InnerFamily:
         raise ParameterError(f"inner code must be binary, got q={code.alphabet_size}")
     if n < 2:
         raise ParameterError("inner families need n >= 2")
-    orthants = 1 << n
-    if orthants > MAX_MASK_BITS:
+    if n > MAX_MASK_BITS.bit_length() - 1:  # decided before 2^n is formed: n may be 10^12
         raise ParameterError(
-            f"n={n} needs {orthants}-bit peak masks; at most "
+            f"n={n} needs {1 << n if n < 64 else f'2^{n}'}-bit peak masks; at most "
             f"{MAX_MASK_BITS} bits (n <= 5) are supported")
+    orthants = 1 << n
     if code.length != orthants:
         raise ParameterError(
             f"code length {code.length} != 2^n = {orthants}")
     half = orthants // 2
-    for w in code.words:
-        if sum(w) != half:
-            raise VerificationError(f"word {w} is not constant weight {half}")
+    if (code.words.sum(axis=1) != half).any():
+        raise VerificationError(f"an inner word is not constant weight {half}")
     if code.size >= 2 and 4 * code.min_distance < orthants:
         raise VerificationError(
             f"min distance {code.min_distance} under the floor {orthants}/4")
-    bodies = tuple(InnerBody(n, sum(b << i for i, b in enumerate(w))) for w in code.words)
+    masks = code.words @ (1 << np.arange(orthants, dtype=np.int64))  # coordinate i is bit i
+    bodies = tuple(InnerBody(n, mask) for mask in masks.tolist())
     return InnerFamily(n=n, code=code, bodies=bodies)
 
 
@@ -181,15 +181,14 @@ class ProductFamily:
     def body(self, index: int) -> ProductBody:
         if not 0 <= index < self.size:
             raise ParameterError(f"body index {index} out of range [0, {self.size})")
-        word = self.outer.words[index]
+        word = self.outer.words[index].tolist()
         return ProductBody(tuple(self.inner.bodies[s] for s in word))
 
     @functools.cached_property
     def mask_matrix(self) -> np.ndarray:
         """(size, k) int64 matrix of per-factor peak masks, built once and
         read-only."""
-        masks = np.array([b.mask for b in self.inner.bodies], dtype=np.int64)[
-            np.array(self.outer.words, dtype=np.intp)]
+        masks = np.array([b.mask for b in self.inner.bodies], dtype=np.int64)[self.outer.words]
         masks.flags.writeable = False
         return masks
 
@@ -342,7 +341,7 @@ def _separation_by_code_bound(family: ProductFamily) -> SeparationReport | None:
     n, k, outer = family.n, family.k, family.outer
     d = outer.min_distance
     if (d < outer_distance_floor(k)
-            or codes_mod.closure_distance(outer.alphabet_size, k, outer.words) is None):
+            or codes_mod.closure_distance(outer.alphabet_size, outer.words) is None):
         return None
     masks = np.array([b.mask for b in family.inner.bodies], dtype=np.int64)
     shared = np.bitwise_count(masks[:, None] & masks)  # q x q peaks shared
@@ -355,10 +354,9 @@ def _separation_by_code_bound(family: ProductFamily) -> SeparationReport | None:
     bound = (r + w) ** (k - d) * (r + s_star) ** d
     if bound > threshold:
         return None
-    words = np.array(outer.words, dtype=np.intp)
-    for u in words[np.count_nonzero(words, axis=1) == d]:
+    for u in outer.words[np.count_nonzero(outer.words, axis=1) == d]:
         support = np.flatnonzero(u)
-        c = words[:, support]  # c XOR u is a codeword: the code is closed
+        c = outer.words[:, support]  # c XOR u is a codeword: the code is closed
         if (shared[c, c ^ u[support]] == s_star).all(axis=1).any():
             break
     else:
@@ -458,8 +456,7 @@ def format_manifest(family: ProductFamily) -> str:
         f"n={family.n} k={family.k} inner_size={family.inner.size} "
         f"outer_size={family.outer.size}",
     ]
-    for w in family.outer.words:
-        lines.append(",".join(str(s) for s in w))
+    lines += [",".join(map(str, w)) for w in family.outer.words.tolist()]
     lines.append(codes_mod.format_code(family.inner.code).rstrip("\n"))
     return "\n".join(lines) + "\n"
 

@@ -227,13 +227,13 @@ def check_codes_greedy(ctx: _Context) -> str:
         _require(code.size >= codes.gv_floor(q, length, dist),
                  f"greedy ({q},{length},{dist}) under its size floor")
         again = codes.gv_greedy(q, length, dist)
-        _require(code.words == again.words,
+        _require(np.array_equal(code.words, again.words),
                  f"greedy ({q},{length},{dist}) not deterministic")
         _require(codes.min_distance_exhaustive(code.words) == code.min_distance >= dist,
                  f"greedy ({q},{length},{dist}) distance not certified")
     even = tuple(w for w in itertools.product((0, 1), repeat=4)
                  if sum(w) % 2 == 0)
-    _require(codes.gv_greedy(2, 4, 2).words == even,
+    _require(np.array_equal(codes.gv_greedy(2, 4, 2).words, even),
              "greedy (2,4,2) is not the even-weight words")
     return f"{len(GREEDY_SIZES)} greedy codes at pinned sizes, distances re-certified"
 

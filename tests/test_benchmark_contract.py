@@ -57,3 +57,17 @@ def test_game_workload_runs_clean(monkeypatch):
     assert len(steps) == 5
     for name, thunk in steps:
         assert game.check(name, thunk()) == [], name
+
+
+def test_construct_workload_family_steps_run_clean(monkeypatch):
+    # pass 0's family steps build, round-trip and certify (3,2), (2,8) and
+    # (3,4); each check wants the fixture's manifest bytes, mode "all" over
+    # F(F-1)/2 pairs and the exact volume.  The verify step is left to the
+    # acceptance gate.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    construct = workloads.Construct(0)
+    construct.setup()
+    steps = [(name, thunk) for name, thunk in construct.steps(0) if name.startswith("family-")]
+    assert len(steps) == 3
+    for name, thunk in steps:
+        assert construct.check(name, thunk()) == [], name

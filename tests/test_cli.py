@@ -233,14 +233,16 @@ def test_missing_manifest_is_parameter_error(capsys, tmp_path):
 
 
 def test_verify_rejects_masks_too_wide(capsys, tmp_path):
-    # a well-formed n=6 manifest: 64 orthants do not fit the peak masks
+    # well-formed manifests but for n: 2^n orthants do not fit the peak
+    # masks, and at n = 100000 the message must not print all of 2^n
     half = "1" * 32 + "0" * 32
     path = tmp_path / "fam62.manifest"
-    path.write_text("n=6 k=2 inner_size=2 outer_size=2\n0,0\n1,1\n"
-                    f"q=2 len=64 dmin=64\n{half}\n{half[::-1]}\n")
-    code, _, stderr = run(capsys, "verify", "--manifest", str(path))
-    assert code == 2
-    assert "peak masks" in stderr
+    for n in (6, 100000):
+        path.write_text(f"n={n} k=2 inner_size=2 outer_size=2\n0,0\n1,1\n"
+                        f"q=2 len=64 dmin=64\n{half}\n{half[::-1]}\n")
+        code, _, stderr = run(capsys, "verify", "--manifest", str(path))
+        assert code == 2, n
+        assert "peak masks" in stderr, n
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])

@@ -5,6 +5,7 @@ import math
 import operator
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -51,7 +52,7 @@ def test_greedy_2_4_2_exact_words():
     code = gv_greedy(2, 4, 2)
     want = tuple(w for w in itertools.product((0, 1), repeat=4)
                  if sum(w) % 2 == 0)
-    assert code.words == want
+    assert code.words.tolist() == [list(w) for w in want]
     assert code.size == 8
     assert code.min_distance == 2
 
@@ -59,7 +60,7 @@ def test_greedy_2_4_2_exact_words():
 def test_greedy_distance_one_keeps_everything():
     code = gv_greedy(2, 4, 1)
     assert code.size == 16
-    assert code.words == tuple(itertools.product((0, 1), repeat=4))
+    assert code.words.tolist() == [list(w) for w in itertools.product((0, 1), repeat=4)]
 
 
 def test_greedy_grid_meets_floor_and_certifies():
@@ -75,6 +76,20 @@ def test_greedy_known_sizes():
     assert gv_greedy(2, 8, 4).size == 16
     assert gv_greedy(16, 4, 2).size == 4096
     assert gv_greedy(4, 8, 4).size == 256
+
+
+def test_code_words_are_a_read_only_matrix():
+    code = gv_greedy(16, 4, 2)
+    assert code.words.shape == (4096, 4) and code.words.dtype == np.uint8
+    assert not code.words.flags.writeable
+    with pytest.raises(ValueError):
+        code.words[0, 0] = 1
+    # a writeable input array is copied, so its owner cannot change the code
+    words = np.array([[0, 1], [1, 0]])
+    code = certified_code(2, 2, words)
+    words[0, 0] = 1
+    assert code.words.tolist() == [[0, 1], [1, 0]]
+    assert certified_code(300, 2, [(0, 1), (256, 1)]).words.dtype == np.uint16
 
 
 @functools.cache
@@ -99,7 +114,7 @@ def test_greedy_matches_reference(q, length, data):
     # seconds on: (4, 6, 1), (5, 5, 1) and (5, 6, d <= 3)
     assume(q ** (2 * length - min_dist + 1) <= 1 << 22)
     code = gv_greedy(q, length, min_dist)
-    assert code.words == _reference_greedy(q, length, min_dist)
+    assert code.words.tolist() == [list(w) for w in _reference_greedy(q, length, min_dist)]
     assert code.alphabet_size == q
 
 
@@ -118,7 +133,7 @@ def test_greedy_pinned_words():
 def test_greedy_deterministic():
     a = gv_greedy(2, 8, 4)
     b = gv_greedy(2, 8, 4)
-    assert a.words == b.words
+    assert a.words.tolist() == b.words.tolist()
 
 
 def test_greedy_budget():
@@ -151,7 +166,7 @@ def test_greedy_bad_parameters():
 def test_complement_extend_small():
     code = certified_code(2, 2, [(0, 1), (1, 0)])
     out = complement_extend(code)
-    assert out.words == ((0, 1, 1, 0), (1, 0, 0, 1))
+    assert out.words.tolist() == [[0, 1, 1, 0], [1, 0, 0, 1]]
     assert out.length == 4
     assert out.min_distance == 4
 
@@ -194,6 +209,9 @@ def test_min_distance_symbols_past_one_byte():
     code = certified_code(300, 2, [(0, 1), (256, 1)])
     assert code.min_distance == 1
     assert min_distance_exhaustive([(0, 70000), (0, 4464)]) == 1
+    # as floats, 2^63 and 2^63 + 1 would compare equal
+    with pytest.raises(ParameterError):
+        min_distance_exhaustive([(0, 1 << 63), (0, (1 << 63) + 1)])
 
 
 def test_min_distance_needs_two_words():
@@ -295,6 +313,18 @@ def test_certified_rejects_bad_words():
         certified_code(2, 2, [(0, 1), (0, 1)])  # duplicate
     with pytest.raises(ParameterError):
         certified_code(1, 2, [(0, 0)])
+    with pytest.raises(ParameterError):
+        certified_code(2, 2, [(0, 1), (1,)])  # ragged rows
+    with pytest.raises(ParameterError):
+        certified_code(2, 2, [(0, 1), (1, 0.0)])  # float symbol
+    with pytest.raises(ParameterError):
+        certified_code(2, 2, [(0, 1), (1, 1 << 63)])  # past int64
+    with pytest.raises(ParameterError):
+        certified_code(4, 2, [])  # no words
+    with pytest.raises(ParameterError):
+        certified_code(2, 2, np.array([[0, 1], [0, 1]], dtype=np.uint8))  # duplicate rows
+    with pytest.raises(ParameterError):
+        certified_code(2, 2, np.zeros((2, 1, 2), dtype=np.uint8))  # not a matrix
     for q, word in ((2, (0, 0)), (4, (0, 0)), (16, (3, 1)), (3, (2, 1))):
         with pytest.raises(ParameterError):
             certified_code(q, 2, [word])  # one word has no minimum distance
@@ -309,7 +339,7 @@ def test_format_parse_roundtrip_binary():
     assert text.splitlines()[0] == "q=2 len=8 dmin=4"
     back = parse_code(text)
     assert back.alphabet_size == 2
-    assert back.words == code.words
+    assert back.words.tolist() == code.words.tolist()
     assert back.min_distance == code.min_distance
 
 
@@ -320,7 +350,7 @@ def test_format_parse_roundtrip_qary():
     assert "," in text.splitlines()[1]
     back = parse_code(text)
     assert back.alphabet_size == 3
-    assert back.words == code.words
+    assert back.words.tolist() == code.words.tolist()
 
 
 def test_parse_rejects_corrupt_dmin():

@@ -452,8 +452,8 @@ def test_manifest_roundtrip_bytes(family_32, tmp_path):
     write_manifest(family_32, path)
     fam3 = read_manifest(path)
     assert format_manifest(fam3) == text
-    assert fam3.outer.words == family_32.outer.words
-    assert fam3.inner.code.words == family_32.inner.code.words
+    assert fam3.outer.words.tolist() == family_32.outer.words.tolist()
+    assert fam3.inner.code.words.tolist() == family_32.inner.code.words.tolist()
 
 
 def test_manifest_header_content(family_32):

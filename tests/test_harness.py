@@ -249,11 +249,7 @@ def test_more_random_draws_help(family_32):
 
 
 def test_game_stats_invariant():
-    with pytest.raises(VerificationError):
-        GameStats(trials=10, successes=2, exact_identifications=3,
-                  budget_violations=0)
-    stats = GameStats(trials=10, successes=5, exact_identifications=5,
-                      budget_violations=0)
+    stats = GameStats(trials=10, successes=5, budget_violations=0)
     assert stats.success_rate == 0.5
     assert 0 < stats.confidence_radius < 1
 
@@ -319,7 +315,8 @@ def test_game_stats_pinned(request, name):
         config = GameConfig(family=family, query_budget=q, epsilon=F(1, 64),
                             trials=300, seed=2024)
         stats = run_game(config, MLConsistencyLearner(policy))
-        assert stats == GameStats(300, successes, exact, 0), (policy, q)
+        assert stats == GameStats(300, successes, 0), (policy, q)
+        assert stats.exact_identifications == exact, (policy, q)
 
 
 class _Namer:
