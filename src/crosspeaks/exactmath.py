@@ -7,6 +7,7 @@ quantities without trusting floating point.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -28,8 +29,8 @@ def exp_neg_bounds(x: Fraction, terms: int = 32) -> tuple[Fraction, Fraction]:
     if x > 1:
         lo, hi = exp_neg_bounds(x / 2, terms)
         return lo * lo, hi * hi
-    # Terms t_i = (-x)^i / i! strictly decrease in magnitude for 0 < x <= 1,
-    # so consecutive partial sums bracket the limit.
+    # Terms t_i = (-x)^i / i! do not grow in magnitude for 0 < x <= 1, so the
+    # partial sums alternate around the limit, starting from hi = 1.
     term = Fraction(1)
     total = Fraction(1)
     lo = hi = total
@@ -40,29 +41,28 @@ def exp_neg_bounds(x: Fraction, terms: int = 32) -> tuple[Fraction, Fraction]:
             lo = total
         else:
             hi = total
-    if lo > hi:
-        raise ParameterError("exp_neg_bounds: series did not bracket; raise terms")
     return lo, hi
 
 
-def compare_exp_neg(x: Fraction, value: Fraction, terms: int = 32) -> int:
-    """Sign of (e^-x - value), decided exactly.
+def exp_neg_brackets(x: Fraction):
+    """exp_neg_bounds(x, t) for t = 32, 64, 128, ... without end.  For rational
+    x != 0, e^-x is irrational, so some bracket settles every strict
+    comparison with a rational: the one refinement policy against e^-x."""
+    return (exp_neg_bounds(x, 32 << i) for i in itertools.count())
 
-    Returns -1, 0 or +1.  A 0 can only happen for x == 0 with value == 1:
-    for rational x != 0 the number e^-x is irrational, so after enough terms
-    the bracket separates from any rational value.
-    """
+
+def compare_exp_neg(x: Fraction, value: Fraction) -> int:
+    """Sign of (e^-x - value), decided exactly by the first bracket that
+    excludes value.  Returns -1, 0 or +1; 0 only for x == 0 with value == 1."""
     x = Fraction(x)
     value = Fraction(value)
     if x == 0:
         return (1 > value) - (1 < value)
-    for t in (terms, 2 * terms, 4 * terms, 8 * terms):
-        lo, hi = exp_neg_bounds(x, t)
+    for lo, hi in exp_neg_brackets(x):
         if lo > value:
             return 1
         if hi < value:
             return -1
-    raise ParameterError("compare_exp_neg: could not separate; raise terms")
 
 
 def log2_bounds(y: Fraction, precision_bits: int = 10) -> tuple[Fraction, Fraction]:

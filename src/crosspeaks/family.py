@@ -37,7 +37,7 @@ import numpy as np
 from . import codes as codes_mod
 from .codes import Code, certified_code
 from .errors import BudgetExceededError, ParameterError, VerificationError
-from .exactmath import compare_exp_neg, exp_neg_bounds
+from .exactmath import compare_exp_neg, exp_neg_bounds, exp_neg_brackets
 from .geometry import InnerBody, core_weight, inner_volume, make_geometry
 
 # construction caps, read at call time
@@ -285,14 +285,10 @@ def _pair_threshold(n: int, k: int, w: int) -> tuple[int, int]:
     exactly from rational bounds on e^(-x).
     """
     den = (core_weight(n) + w) ** k
-    terms = 32
-    while True:
-        lo, hi = exp_neg_bounds(Fraction(k, 16 * n), terms)
-        t_lo = (den * lo.numerator) // lo.denominator
-        t_hi = (den * hi.numerator) // hi.denominator
-        if t_lo == t_hi:
-            return int(t_lo), den
-        terms *= 2
+    for lo, hi in exp_neg_brackets(Fraction(k, 16 * n)):
+        t_lo = den * lo.numerator // lo.denominator
+        if t_lo == den * hi.numerator // hi.denominator:
+            return t_lo, den
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,8 @@ def _classify_rows(n: int, points: np.ndarray, one) -> np.ndarray:
     float points, the scale for integer-scaled points)."""
     if points.ndim != 2 or points.shape[1] != n:
         raise ParameterError("points must be a (count, n) array")
+    if n >= 63:
+        raise ParameterError(f"labels up to 2^n + 1 must fit int64: n={n} is over 62")
     t = np.abs(points)
     total = t.sum(axis=1)
     in_core = total <= one
@@ -289,10 +291,23 @@ def classify_batch(n: int, points: np.ndarray) -> np.ndarray:
     return _classify_rows(n, np.asarray(points, dtype=np.float64), 1.0)
 
 
+def _scaled_points(n: int, ipoints, scale: int) -> np.ndarray:
+    """X as an int64 array, refused unless X is integer, 1 <= scale <= B and
+    every |X| <= B for B = (2^63 - 1) // (n + 1): then every sum the scaled
+    kernels form (n terms, or the scale plus one term) fits int64."""
+    bound = (2**63 - 1) // (n + 1)
+    points = np.asarray(ipoints)
+    if points.dtype.kind not in "iu" or not 1 <= scale <= bound or (
+            points.size and not -bound <= points.min() <= points.max() <= bound):
+        raise ParameterError(
+            f"scaled points need integer |X| <= {bound} and 1 <= scale <= {bound} for n={n}")
+    return points.astype(np.int64, copy=False)
+
+
 def classify_scaled_batch(n: int, ipoints: np.ndarray, scale: int) -> np.ndarray:
     """Exact vector classification of rational points X / scale given as an
     int64 array X.  All comparisons are integer, so boundary ties are exact."""
-    return _classify_rows(n, np.asarray(ipoints, dtype=np.int64), scale)
+    return _classify_rows(n, _scaled_points(n, ipoints, scale), scale)
 
 
 def _membership_from_labels(body: InnerBody, labels: np.ndarray) -> np.ndarray:
@@ -307,7 +322,7 @@ def q_membership_scaled_batch(n: int, missing, ipoints: np.ndarray, scale: int) 
     """Exact vectorized halfspace-oracle membership on integer-scaled points."""
     if n > MAX_Q_ORACLE_DIM:
         raise ParameterError(f"halfspace oracle capped at n <= {MAX_Q_ORACLE_DIM}")
-    ipoints = np.asarray(ipoints, dtype=np.int64)
+    ipoints = _scaled_points(n, ipoints, scale)
     normals = q_halfspace_normals(n).astype(np.int64)
     member = (ipoints @ normals.T <= scale).all(axis=1)
     rows = [index_to_signs(n, index) for index in missing]

@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError, VerificationError
-from .exactmath import binomial_ball_size, ceil_fraction, log2_bounds
+from .exactmath import binomial_ball_size, ceil_fraction, compare_exp_neg, log2_bounds
 from .family import ProductBody, ProductFamily, inner_seed_distance, separation_holds
 from .geometry import core_label_value, sample_region_label_rows
 from .oracles import Transcript, answer_space_size, discrete_membership
@@ -304,9 +304,11 @@ def choose_parameters(d: int, epsilon) -> ParameterChoice:
     n = smallest power of two >= sqrt(d / ln(1/(1 - 2 eps))), k = d/n.
 
     Requires d a power of two and 8/d <= epsilon <= 1/8, and raises
-    BudgetExceededError when d/L is too large for a float.  The chain
-    2 <= sqrt(d/L) <= n < 4 sqrt(d/L) <= d is asserted.  Note the selection
-    maximizes the answer-space blowup 2^n; at this n the separation
+    BudgetExceededError when d/L is too large for a float.  The float
+    sqrt(d/L) only picks where n starts; n >= sqrt(d/L) iff e^(-d/n^2) >=
+    1 - 2 eps is decided exactly.  The chain 2 <= sqrt(d/L) <= n < 4
+    sqrt(d/L) <= d follows: d >= 64, 16/d <= 2 eps <= L <= ln(4/3), and n is
+    least, so n < 2 sqrt(d/L).  Note the selection maximizes the answer-space blowup 2^n; at this n the separation
     condition 2 eps < 1 - e^(-k/(16n)) generally does NOT hold (it would
     need n about 4x smaller), so it is reported, not asserted.
     """
@@ -319,12 +321,12 @@ def choose_parameters(d: int, epsilon) -> ParameterChoice:
     if not big_l or d.bit_length() > sys.float_info.max_exp or d / big_l == math.inf:
         raise BudgetExceededError(f"d/L for d={d}, epsilon={epsilon} does not fit a float")
     x = math.sqrt(d / big_l)
-    n = 1
-    while n < x:
+    n = 1 << math.ceil(math.log2(x))
+    target = 1 - 2 * epsilon
+    while compare_exp_neg(Fraction(d, n * n), target) < 0:
         n <<= 1
-    if not (2 <= x <= n < 4 * x <= d):
-        raise VerificationError(
-            f"parameter chain broke for d={d}, eps={epsilon}: x={x}, n={n}")
+    while compare_exp_neg(Fraction(4 * d, n * n), target) >= 0:
+        n >>= 1
     k = d // n
     return ParameterChoice(d=d, epsilon=epsilon, n=n, k=k, sqrt_ratio=x,
                            separation_satisfied=separation_holds(n, k, epsilon))

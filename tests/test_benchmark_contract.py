@@ -5,9 +5,12 @@ test."""
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
+import crosspeaks
+from crosspeaks import verify
 from crosspeaks.family import certify_separation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -71,3 +74,20 @@ def test_construct_workload_family_steps_run_clean(monkeypatch):
     assert len(steps) == 3
     for name, thunk in steps:
         assert construct.check(name, thunk()) == [], name
+
+
+def test_cli_workload_bounds_steps_run_clean(monkeypatch, tmp_path):
+    # pass 0's two `bounds` commands, each a fresh interpreter; the workload
+    # reads their q_floor lines and checks them against verify's pins.  The
+    # children run in tmp_path, so they get the package's absolute src path.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    src = str(Path(crosspeaks.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cli = workloads.Cli(0, tmp_path, env)
+    steps = [(name, thunk) for name, thunk in cli.steps(0)
+             if name in ("bounds-d64", "bounds-d1024")]
+    assert len(steps) == 2
+    for name, thunk in steps:
+        assert cli.check(name, thunk()) == [], name
+    assert cli.final_check(verify) == []

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 import crosspeaks
 from crosspeaks import codes
 from crosspeaks.cli import main
+from crosspeaks.exactmath import exp_neg_bounds
 from crosspeaks.family import read_manifest
 
 FAM32 = pathlib.Path(__file__).resolve().parents[1] / "perfbench/fixtures/fam32.manifest"
+FAM34 = FAM32.with_name("fam34.manifest")
 
 
 def run(capsys, *argv):
@@ -149,6 +152,16 @@ def test_game_rejects_wide_epsilon(capsys, manifest_32):
     assert "separation" in stderr
 
 
+def test_game_accepts_an_epsilon_at_the_separation_floor(capsys):
+    # 2 eps = 1 - hi for a 400-term bracket hi around e^-1/12, (3,4)'s floor:
+    # too close to decide with 256 terms, and a 1300-digit denominator
+    _, hi = exp_neg_bounds(Fraction(1, 12), 400)
+    code, stdout, _ = run(capsys, "game", "--manifest", str(FAM34), "--q", "0",
+                          "--trials", "1", "--epsilon", str((1 - hi) / 2))
+    assert code == 0
+    assert "trials=1 " in stdout
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -158,6 +171,15 @@ def test_bounds_report(capsys):
     assert "n=64 k=16" in stdout
     assert "regime=certified" in stdout
     assert "q_floor=13510798882111488" in stdout
+
+
+def test_bounds_splits_d_exactly_near_a_boundary(capsys):
+    # sqrt(d/L) is just under 32, but its float rounds to 32.00000000000001
+    code, stdout, _ = run(capsys, "bounds", "--d", "256", "--epsilon",
+                          "27288755941615536693458622721/246734652324059215488247354561")
+    assert code == 0
+    assert "n=32 k=8" in stdout
+    assert "q_floor=6291456" in stdout
 
 
 def test_bounds_rejects_non_power_of_two(capsys):

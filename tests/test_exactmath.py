@@ -1,14 +1,18 @@
 """The exact-arithmetic helpers are the oracles everything else leans on, so
 they get checked against stdlib float/bigint routes here."""
 
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crosspeaks.errors import ParameterError
 from crosspeaks.exactmath import (binomial_ball_size, ceil_fraction,
                                   compare_exp_neg, exp_neg_bounds,
+                                  exp_neg_brackets,
                                   log2_bounds, simplex_volume)
 
 
@@ -38,6 +42,44 @@ def test_compare_exp_neg_signs():
     # tight pair around e^-1/12 = 0.920044...
     assert compare_exp_neg(Fraction(1, 12), Fraction(92004, 100000)) == 1
     assert compare_exp_neg(Fraction(1, 12), Fraction(92005, 100000)) == -1
+
+
+def test_compare_exp_neg_decides_inside_a_400_term_bracket():
+    # both ends of a 400-term bracket around e^-1/12 sit closer to it than
+    # 256 terms can tell; the comparison must still be decided
+    lo, hi = exp_neg_bounds(Fraction(1, 12), 400)
+    assert compare_exp_neg(Fraction(1, 12), lo) == 1
+    assert compare_exp_neg(Fraction(1, 12), hi) == -1
+
+
+def test_exp_neg_brackets_double_the_terms():
+    brackets = exp_neg_brackets(Fraction(5, 2))
+    for terms in (32, 64, 128):
+        assert next(brackets) == exp_neg_bounds(Fraction(5, 2), terms)
+    with pytest.raises(ParameterError):
+        next(exp_neg_brackets(Fraction(-1)))
+
+
+def _decimal(q: Fraction) -> decimal.Decimal:
+    return decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
+
+
+@settings(deadline=None, max_examples=60)
+@given(num=st.integers(1, 2000), den=st.integers(1, 1000),
+       digits=st.integers(0, 149), mantissa=st.integers(1, 999),
+       sign=st.sampled_from((-1, 1)))
+def test_compare_exp_neg_matches_decimal(num, den, digits, mantissa, sign):
+    # independent oracle: stdlib decimal at 300 digits, with the value kept
+    # at least 10^-150 away from e^-x so 300 digits settle the sign
+    x = Fraction(num, den)
+    assume(x <= 2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        exact = (-_decimal(x)).exp()
+        value = Fraction(exact) + sign * Fraction(mantissa, 10 ** (digits + 3))
+        gap = exact - _decimal(value)
+        assume(abs(gap) >= decimal.Decimal(10) ** -150)
+        assert compare_exp_neg(x, value) == (1 if gap > 0 else -1)
 
 
 def test_log2_bounds_bracket():

@@ -6,6 +6,7 @@ collapsing them would leave the formula checking itself.
 """
 
 import dataclasses
+import decimal
 import functools
 import itertools
 import math
@@ -16,11 +17,12 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from crosspeaks import codes
+from crosspeaks import codes, exactmath
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
-from crosspeaks.exactmath import compare_exp_neg
-from crosspeaks.family import (ProductBody, ProductFamily, build_inner_family,
+from crosspeaks.exactmath import compare_exp_neg, exp_neg_bounds
+from crosspeaks.family import (ProductBody, ProductFamily, _pair_threshold,
+                               build_inner_family,
                                build_product_family, certify_cardinality,
                                certify_equal_volumes, certify_separation,
                                exact_distance,
@@ -226,6 +228,38 @@ def test_separation_holds_decision():
     assert separation_holds(3, 4, F(1, 32))
     assert not separation_holds(3, 4, F(1, 16))
     assert separation_holds(3, 2, F(1, 64))
+
+
+def test_separation_holds_at_a_near_floor_epsilon():
+    # 2 eps = 1 - hi sits closer to the floor than 256 terms can tell
+    _, hi = exp_neg_bounds(F(1, 12), 400)
+    assert separation_holds(3, 4, (1 - hi) / 2)
+
+
+def test_separation_holds_far_from_the_floor_takes_one_bracket(monkeypatch):
+    # deciding against a rational far from e^-x must not need precision
+    # 10^-4000: the first bracket already excludes it
+    calls = []
+
+    def counted(x, terms=32):
+        calls.append(terms)
+        return exp_neg_bounds(x, terms)
+
+    monkeypatch.setattr(exactmath, "exp_neg_bounds", counted)
+    assert separation_holds(3, 4, F(1, 10**4000))
+    assert calls == [32]
+
+
+def test_pair_threshold_matches_decimal():
+    # T = floor(den * e^(-k/(16n))), against stdlib decimal at 300 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        for n in (2, 3, 4, 5):
+            w = 1 << (n - 1)
+            for k in range(1, 13):
+                den = ((1 << n) * (n - 1) + w) ** k
+                exact = decimal.Decimal(den) * (-decimal.Decimal(k) / (16 * n)).exp()
+                assert _pair_threshold(n, k, w) == (int(exact), den), (n, k)
 
 
 def test_certify_separation_32(family_32):

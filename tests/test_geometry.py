@@ -132,6 +132,33 @@ def test_classify_scaled_matches_exact(rng):
         assert classify_point(n, [F(int(c), scale) for c in row]) == lab
 
 
+def test_scaled_kernels_refuse_overflowing_input():
+    # each of these wrapped in int64 and came back with a wrong label or
+    # membership (classify_point: outside), or died with a bare OverflowError
+    with pytest.raises(ParameterError):
+        membership_scaled_batch(bare_body(2), np.array([[2**62, 2**62]]), 1)
+    wide = np.array([[2**62, 2**62, -2**62]])
+    with pytest.raises(ParameterError):
+        membership_scaled_batch(full_body(3), wide, 1)
+    with pytest.raises(ParameterError):
+        q_membership_scaled_batch(3, [], wide, 1)
+    with pytest.raises(ParameterError):
+        classify_scaled_batch(2, [[-2**63, 0]], 1)
+    with pytest.raises(ParameterError):
+        classify_batch(63, np.zeros((1, 63)))
+    # a float or uint64 X was cast to int64 unchecked: (1.9, 0) read as core
+    for points, scale in (([[2**64, 0]], 1), ([[1, 0]], 0), ([[1, 0]], 2**62),
+                          (np.array([[1.9, 0.0]]), 1),
+                          (np.array([[2**64 - 1, 0]], dtype=np.uint64), 1)):
+        with pytest.raises(ParameterError):
+            classify_scaled_batch(2, points, scale)
+    # the bound itself is accepted, and its peak tie is exact
+    edge = (2**63 - 1) // 3
+    assert classify_scaled_batch(2, [[edge, -edge]], edge).tolist() == [
+        classify_point(2, [1, -1])]
+    assert classify_batch(62, np.zeros((1, 62))).tolist() == [core_label_value(62)]
+
+
 def test_label_text_forms():
     assert label_text(3, core_label_value(3)) == "C"
     assert label_text(4, 10) == "Pa"

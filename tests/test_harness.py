@@ -1,9 +1,10 @@
+import decimal
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
@@ -399,6 +400,49 @@ def test_choose_parameters_chain_fields():
     assert choice.n * choice.k == choice.d
     assert choice.n & (choice.n - 1) == 0
     assert isinstance(choice.separation_satisfied, bool)
+
+
+# sqrt(d/L) for d = 256 at this epsilon is 31.99...98911 (58 nines): a float
+# rounds it to 32.00000000000001, which put n at 64
+EPS_NEAR_32 = F(27288755941615536693458622721, 246734652324059215488247354561)
+
+
+def test_choose_parameters_decides_n_exactly():
+    choice = choose_parameters(256, EPS_NEAR_32)
+    assert (choice.n, choice.k) == (32, 8)
+
+
+def _least_power_of_two_n(d, epsilon):
+    # independent oracle: n^2 >= d / ln(1/(1 - 2 eps)) in stdlib decimal at 300 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        one_minus = 1 - 2 * epsilon
+        big_l = -(decimal.Decimal(one_minus.numerator) / one_minus.denominator).ln()
+        n = 1
+        while n * n < decimal.Decimal(d) / big_l:
+            n <<= 1
+        return n
+
+
+@settings(deadline=None, max_examples=80)
+@given(log2_d=st.integers(6, 14), near=st.booleans(), step=st.integers(0, 3),
+       offset=st.integers(1, 10**6), sign=st.sampled_from((-1, 1)),
+       num=st.integers(1, 10**6))
+def test_choose_parameters_matches_decimal(log2_d, near, step, offset, sign, num):
+    d = 1 << log2_d
+    if near:
+        # within 10^-25 of the n = 2^j boundary (1 - e^(-d/4^j)) / 2, and at
+        # least 10^-31 from it so 300 digits settle the oracle; j starts at
+        # the least one whose boundary is at most 1/8
+        j = (log2_d + 3) // 2 + step
+        with decimal.localcontext() as ctx:
+            ctx.prec = 300
+            boundary = (1 - (-decimal.Decimal(d) / 4 ** j).exp()) / 2
+        epsilon = F(boundary) + sign * F(offset, 10**31)
+    else:
+        epsilon = F(8, d) + (F(1, 8) - F(8, d)) * F(num, 10**6)
+    assume(F(8, d) <= epsilon <= F(1, 8))
+    assert choose_parameters(d, epsilon).n == _least_power_of_two_n(d, epsilon)
 
 
 def test_choose_parameters_validation():
