@@ -46,6 +46,7 @@ DEFAULT_MAX_K = 8
 
 MANIFEST_COMMENT = "# crosspeaks family manifest v1"
 MAX_MASK_BITS = 32  # 2^n-bit peak masks must fit the int64 mask matrix: n <= 5
+_WORD = (1 << 64) - 1  # one uint64 word of packed factor masks
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,48 @@ class ProductFamily:
         masks = np.array([b.mask for b in self.inner.bodies], dtype=np.int64)[self.outer.words]
         masks.flags.writeable = False
         return masks
+
+    @functools.cached_property
+    def _mask_words(self) -> np.ndarray:
+        """(size, ceil(k 2^n / 64)) uint64 matrix, built once and read-only:
+        row i is body i's factor masks laid end to end, factor j's at bit
+        j 2^n, cut into 64-bit words.  2^n divides 64, so no factor straddles
+        two words."""
+        width = 1 << self.n
+        per = 64 // width
+        words = -(-self.k // per)
+        packed = np.zeros((self.size, words * per), dtype=np.uint64)
+        packed[:, :self.k] = self.mask_matrix
+        packed <<= np.arange(words * per, dtype=np.uint64) % per * width
+        out = np.bitwise_or.reduce(packed.reshape(self.size, words, per), axis=2)
+        out.flags.writeable = False
+        return out
+
+    def matching_indices(self, care, want) -> np.ndarray:
+        """Indices of the bodies whose factor j has exactly the peaks of
+        want[j] among those of care[j], for every j.  The per-factor pairs
+        are packed like the masks, so one test per 64-bit word covers
+        64 / 2^n factors.  care and want must be k masks below 2^(2^n), with
+        want inside care."""
+        width = 1 << self.n
+        if len(care) != self.k or len(want) != self.k:
+            raise ParameterError(f"need one (care, want) pair per factor, k={self.k}")
+        care_bits = want_bits = 0
+        for j, (c, w) in enumerate(zip(care, want)):
+            if not 0 <= c < 1 << width or w & ~c:
+                raise ParameterError(f"factor {j}: want {w} is no {width}-bit subset of care {c}")
+            care_bits |= c << j * width
+            want_bits |= w << j * width
+        if not care_bits:
+            return np.arange(self.size)
+        words = self._mask_words
+        alive = np.ones(self.size, dtype=bool)
+        for i in range(words.shape[1]):
+            word_care = (care_bits >> 64 * i) & _WORD
+            if word_care:
+                word_want = (want_bits >> 64 * i) & _WORD
+                alive &= (words[:, i] & np.uint64(word_care)) == np.uint64(word_want)
+        return np.flatnonzero(alive)
 
 
 def product_family_from_parts(inner: InnerFamily, outer: Code) -> ProductFamily:

@@ -17,14 +17,17 @@ big-integer code-size floors where they are computable and certified
 power-of-two floors beyond that.
 
 Randomness: every run derives independent per-trial streams from the master
-seed (trial t gets SeedSequence(seed, spawn_key=(t,)), the t-th child that
-SeedSequence(seed).spawn would give, split again into hidden-draw, oracle,
-and learner streams), so trial outcomes are order-independent and
-reproducible.  The random-policy learner takes its whole budget in one
-OracleSession.random_batch call, a single row draw that consumes the oracle
-stream query by query; a q-row draw is therefore a prefix of a (q+1)-row
-draw, and two runs that differ only in the query budget see identical
-hidden bodies and oracle draw prefixes.
+seed.  Stream i of trial t (0 hidden draw, 1 oracle, 2 learner) is
+SeedSequence(seed, spawn_key=(t, i)), the same sequence as the i-th child of
+SeedSequence(seed, spawn_key=(t,)).spawn(3), so trial outcomes are
+order-independent and reproducible.  The hidden-draw stream is built for
+every trial; the oracle and learner streams, SeedSequence included, are
+built on their first draw, so a q = 0 or census trial, or a learner that
+never draws, does not pay for them.  The random-policy learner takes its
+whole budget in one OracleSession.random_batch call, a single row draw that
+consumes the oracle stream query by query; a q-row draw is therefore a
+prefix of a (q+1)-row draw, and two runs that differ only in the query
+budget see identical hidden bodies and oracle draw prefixes.
 """
 
 from __future__ import annotations
@@ -94,34 +97,40 @@ class OracleSession:
 
 def consistent_indices(transcript: Transcript, family: ProductFamily) -> np.ndarray:
     """Indices of family bodies consistent with every transcript answer:
-    observed peaks present, membership bits matching.  A transcript of
-    another factor dimension, or an entry not k wide, is a ParameterError."""
-    masks = family.mask_matrix
-    k = masks.shape[1]
-    if transcript.n != family.n:
-        raise ParameterError(f"transcript has n={transcript.n}, family has n={family.n}")
-    core = core_label_value(transcript.n)
-    alive = np.ones(len(masks), dtype=bool)
-    required = [0] * k             # per factor: peaks that must be present
-    forced: dict[tuple[int, int], bool] = {}   # (factor, index) -> answer
+    observed peaks present, membership bits matching.  Each factor's pins
+    fold into one (care, want) bit pair, so each factor is tested once.  A
+    transcript of another factor dimension, an entry whose indices or answers
+    are not k wide, a random label outside [0, 2^n] or a peak index outside
+    [0, 2^n) is a ParameterError."""
+    k = family.k
+    n = transcript.n
+    if n != family.n:
+        raise ParameterError(f"transcript has n={n}, family has n={family.n}")
+    core = core_label_value(n)
+    present = [0] * k           # per factor: peaks some answer says are present
+    absent = [0] * k            # per factor: peaks some answer says are absent
     for e in transcript.entries:
         if len(e[1]) != k:
             raise ParameterError(f"transcript entry is {len(e[1])} wide, family has k={k}")
         if e[0] == "R":
             for j, label in enumerate(e[1]):
+                if not 0 <= label <= core:
+                    raise ParameterError(f"random-draw label {label} outside [0, 2^{n}]")
                 if label < core:
-                    required[j] |= 1 << label
+                    present[j] |= 1 << label
         else:
+            if len(e[2]) != k:
+                raise ParameterError(f"membership entry has {len(e[2])} answers, family has k={k}")
             for j, (idx, ans) in enumerate(zip(e[1], e[2])):
-                if forced.setdefault((j, idx), ans) != ans:
-                    alive[:] = False   # contradictory answers admit no body
-    for j in range(k):
-        if required[j]:
-            alive &= (masks[:, j] & required[j]) == required[j]
-    for (j, idx), ans in forced.items():
-        bit = (masks[:, j] >> idx) & 1
-        alive &= bit == (1 if ans else 0)
-    return np.flatnonzero(alive)
+                if not 0 <= idx < core:
+                    raise ParameterError(f"peak index {idx} outside [0, 2^{n})")
+                if ans:
+                    present[j] |= 1 << idx
+                else:
+                    absent[j] |= 1 << idx
+    if any(p & a for p, a in zip(present, absent)):
+        return np.empty(0, dtype=np.intp)   # contradictory answers admit no body
+    return family.matching_indices([p | a for p, a in zip(present, absent)], present)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +241,28 @@ class GameStats:
         return 1.96 * math.sqrt(p * (1 - p) / self.trials)
 
 
+class _TrialStream:
+    """Stream i of game trial t: a Generator on SeedSequence(seed,
+    spawn_key=(t, i)), the i-th child of SeedSequence(seed,
+    spawn_key=(t,)).spawn(3).  Neither is built until the first attribute
+    lookup, so a trial that never draws from the stream never pays for it;
+    every lookup is forwarded to the Generator, so sessions and learners
+    draw from it as from one."""
+
+    __slots__ = ("_seed", "_key", "_rng")
+
+    def __init__(self, seed: int, t: int, i: int):
+        self._seed = seed
+        self._key = (t, i)
+        self._rng = None
+
+    def __getattr__(self, name):
+        if self._rng is None:
+            self._rng = np.random.default_rng(
+                np.random.SeedSequence(self._seed, spawn_key=self._key))
+        return getattr(self._rng, name)
+
+
 def run_game(config: GameConfig, learner) -> GameStats:
     """Play config.trials independent rounds of hide-and-identify.
 
@@ -252,14 +283,12 @@ def run_game(config: GameConfig, learner) -> GameStats:
     family = config.family
     successes = violations = 0
     for t in range(config.trials):
-        trial_seq = np.random.SeedSequence(config.seed, spawn_key=(t,))
-        hidden_seq, oracle_seq, learner_seq = trial_seq.spawn(3)
+        hidden_seq = np.random.SeedSequence(config.seed, spawn_key=(t, 0))
         hidden_index = int(np.random.default_rng(hidden_seq).integers(family.size))
         session = OracleSession(family.body(hidden_index), config.query_budget,
-                                np.random.default_rng(oracle_seq))
+                                _TrialStream(config.seed, t, 1))
         try:
-            hypothesis = learner.play(session, family,
-                                      np.random.default_rng(learner_seq))
+            hypothesis = learner.play(session, family, _TrialStream(config.seed, t, 2))
         except BudgetExceededError:
             violations += 1
             continue

@@ -8,7 +8,7 @@ MASTER_SEED = 20260816
 
 @pytest.fixture(scope="session")
 def family_34():
-    # shared across modules: building the 16^4-word outer scan takes seconds
+    # shared across modules; the (3,4) build takes milliseconds, one build per session
     return build_product_family(3, 4)
 
 

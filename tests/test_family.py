@@ -295,6 +295,37 @@ def test_certify_separation_exact_past_int64():
     assert rep.min_distance == exact_distance(family.body(0), family.body(1))
 
 
+def test_matching_indices_tests_every_mask_word(family_32, family_34):
+    half = (1,) * 16 + (0,) * 16
+    wide = product_family_from_parts(   # k 2^n = 512 bits: eight mask words
+        inner_family_from_code(5, certified_code(2, 32, [half, half[::-1]])),
+        certified_code(2, 16, [(0,) * 16, (1,) * 16]))
+    inner = build_inner_family(3)
+    shifted = product_family_from_parts(   # 72 bits: factor 8 in a second word
+        inner, certified_code(inner.size, 9, [tuple((s + j) % inner.size for j in range(9))
+                                              for s in range(inner.size)]))
+    rng = np.random.default_rng(7)
+    for family in (family_32, family_34, wide, shifted):
+        masks = family.mask_matrix
+        width = 1 << family.n
+        for _ in range(40):
+            # one body's peaks on random care bits, some factors unpinned
+            body = int(rng.integers(family.size))
+            care = rng.integers(0, 1 << width, size=family.k)
+            care[rng.random(family.k) < 0.5] = 0
+            want = masks[body] & care
+            fast = family.matching_indices(care.tolist(), want.tolist())
+            slow = np.flatnonzero(((masks & care) == want).all(axis=1))
+            assert np.array_equal(fast, slow)
+            assert body in fast
+    with pytest.raises(ParameterError):
+        family_32.matching_indices([1], [1])             # one pair for k=2
+    with pytest.raises(ParameterError):
+        family_32.matching_indices([1, 1 << 8], [0, 0])  # past 2^n bits
+    with pytest.raises(ParameterError):
+        family_32.matching_indices([1, 0], [2, 0])       # want outside care
+
+
 @functools.cache
 def _inner_family(n):
     return build_inner_family(n)

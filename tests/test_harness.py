@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 from fractions import Fraction
 
@@ -136,31 +137,111 @@ _probe = st.tuples(st.just("M"), st.tuples(*[st.integers(0, 7)] * 2),
                    st.tuples(st.booleans(), st.booleans()))
 
 
-@settings(max_examples=150, deadline=None)
-@given(entries=st.lists(st.one_of(_draw, _probe), max_size=8))
-def test_consistent_indices_property(family_32, entries):
-    # random int-label draws (8 = core) and membership probes against a
-    # brute-force filter over every body's factors
-    t = Transcript(3)
+def _transcript(n, entries):
+    t = Transcript(n)
     for e in entries:
         if e[0] == "R":
             t.record_random(e[1])
         else:
             t.record_membership(e[1], e[2])
+    return t
+
+
+def _brute_force_consistent(family, entries):
+    """Family indices whose factors answer every entry as recorded, by
+    has_peak on every body (label 2^n is the core)."""
+    core = core_label_value(family.n)
 
     def admits(body):
         for e in entries:
             for j, f in enumerate(body.factors):
-                if e[0] == "R" and e[1][j] < 8 and not f.has_peak(e[1][j]):
+                if e[0] == "R" and e[1][j] < core and not f.has_peak(e[1][j]):
                     return False
                 if e[0] == "M" and f.has_peak(e[1][j]) != e[2][j]:
                     return False
         return True
 
-    slow = {i for i in range(family_32.size) if admits(family_32.body(i))}
+    return {i for i in range(family.size) if admits(family.body(i))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(st.one_of(_draw, _probe), max_size=8))
+def test_consistent_indices_property(family_32, entries):
+    # random int-label draws (8 = core) and membership probes against a
+    # brute-force filter over every body's factors
+    t = _transcript(3, entries)
+    slow = _brute_force_consistent(family_32, entries)
     assert set(consistent_indices(t, family_32).tolist()) == slow
     log = t.to_log()
     assert parse_transcript_log(3, log).to_log() == log
+
+
+# few peak indices, so pins on one factor collide often
+_few_peaks = st.integers(0, 3)
+_mixed_row = st.tuples(st.just("R"), st.tuples(*[st.one_of(_few_peaks, st.just(8))] * 2))
+_mixed_probe = st.tuples(st.just("M"), st.tuples(_few_peaks, _few_peaks),
+                         st.tuples(st.booleans(), st.booleans()))
+
+
+@st.composite
+def _mixed_entries(draw):
+    """R rows and M entries, and sometimes a pin echoed with the opposite
+    answer: a peak seen in a draw answered absent, or a membership bit
+    flipped."""
+    entries = draw(st.lists(st.one_of(_mixed_row, _mixed_probe), min_size=1, max_size=10))
+    echo = draw(st.sampled_from(entries))
+    j = draw(st.integers(0, 1))
+    other = draw(st.tuples(_few_peaks, st.booleans()))
+    idx, ans = [other[0]] * 2, [other[1]] * 2
+    if echo[0] == "R" and echo[1][j] < 8:
+        idx[j], ans[j] = echo[1][j], False
+    elif echo[0] == "M":
+        idx[j], ans[j] = echo[1][j], not echo[2][j]
+    position = draw(st.integers(0, len(entries)))
+    entries.insert(position, ("M", tuple(idx), tuple(ans)))
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=_mixed_entries())
+def test_consistent_indices_matches_has_peak_with_contradictions(family_32, entries):
+    fast = consistent_indices(_transcript(3, entries), family_32)
+    assert fast.tolist() == sorted(_brute_force_consistent(family_32, entries))
+
+
+@functools.cache
+def _two_word_family():
+    # n=3, k=9: 72 mask bits, so factor 8's pins sit in a second mask word;
+    # the words (s + j) and (s + 3j) mod 16 differ in at least 7 places
+    inner = build_inner_family(3)
+    words = [tuple((s + step * j) % inner.size for j in range(9))
+             for step in (1, 3) for s in range(inner.size)]
+    return product_family_from_parts(inner, certified_code(inner.size, 9, words))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_consistent_indices_across_mask_words(data):
+    # answers from one hidden body, each membership entry possibly lying on
+    # one factor, against the has_peak reference
+    family = _two_word_family()
+    hidden = data.draw(st.integers(0, family.size - 1))
+    factors = family.body(hidden).factors
+    entries = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        if data.draw(st.booleans()):
+            entries.append(("R", tuple(
+                data.draw(st.sampled_from([i for i in range(8) if f.has_peak(i)] + [8]))
+                for f in factors)))
+        else:
+            idx = tuple(data.draw(st.integers(0, 7)) for _ in factors)
+            lie = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+            entries.append(("M", idx, tuple(f.has_peak(i) != (j == lie)
+                                            for j, (f, i) in enumerate(zip(factors, idx)))))
+    fast = consistent_indices(_transcript(3, entries), family).tolist()
+    assert fast == sorted(_brute_force_consistent(family, entries))
+    if all(e[0] == "R" for e in entries):
+        assert hidden in fast
 
 
 def test_contradictory_membership_answers_empty(family_32):
@@ -184,6 +265,18 @@ def test_contradictory_membership_answers_empty(family_32):
 def test_consistent_indices_rejects_other_shapes(family_32, n, log):
     with pytest.raises(ParameterError):
         consistent_indices(parse_transcript_log(n, log), family_32)
+
+
+@pytest.mark.parametrize("entry", [
+    ("R", (-1, 8)),            # a negative label was a bare "negative shift count"
+    ("R", (9, 8)),             # the label past the core was silently ignored
+    ("R", (8, 70)),
+    ("M", (100, 0), (False, True)),   # a peak index past 2^n was pinned as absent
+    ("M", (1, 2), (True,)),           # the unanswered index was silently dropped
+], ids=["R-negative", "R-outside", "R-far", "M-index-past-2^n", "M-missing-answer"])
+def test_consistent_indices_rejects_out_of_range_entries(family_32, entry):
+    with pytest.raises(ParameterError):
+        consistent_indices(_transcript(3, [entry]), family_32)
 
 
 def test_learner_rejects_unknown_policy():
@@ -290,13 +383,16 @@ def test_game_config_caps_trials(family_32):
 
 
 def test_trial_seed_sequences_match_spawned_children():
-    # run_game builds trial t's stream as SeedSequence(seed, spawn_key=(t,))
-    # instead of materialising SeedSequence(seed).spawn(trials)
+    # run_game builds stream i of trial t as SeedSequence(seed, spawn_key=(t, i))
+    # instead of materialising SeedSequence(seed).spawn(trials) and spawning
+    # each trial's child into three
     children = np.random.SeedSequence(SEED).spawn(50)
     for t, child in enumerate(children):
         direct = np.random.SeedSequence(SEED, spawn_key=(t,))
-        for a, b in zip(direct.spawn(3), child.spawn(3)):
+        for i, (a, b) in enumerate(zip(direct.spawn(3), child.spawn(3))):
             assert np.array_equal(a.generate_state(4), b.generate_state(4))
+            c = np.random.SeedSequence(SEED, spawn_key=(t, i))
+            assert np.array_equal(c.generate_state(4), b.generate_state(4))
 
 
 # (successes, exact identifications) over 300 trials at seed 2024, recorded
@@ -318,6 +414,53 @@ def test_game_stats_pinned(request, name):
         stats = run_game(config, MLConsistencyLearner(policy))
         assert stats == GameStats(300, successes, 0), (policy, q)
         assert stats.exact_identifications == exact, (policy, q)
+
+
+class _RecordingGuesser(RandomGuessLearner):
+    def __init__(self):
+        self.guesses = []
+
+    def play(self, session, family, rng):
+        guess = super().play(session, family, rng)
+        self.guesses.append(guess)
+        return guess
+
+
+# (successes, sum of guesses) of RandomGuessLearner over 300 trials at seed
+# 2024, recorded with the per-trial SeedSequence.spawn(3) streams: the only
+# pin that reads the learner stream
+RANDOM_GUESS_PINS = {"32": (2, 38731), "34": (1, 621960)}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_GUESS_PINS))
+def test_random_guess_learner_pinned(request, name):
+    family = request.getfixturevalue(f"family_{name}")
+    learner = _RecordingGuesser()
+    config = GameConfig(family=family, query_budget=0, epsilon=F(1, 64),
+                        trials=300, seed=2024)
+    stats = run_game(config, learner)
+    assert (stats.successes, sum(learner.guesses)) == RANDOM_GUESS_PINS[name]
+
+
+@pytest.mark.parametrize("learner, q, per_trial", [
+    (MLConsistencyLearner("random"), 0, 1),   # the hidden draw only
+    (MLConsistencyLearner("census"), 8, 1),   # membership draws nothing
+    (MLConsistencyLearner("random"), 5, 2),   # hidden draw and oracle stream
+    (RandomGuessLearner(), 5, 2),             # hidden draw and learner stream
+], ids=["ml-q0", "census", "ml-random-q5", "random-guess"])
+def test_run_game_builds_only_the_streams_a_trial_draws_from(
+        family_32, monkeypatch, learner, q, per_trial):
+    calls = {"default_rng": 0, "SeedSequence": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(np.random, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, counting)
+    config = GameConfig(family=family_32, query_budget=q, epsilon=F(1, 64),
+                        trials=40, seed=SEED)
+    run_game(config, learner)
+    assert calls == {"default_rng": per_trial * config.trials,
+                     "SeedSequence": per_trial * config.trials}
 
 
 class _Namer:
