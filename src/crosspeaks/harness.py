@@ -347,6 +347,8 @@ def choose_parameters(d: int, epsilon) -> ParameterChoice:
     if not Fraction(8, d) <= epsilon <= Fraction(1, 8):
         raise ParameterError(f"epsilon={epsilon} outside [8/d, 1/8] for d={d}")
     big_l = math.log(1 / float(1 - 2 * epsilon))
+    if not big_l:   # 1 - 2 eps rounded to 1; log1p keeps an eps under 2^-54
+        big_l = -math.log1p(-2 * float(epsilon))
     if not big_l or d.bit_length() > sys.float_info.max_exp or d / big_l == math.inf:
         raise BudgetExceededError(f"d/L for d={d}, epsilon={epsilon} does not fit a float")
     x = math.sqrt(d / big_l)

@@ -76,6 +76,23 @@ def test_construct_workload_family_steps_run_clean(monkeypatch):
         assert construct.check(name, thunk()) == [], name
 
 
+def test_probe_workload_steps_run_clean(monkeypatch):
+    # pass 0's three sample steps (full bodies at n = 3, 6, 10) and its
+    # 24-pair (3,4) halfspace scan; the scan's check wants every exact
+    # distance to match the reference and every estimate in [0, 1], and the
+    # final check holds the least distance seen to verify's pin
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    probe = workloads.Probe(0)
+    probe.setup()
+    probe.load()
+    steps = probe.steps(0)
+    assert [name for name, _ in steps] == ["sample-n3", "sample-n6", "sample-n10", "scan"]
+    for name, thunk in steps:
+        assert probe.check(name, thunk()) == [], name
+    assert probe.min_distance is not None
+    assert probe.final_check(verify) == []
+
+
 def test_cli_workload_bounds_steps_run_clean(monkeypatch, tmp_path):
     # pass 0's two `bounds` commands, each a fresh interpreter; the workload
     # reads their q_floor lines and checks them against verify's pins.  The

@@ -1,15 +1,18 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosspeaks.errors import ParameterError
 from crosspeaks.family import ProductBody
 from crosspeaks.geometry import body_from_mask, full_body
 from crosspeaks.halfspace import (COROLLARY_CSV_COLUMNS, corollary_explore,
                                   direction_set, halfspace_discrepancy,
-                                  ks_statistic, noise_floor)
+                                  ks_statistic, ks_statistics, noise_floor)
 
 
 def _product(masks, n=3):
@@ -37,6 +40,77 @@ def test_ks_statistic_asymmetric_sizes():
 def test_ks_statistic_rejects_empty():
     with pytest.raises(ParameterError):
         ks_statistic([], [1.0])
+
+
+def test_ks_statistic_rejects_nan():
+    with pytest.raises(ParameterError, match="NaN"):
+        ks_statistic([math.nan], [1.0])
+    with pytest.raises(ParameterError, match="NaN"):
+        ks_statistic([1.0, 2.0], [0.5, math.nan])
+    with pytest.raises(ParameterError, match="NaN"):
+        ks_statistics([[1.0], [2.0]], [[0.0], [math.nan]])
+
+
+def test_ks_statistic_rejects_misshaped_input():
+    with pytest.raises(ParameterError, match="1-D"):
+        ks_statistic([[1.0, 2.0]], [1.0])
+    with pytest.raises(ParameterError, match="1-D"):
+        ks_statistic(1.0, [1.0])
+    with pytest.raises(ParameterError, match="2-D"):
+        ks_statistics([1.0, 2.0], [[1.0]])
+    with pytest.raises(ParameterError, match="rows"):
+        ks_statistics([[1.0], [2.0]], [[1.0]])
+    with pytest.raises(ParameterError, match="non-empty"):
+        ks_statistics(np.zeros((3, 0)), np.zeros((3, 2)))
+
+
+def _ks_reference(a, b):
+    """sup over the merged grid of |F_a - F_b|, in plain Python floats."""
+    a, b = sorted(a), sorted(b)
+    return max(abs(bisect_right(a, t) / len(a) - bisect_right(b, t) / len(b))
+               for t in a + b)
+
+
+def _check_rows(a_rows, b_rows):
+    got = ks_statistics(a_rows, b_rows)
+    assert got.shape == (len(a_rows),)
+    assert got.tolist() == [_ks_reference(a, b) for a, b in zip(a_rows, b_rows)]
+    assert got.tolist() == [ks_statistic(a, b) for a, b in zip(a_rows, b_rows)]
+
+
+# a few values, so samples tie within and across rows; -0.0 ties 0.0
+_TIED = st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf])
+_VALUES = st.one_of(_TIED, st.floats(allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 5), na=st.integers(1, 12),
+       nb=st.integers(1, 12))
+def test_ks_statistics_matches_reference(data, rows, na, nb):
+    a_rows = data.draw(st.lists(st.lists(_VALUES, min_size=na, max_size=na),
+                                min_size=rows, max_size=rows))
+    b_rows = data.draw(st.lists(st.lists(_VALUES, min_size=nb, max_size=nb),
+                                min_size=rows, max_size=rows))
+    _check_rows(a_rows, b_rows)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(5, 12),
+       na=st.integers(3000, 9000), nb=st.integers(3000, 9000),
+       grid=st.sampled_from([1.0, 1 / 64, 0.0]))
+def test_ks_statistics_across_blocks(seed, rows, na, nb, grid):
+    # 6000 to 18000 merged samples a row: a block of 2^15 holds 1 to 5 rows,
+    # so 5 to 12 rows span several blocks; a coarse grid makes ties, and
+    # some rows are shifted so the statistic is far from zero
+    rng = np.random.default_rng(seed)
+    shift = rng.choice([0.0, 0.1, 3.0], size=(rows, 1))
+    a_rows = rng.standard_normal((rows, na)) + shift
+    b_rows = rng.standard_normal((rows, nb))
+    if grid:
+        a_rows, b_rows = np.round(a_rows / grid) * grid, np.round(b_rows / grid) * grid
+    for x in (a_rows, b_rows):
+        x[rng.random(x.shape) < 0.01] = rng.choice([-math.inf, math.inf, -0.0, 0.0])
+    _check_rows(a_rows, b_rows)
 
 
 def test_noise_floor_formula():
@@ -107,6 +181,28 @@ def test_discrepancy_sees_a_gross_difference(rng):
     assert est.estimate > 0
 
 
+# Recorded with one searchsorted KS statistic per direction:
+# (family, i, j, dirs, samples, seed) -> (repr(estimate), kind).
+DISCREPANCY_PINS = (
+    ("32", 0, 1, 8, 1500, 3, "0.08133333333333337", "orthant:1:1"),
+    ("32", 5, 200, 16, 1777, 41, "0.11086100168823859", "axis:2"),
+    ("32", 17, 90, 8, 4096, 2024, "0.06103515625", "axis:2"),
+    ("34", 0, 4095, 16, 1500, 7, "0.23933333333333334", "axis:8"),
+    ("34", 123, 2048, 8, 1777, 11, "0.1890827236916151", "random:0"),
+    ("34", 9, 3000, 16, 4096, 5, "0.150390625", "axis:2"),
+)
+
+
+@pytest.mark.parametrize("name, i, j, dirs, samples, seed, estimate, kind",
+                         DISCREPANCY_PINS)
+def test_discrepancy_pinned(family_32, family_34, name, i, j, dirs, samples,
+                            seed, estimate, kind):
+    family = family_32 if name == "32" else family_34
+    est = halfspace_discrepancy(family.body(i), family.body(j), dirs, samples,
+                                np.random.default_rng(seed))
+    assert (repr(est.estimate), est.direction_kind) == (estimate, kind)
+
+
 def test_discrepancy_input_validation(rng):
     a = _product((0x0F, 0x33))
     with pytest.raises(ParameterError):
@@ -143,6 +239,23 @@ def test_corollary_explore_report(family_32, tmp_path):
     assert len(lines) == 1 + len(report.rows)
     first = lines[1].split(",")
     assert (int(first[0]), int(first[1])) == (report.rows[0][0], report.rows[0][1])
+
+
+def test_corollary_explore_pinned(family_34):
+    # rows recorded with one searchsorted KS statistic per direction; the
+    # estimates keep the last bit of the float |ca/na - cb/nb|
+    # (0.15600000000000003, where gap / (na * nb) gives 0.156)
+    report = corollary_explore(family_34, 6, dirs=16, samples=2000, seed=20260816)
+    rows = [(i, j, str(dist), repr(est)) for i, j, dist, est in report.rows]
+    assert rows == [
+        (86, 2964, "13837/40000", "0.15600000000000003"),
+        (307, 1748, "76479/160000", "0.15650000000000003"),
+        (507, 3512, "13837/40000", "0.1195"),
+        (1993, 3556, "13837/40000", "0.11950000000000005"),
+        (2560, 3771, "55671/160000", "0.17599999999999993"),
+        (2723, 3741, "13837/40000", "0.08950000000000002"),
+    ]
+    assert (report.min_pair, report.max_pair) == ((2723, 3741), (2560, 3771))
 
 
 def test_corollary_explore_explicit_pairs(family_32):

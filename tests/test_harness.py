@@ -588,6 +588,16 @@ def test_choose_parameters_matches_decimal(log2_d, near, step, offset, sign, num
     assert choose_parameters(d, epsilon).n == _least_power_of_two_n(d, epsilon)
 
 
+def test_choose_parameters_tiny_epsilon():
+    # 1 - 2 eps rounds to 1.0 below eps = 2^-54, so ln(1/float(1 - 2 eps))
+    # is 0; the split falls back to log1p instead of refusing d/L
+    for log2_d in (57, 60):
+        d = 1 << log2_d
+        choice = choose_parameters(d, F(8, d))
+        assert (choice.n, choice.k) == (d >> 2, 4)
+        assert 2 <= choice.sqrt_ratio <= choice.n < 4 * choice.sqrt_ratio
+
+
 def test_choose_parameters_validation():
     with pytest.raises(ParameterError):
         choose_parameters(1000, F(1, 8))  # not a power of two
