@@ -6,6 +6,8 @@ verification failures exit 3, blown resource budgets exit 4.
 
 from __future__ import annotations
 
+import sys
+
 
 class CrosspeaksError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,3 +23,12 @@ class VerificationError(CrosspeaksError):
 
 class BudgetExceededError(CrosspeaksError):
     """A computation would exceed a configured resource budget."""
+
+
+def require_addressable(count: int, width: int, what: str) -> None:
+    """Refuse a (count, width) array of 8-byte items past the sys.maxsize
+    bytes numpy can address, where numpy raises a bare ValueError; smaller
+    requests that do not fit raise MemoryError, mapped to the same exit."""
+    if count * width * 8 > sys.maxsize:
+        raise BudgetExceededError(
+            f"{what}: a {count} x {width} array is too large to allocate")

@@ -45,7 +45,7 @@ DEFAULT_MAX_N = 4
 DEFAULT_MAX_K = 8
 
 MANIFEST_COMMENT = "# crosspeaks family manifest v1"
-MAX_MASK_BITS = 32  # 2^n-bit peak masks must fit the int64 mask matrix: n <= 5
+MAX_MASK_BITS = 32  # inner_family_from_code forms masks as an int64 product: n <= 5
 _WORD = (1 << 64) - 1  # one uint64 word of packed factor masks
 
 
@@ -68,6 +68,14 @@ class InnerFamily:
     @property
     def size(self) -> int:
         return len(self.bodies)
+
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """(size,) uint64 vector of the bodies' peak masks, built once and
+        read-only."""
+        masks = np.array([b.mask for b in self.bodies], dtype=np.uint64)
+        masks.flags.writeable = False
+        return masks
 
 
 def inner_family_from_code(n: int, code: Code) -> InnerFamily:
@@ -186,14 +194,6 @@ class ProductFamily:
         return ProductBody(tuple(self.inner.bodies[s] for s in word))
 
     @functools.cached_property
-    def mask_matrix(self) -> np.ndarray:
-        """(size, k) int64 matrix of per-factor peak masks, built once and
-        read-only."""
-        masks = np.array([b.mask for b in self.inner.bodies], dtype=np.int64)[self.outer.words]
-        masks.flags.writeable = False
-        return masks
-
-    @functools.cached_property
     def _mask_words(self) -> np.ndarray:
         """(size, ceil(k 2^n / 64)) uint64 matrix, built once and read-only:
         row i is body i's factor masks laid end to end, factor j's at bit
@@ -201,11 +201,9 @@ class ProductFamily:
         two words."""
         width = 1 << self.n
         per = 64 // width
-        words = -(-self.k // per)
-        packed = np.zeros((self.size, words * per), dtype=np.uint64)
-        packed[:, :self.k] = self.mask_matrix
-        packed <<= np.arange(words * per, dtype=np.uint64) % per * width
-        out = np.bitwise_or.reduce(packed.reshape(self.size, words, per), axis=2)
+        out = np.zeros((self.size, -(-self.k // per)), dtype=np.uint64)
+        for j in range(self.k):
+            out[:, j // per] |= self.inner.masks[self.outer.words[:, j]] << j % per * width
         out.flags.writeable = False
         return out
 
@@ -382,7 +380,7 @@ def _separation_by_code_bound(family: ProductFamily) -> SeparationReport | None:
     if (d < outer_distance_floor(k)
             or codes_mod.closure_distance(outer.alphabet_size, outer.words) is None):
         return None
-    masks = np.array([b.mask for b in family.inner.bodies], dtype=np.int64)
+    masks = family.inner.masks
     shared = np.bitwise_count(masks[:, None] & masks)  # q x q peaks shared
     w = 1 << (n - 1)
     s_star = int(shared.max(where=shared < w, initial=0))  # distinct bodies share < w
@@ -433,7 +431,7 @@ def scan_separation(family: ProductFamily) -> SeparationReport:
     min_diff, need = family.outer.min_distance, outer_distance_floor(k)
     if min_diff < need:
         raise VerificationError(f"outer min distance {min_diff} under ceil(k/2) = {need}")
-    masks = family.mask_matrix
+    masks = family.inner.masks[family.outer.words]  # (F, k) per-factor masks
     w = 1 << (n - 1)
     r = core_weight(n)
     threshold, den = _pair_threshold(n, k, w)

@@ -32,7 +32,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_addressable
 
 # membership_q_oracle enumerates n * 2^(n-1) halfspaces; cap the blowup.
 MAX_Q_ORACLE_DIM = 12
@@ -151,6 +151,14 @@ class InnerBody:
     def peak_count(self) -> int:
         return self.mask.bit_count()
 
+    @functools.cached_property
+    def peaks(self) -> np.ndarray:
+        """The peak orthants in increasing order, built once and read-only:
+        every game trial draws from this table."""
+        peaks = np.array([i for i in range(1 << self.n) if self.mask >> i & 1], dtype=np.int64)
+        peaks.flags.writeable = False
+        return peaks
+
     def has_peak(self, orthant_index: int) -> bool:
         return orthant_index >= 0 and bool(self.mask >> orthant_index & 1)
 
@@ -170,15 +178,6 @@ def bare_body(n: int) -> InnerBody:
 
 def full_body(n: int) -> InnerBody:
     return InnerBody(n, (1 << (1 << n)) - 1)
-
-
-@functools.lru_cache(maxsize=4096)
-def _present_peaks(body: InnerBody) -> np.ndarray:
-    """The body's peak orthants in increasing order, the one table derived
-    from its mask; cached, since every game trial draws from it."""
-    peaks = np.array([i for i in range(1 << body.n) if body.mask >> i & 1], dtype=np.int64)
-    peaks.flags.writeable = False
-    return peaks
 
 
 def inner_volume(body: InnerBody) -> Fraction:
@@ -222,13 +221,16 @@ def q_halfspace_normals(n: int) -> np.ndarray:
 
     The fully-peaked body equals the intersection of the halfspaces
     a . x <= 1 over these normals; removing a peak s adds s . x <= 1.
+    Cached and shared by every caller, so read-only.
     """
     rows = []
     for zero_pos in range(n):
         for signs in itertools.product((-1, 1), repeat=n - 1):
             a = list(signs[:zero_pos]) + [0] + list(signs[zero_pos:])
             rows.append(a)
-    return np.array(rows, dtype=np.int8)
+    normals = np.array(rows, dtype=np.int8)
+    normals.flags.writeable = False
+    return normals
 
 
 def membership_q_oracle(n: int, missing, x) -> bool:
@@ -311,7 +313,7 @@ def classify_scaled_batch(n: int, ipoints: np.ndarray, scale: int) -> np.ndarray
 
 
 def _membership_from_labels(body: InnerBody, labels: np.ndarray) -> np.ndarray:
-    return (labels == core_label_value(body.n)) | np.isin(labels, _present_peaks(body))
+    return (labels == core_label_value(body.n)) | np.isin(labels, body.peaks)
 
 
 def membership_scaled_batch(body: InnerBody, ipoints: np.ndarray, scale: int) -> np.ndarray:
@@ -357,6 +359,7 @@ def sample_region_label_rows(bodies, count: int, rng: np.random.Generator) -> np
     n = bodies[0].n
     if any(b.n != n for b in bodies):
         raise ParameterError("all bodies must share the same dimension")
+    require_addressable(count, len(bodies), "region labels")
     r = core_weight(n)
     counts = [b.peak_count for b in bodies]
     high = r + counts[0] if counts.count(counts[0]) == len(counts) else r + np.array(counts)
@@ -366,7 +369,7 @@ def sample_region_label_rows(bodies, count: int, rng: np.random.Generator) -> np
     if hit.any():
         # column j's peaks follow the earlier columns' in one concatenated table
         u += list(itertools.accumulate(counts[:-1], initial=0))
-        labels[hit] = np.concatenate([_present_peaks(b) for b in bodies])[u[hit] - r]
+        labels[hit] = np.concatenate([b.peaks for b in bodies])[u[hit] - r]
     return labels
 
 
@@ -381,7 +384,7 @@ def region_expectations(body: InnerBody) -> tuple[np.ndarray, list[Fraction]]:
     law on the body: the core plus every present peak."""
     g = make_geometry(body.n)
     vol = inner_volume(body)
-    peaks = _present_peaks(body)
+    peaks = body.peaks
     values = np.concatenate(([core_label_value(body.n)], peaks))
     return values, [g.core_volume / vol] + [g.peak_volume / vol] * len(peaks)
 
@@ -402,9 +405,12 @@ def _core_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _orthant_signs(n: int) -> np.ndarray:
-    """(2^n, n) int8 table whose row i is index_to_signs(n, i)."""
-    return (2 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1) - 1).astype(np.int8)
+def orthant_signs(n: int) -> np.ndarray:
+    """(2^n, n) int8 table whose row i is index_to_signs(n, i); cached and
+    shared by every caller, so read-only."""
+    signs = (2 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1) - 1).astype(np.int8)
+    signs.flags.writeable = False
+    return signs
 
 
 def region_points(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -428,7 +434,7 @@ def region_points(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.nd
         keys = labels[peak_rows].astype(np.min_scalar_type(core))
         rows = peak_rows[np.argsort(keys, kind="stable")]
         w = _simplex_weights(len(rows), n, rng)
-        signs = _orthant_signs(n).take(labels[rows], axis=0)
+        signs = orthant_signs(n).take(labels[rows], axis=0)
         points[rows] = signs * (w[:, :n] + w[:, n:] / (n - 1))
     return points
 

@@ -35,9 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, VerificationError
+from .errors import ParameterError, VerificationError, require_addressable
 from .family import ProductBody, ProductFamily, exact_distance, separation_holds
-from .geometry import index_to_signs
+from .geometry import orthant_signs
 from .oracles import continuous_random_batch
 
 MIN_SAMPLES = 1000
@@ -117,27 +117,20 @@ def direction_set(n: int, k: int, random_count: int,
     """(D, n*k) matrix of unit probe directions and their labels: all d
     axes, all k * 2^n per-factor orthant diagonals, then random_count
     uniform unit vectors."""
-    d = n * k
-    rows: list[np.ndarray] = []
-    kinds: list[str] = []
-    eye = np.eye(d)
-    for i in range(d):
-        rows.append(eye[i])
-        kinds.append(f"axis:{i}")
-    scale = 1.0 / math.sqrt(n)
+    d, orthants = n * k, 1 << n
+    structured = d + k * orthants
+    require_addressable(structured + random_count, d, "probe directions")
+    matrix = np.zeros((structured + random_count, d))
+    matrix[:d] = np.eye(d)
+    diagonals = orthant_signs(n) * (1.0 / math.sqrt(n))
     for j in range(k):
-        for index in range(1 << n):
-            vec = np.zeros(d)
-            vec[j * n:(j + 1) * n] = np.array(index_to_signs(n, index)) * scale
-            rows.append(vec)
-            kinds.append(f"orthant:{j}:{index:x}")
-    if random_count:
-        gauss = rng.standard_normal((random_count, d))
-        gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-        for t in range(random_count):
-            rows.append(gauss[t])
-            kinds.append(f"random:{t}")
-    return np.vstack(rows), kinds
+        matrix[d + j * orthants:d + (j + 1) * orthants, j * n:(j + 1) * n] = diagonals
+    gauss = rng.standard_normal((random_count, d))
+    matrix[structured:] = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    kinds = ([f"axis:{i}" for i in range(d)]
+             + [f"orthant:{j}:{index:x}" for j in range(k) for index in range(orthants)]
+             + [f"random:{t}" for t in range(random_count)])
+    return matrix, kinds
 
 
 def _body_stream(seed_words: tuple[int, ...], body: ProductBody) -> np.random.Generator:

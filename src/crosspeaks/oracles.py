@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_addressable
 from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,
                        region_points, sample_inner_batch,
@@ -157,6 +157,7 @@ def discrete_random_batch(body: ProductBody, count: int,
     """(count, k) integer label matrix (core = 2^n), drawn factor by factor:
     column j takes `count` consecutive draws, unlike count discrete_random
     calls, which draw query by query."""
+    require_addressable(count, body.k, "region labels")
     out = np.empty((count, body.k), dtype=np.int64)
     for j, f in enumerate(body.factors):
         out[:, j] = sample_region_labels(f, count, rng)

@@ -143,6 +143,33 @@ def test_sample_too_many_points_is_budget_exceeded(capsys, manifest_32):
         assert "budget exceeded" in stderr
 
 
+def _assert_unaddressable(code, stdout, stderr):
+    assert code == 4 and stdout == ""
+    assert stderr.startswith("budget exceeded:") and "too large to allocate" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("count", [2**60, 2**64])
+@pytest.mark.parametrize("fmt", ["points", "labels"])
+def test_sample_unaddressable_count_is_budget_exceeded(capsys, manifest_32, fmt, count):
+    # past the bytes numpy can address: refused before numpy's ValueError
+    _assert_unaddressable(*run(capsys, "sample", "--manifest", manifest_32,
+                               "--body-index", "0", "--count", str(count),
+                               "--format", fmt))
+
+
+@pytest.mark.parametrize("count", [2**60, 2**64])
+def test_halfspace_gap_unaddressable_samples_is_budget_exceeded(capsys, manifest_32, count):
+    _assert_unaddressable(*run(capsys, "halfspace-gap", "--manifest", manifest_32,
+                               "--pair", "0,1", "--samples", str(count)))
+
+
+@pytest.mark.parametrize("count", [2**60, 2**64])
+def test_halfspace_gap_unaddressable_dirs_is_budget_exceeded(capsys, manifest_32, count):
+    _assert_unaddressable(*run(capsys, "halfspace-gap", "--manifest", manifest_32,
+                               "--pair", "0,1", "--dirs", str(count)))
+
+
 def test_game_rejects_wide_epsilon(capsys, manifest_32):
     # 2 eps above the (3,2) separation floor
     code, _, stderr = run(capsys, "game", "--manifest", manifest_32,

@@ -306,17 +306,19 @@ def test_matching_indices_tests_every_mask_word(family_32, family_34):
                                               for s in range(inner.size)]))
     rng = np.random.default_rng(7)
     for family in (family_32, family_34, wide, shifted):
-        masks = family.mask_matrix
+        # the reference reads each factor's InnerBody.mask as a Python int
+        masks = [[f.mask for f in family.body(i).factors] for i in range(family.size)]
         width = 1 << family.n
         for _ in range(40):
             # one body's peaks on random care bits, some factors unpinned
             body = int(rng.integers(family.size))
-            care = rng.integers(0, 1 << width, size=family.k)
-            care[rng.random(family.k) < 0.5] = 0
-            want = masks[body] & care
-            fast = family.matching_indices(care.tolist(), want.tolist())
-            slow = np.flatnonzero(((masks & care) == want).all(axis=1))
-            assert np.array_equal(fast, slow)
+            care = rng.integers(0, 1 << width, size=family.k).tolist()
+            care = [0 if rng.random() < 0.5 else c for c in care]
+            want = [m & c for m, c in zip(masks[body], care)]
+            fast = family.matching_indices(care, want)
+            slow = [i for i, row in enumerate(masks)
+                    if all(m & c == w for m, c, w in zip(row, care, want))]
+            assert fast.tolist() == slow
             assert body in fast
     with pytest.raises(ParameterError):
         family_32.matching_indices([1], [1])             # one pair for k=2
@@ -485,18 +487,19 @@ def test_binary_outer_code_over_two_body_inner_family():
     outer = gv_greedy(2, 4, 2)
     family = product_family_from_parts(inner, outer)
     assert family.size == 8
-    assert family.mask_matrix.tolist() == [[(0b0011, 0b1100)[s] for s in w]
-                                           for w in outer.words]
+    assert inner.masks.tolist() == [0b0011, 0b1100]
+    assert [[f.mask for f in family.body(i).factors] for i in range(family.size)] == [
+        [(0b0011, 0b1100)[s] for s in w] for w in outer.words.tolist()]
 
 
-def test_mask_matrix_built_once_read_only(family_32):
-    masks = family_32.mask_matrix
-    assert family_32.mask_matrix is masks
+def test_inner_masks_built_once_read_only(family_32):
+    masks = family_32.inner.masks
+    assert family_32.inner.masks is masks
+    assert masks.dtype == np.uint64 and masks.shape == (family_32.inner.size,)
     assert not masks.flags.writeable
     with pytest.raises(ValueError):
-        masks[0, 0] = 0
-    assert masks.tolist() == [[family_32.inner.bodies[s].mask for s in w]
-                              for w in family_32.outer.words]
+        masks[0] = 0
+    assert masks.tolist() == [b.mask for b in family_32.inner.bodies]
 
 
 def test_build_rejects_bad_parameters():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crosspeaks.errors import ParameterError
+from crosspeaks.errors import BudgetExceededError, ParameterError
 from crosspeaks.exactmath import simplex_volume
 from crosspeaks.geometry import (OrthantSign, bare_body,
                                  body_from_mask, classify_batch,
@@ -15,7 +15,7 @@ from crosspeaks.geometry import (OrthantSign, bare_body,
                                  inner_volume, label_text, make_geometry,
                                  membership_inner,
                                  membership_q_oracle, membership_scaled_batch,
-                                 outside_label_value,
+                                 orthant_signs, outside_label_value,
                                  peak_vertices, q_halfspace_normals,
                                  q_membership_scaled_batch, region_expectations,
                                  region_points,
@@ -269,6 +269,31 @@ def test_body_peak_queries():
         body_from_mask(3, 1 << 8)
 
 
+def test_body_peaks_built_once_read_only():
+    for body in (body_from_mask(3, 0b10001010), full_body(2), bare_body(4),
+                 body_from_mask(5, 0x8000_0001)):
+        peaks = body.peaks
+        assert body.peaks is peaks
+        assert peaks.dtype == np.int64
+        assert peaks.tolist() == [i for i in range(1 << body.n) if body.has_peak(i)]
+        assert len(peaks) == body.peak_count
+        assert not peaks.flags.writeable
+        with pytest.raises(ValueError):
+            peaks[:] = 0
+
+
+def test_shared_sign_tables_read_only():
+    # both tables are cached and shared by every caller
+    for n in (2, 3, 5):
+        signs = orthant_signs(n)
+        assert orthant_signs(n) is signs
+        assert signs.tolist() == [list(index_to_signs(n, i)) for i in range(1 << n)]
+        for table in (signs, q_halfspace_normals(n)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -355,6 +380,10 @@ def test_label_rows_validation(rng):
         sample_region_label_rows((full_body(3),), -1, rng)
     with pytest.raises(ParameterError):
         sample_region_label_rows((full_body(3), full_body(2)), 3, rng)
+    # past the bytes numpy can address, refused before any allocation
+    for count in (1 << 60, 1 << 64):
+        with pytest.raises(BudgetExceededError):
+            sample_region_label_rows((full_body(3),), count, rng)
 
 
 def test_region_points_lands_in_each_region(rng):

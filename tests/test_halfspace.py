@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosspeaks.errors import ParameterError
+from crosspeaks.errors import BudgetExceededError, ParameterError
 from crosspeaks.family import ProductBody
-from crosspeaks.geometry import body_from_mask, full_body
+from crosspeaks.geometry import body_from_mask, full_body, index_to_signs
 from crosspeaks.halfspace import (COROLLARY_CSV_COLUMNS, corollary_explore,
                                   direction_set, halfspace_discrepancy,
                                   ks_statistic, ks_statistics, noise_floor)
@@ -140,6 +140,47 @@ def test_direction_set_shape_and_kinds(rng):
     row = matrix[d + (1 << n) + 5]
     assert np.all(row[:n] == 0)
     assert set(np.sign(row[n:]).astype(int)) <= {-1, 1}
+
+
+def _direction_set_by_rows(n, k, random_count, rng):
+    """The row-by-row construction direction_set replaced: the reference
+    its block-filled matrix must match byte for byte."""
+    d = n * k
+    rows, kinds = [], []
+    eye = np.eye(d)
+    for i in range(d):
+        rows.append(eye[i])
+        kinds.append(f"axis:{i}")
+    scale = 1.0 / math.sqrt(n)
+    for j in range(k):
+        for index in range(1 << n):
+            vec = np.zeros(d)
+            vec[j * n:(j + 1) * n] = np.array(index_to_signs(n, index)) * scale
+            rows.append(vec)
+            kinds.append(f"orthant:{j}:{index:x}")
+    if random_count:
+        gauss = rng.standard_normal((random_count, d))
+        gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
+        for t in range(random_count):
+            rows.append(gauss[t])
+            kinds.append(f"random:{t}")
+    return np.vstack(rows), kinds
+
+
+@pytest.mark.parametrize("n,k,random_count",
+                         [(3, 4, 64), (2, 8, 16), (3, 2, 0), (4, 2, 5), (10, 1, 3)])
+def test_direction_set_matches_row_by_row_reference(n, k, random_count):
+    matrix, kinds = direction_set(n, k, random_count, np.random.default_rng(11))
+    ref, ref_kinds = _direction_set_by_rows(n, k, random_count, np.random.default_rng(11))
+    assert matrix.dtype == ref.dtype and matrix.shape == ref.shape
+    assert matrix.tobytes() == ref.tobytes()   # no -0.0 where the rows had +0.0
+    assert kinds == ref_kinds
+
+
+def test_direction_set_refuses_unaddressable_counts(rng):
+    for count in (1 << 60, 1 << 64):
+        with pytest.raises(BudgetExceededError):
+            direction_set(3, 2, count, rng)
 
 
 # ---------------------------------------------------------------------------
