@@ -26,9 +26,12 @@ class BudgetExceededError(CrosspeaksError):
 
 
 def require_addressable(count: int, width: int, what: str) -> None:
-    """Refuse a (count, width) array of 8-byte items past the sys.maxsize
-    bytes numpy can address, where numpy raises a bare ValueError; smaller
-    requests that do not fit raise MemoryError, mapped to the same exit."""
+    """Refuse a negative count as a ParameterError, and a (count, width)
+    array of 8-byte items past the sys.maxsize bytes numpy can address, where
+    numpy raises a bare ValueError; smaller requests that do not fit raise
+    MemoryError, mapped to the same exit."""
+    if count < 0:
+        raise ParameterError(f"{what}: count {count} must be >= 0")
     if count * width * 8 > sys.maxsize:
         raise BudgetExceededError(
             f"{what}: a {count} x {width} array is too large to allocate")

@@ -1,8 +1,9 @@
-"""Exact-rational helpers: certified bounds for e^-x and log2, exact determinants.
+"""Exact-rational helpers: certified bounds for e^-x, exact determinants.
 
 Everything here returns Fractions (or ints) with a guaranteed direction of
 error, so callers can decide strict inequalities involving transcendental
-quantities without trusting floating point.
+quantities without trusting floating point.  Every such comparison refines
+along one policy, the e^-x brackets of exp_neg_brackets.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ def exp_neg_bounds(x: Fraction, terms: int = 32) -> tuple[Fraction, Fraction]:
     e^-x = (e^-(x/2))^2.
     """
     x = Fraction(x)
-    if x < 0:
-        raise ParameterError("exp_neg_bounds requires x >= 0")
+    if x < 0 or terms < 1:
+        raise ParameterError("exp_neg_bounds requires x >= 0 and terms >= 1")
     if x == 0:
         one = Fraction(1)
         return one, one
@@ -63,25 +64,6 @@ def compare_exp_neg(x: Fraction, value: Fraction) -> int:
             return 1
         if hi < value:
             return -1
-
-
-def log2_bounds(y: Fraction, precision_bits: int = 10) -> tuple[Fraction, Fraction]:
-    """Rational bounds (lo, hi) with lo <= log2(y) <= hi and hi - lo <= 2^(1-precision_bits).
-
-    Works by exact powering: log2(y) = log2(y^M) / M with M = 2^precision_bits,
-    and the bit lengths of numerator and denominator of y^M pin log2(y^M)
-    within one unit.
-    """
-    y = Fraction(y)
-    if y <= 0:
-        raise ParameterError("log2_bounds requires a positive value")
-    m = 1 << precision_bits
-    z = y ** m
-    a, b = z.numerator, z.denominator
-    # 2^(bl(a)-1) <= a < 2^bl(a) and likewise for b.
-    lo = Fraction(a.bit_length() - 1 - b.bit_length(), m)
-    hi = Fraction(a.bit_length() - (b.bit_length() - 1), m)
-    return lo, hi
 
 
 def ceil_fraction(x: Fraction) -> int:

@@ -354,8 +354,6 @@ def sample_region_label_rows(bodies, count: int, rng: np.random.Generator) -> np
     bodies = tuple(bodies)
     if not bodies:
         raise ParameterError("need at least one body")
-    if count < 0:
-        raise ParameterError("count must be >= 0")
     n = bodies[0].n
     if any(b.n != n for b in bodies):
         raise ParameterError("all bodies must share the same dimension")
@@ -421,8 +419,8 @@ def region_points(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.nd
     apex s/(n-1) of its orthant s."""
     labels = np.asarray(labels)
     core = core_label_value(n)
-    if len(labels) and not 0 <= labels.min() <= labels.max() <= core:
-        raise ParameterError("labels must be peak orthant indices or the core")
+    if labels.ndim != 1 or len(labels) and not 0 <= labels.min() <= labels.max() <= core:
+        raise ParameterError("labels must be a (count,) array of peak orthant indices or the core")
     points = np.empty((len(labels), n), dtype=np.float64)
     core_rows = labels == core
     n_core = int(core_rows.sum())

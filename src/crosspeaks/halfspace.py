@@ -117,6 +117,8 @@ def direction_set(n: int, k: int, random_count: int,
     """(D, n*k) matrix of unit probe directions and their labels: all d
     axes, all k * 2^n per-factor orthant diagonals, then random_count
     uniform unit vectors."""
+    if random_count < 0:
+        raise ParameterError("random_count must be >= 0")
     d, orthants = n * k, 1 << n
     structured = d + k * orthants
     require_addressable(structured + random_count, d, "probe directions")

@@ -33,6 +33,7 @@ budget see identical hidden bodies and oracle draw prefixes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError, VerificationError
-from .exactmath import binomial_ball_size, ceil_fraction, compare_exp_neg, log2_bounds
+from .exactmath import binomial_ball_size, ceil_fraction, compare_exp_neg
 from .family import ProductBody, ProductFamily, inner_seed_distance, separation_holds
 from .geometry import core_label_value, sample_region_label_rows
 from .oracles import Transcript, answer_space_size, discrete_membership
@@ -397,20 +398,33 @@ def _least_q(satisfies) -> int:
     return hi
 
 
-def _least_q_certified(n: int, k: int, exponent: int, one_minus: Fraction) -> int:
-    """Least q with (2^n + 1)^(kq) >= one_minus * 2^exponent, certified by
-    rational log2 bracketing: n < log2(2^n + 1) <= n + 3/2^(n+1)."""
-    tau = Fraction(3, 1 << (n + 1))
-    for precision in (10, 14, 18):
-        lg_lo, lg_hi = log2_bounds(one_minus, precision)
-        target_lo = exponent + lg_lo
-        target_hi = exponent + lg_hi
-        if target_hi <= 0:
-            return 0
-        q = max(1, ceil_fraction(target_hi / (k * n)))
-        if (n + tau) * k * (q - 1) < target_lo:
-            return q
-    raise ParameterError("could not certify the minimal q; target sits on a boundary")
+def _reaches(n: int, power: int, exponent: int, a: int, b: int) -> bool:
+    """(2^n + 1)^power >= (a/b) * 2^exponent, decided exactly as
+    (1 + u)^K >= r with u = 2^-n, K = power and r = (a/b) * 2^(exponent - nK)."""
+    shift = exponent - n * power
+    r = Fraction(a << max(shift, 0), b << max(-shift, 0))
+    x = Fraction(power, 1 << n)
+    if r <= 1 + x or x < 1 and r * (1 - x) > 1:   # 1 + Ku <= (1 + u)^K <= 1/(1 - Ku)
+        return r <= 1 + x
+    if b & (b - 1) == 0 and b.bit_length() == exponent + 1:
+        return ((1 << n) + 1) ** power >= a        # b = 2^exponent: the one way to tie
+    # no tie: partial sums of ln(1 + u), above it at odd i, settle the side
+    total = Fraction(0)
+    for i in itertools.count(1):
+        total += Fraction((-1) ** (i + 1), i << n * i)
+        sign = compare_exp_neg(power * total, 1 / r)
+        if sign == (-1) ** (i + 1):                 # e^(-K * sum) past 1/r on its side
+            return sign < 0
+
+
+def _least_q_certified(n: int, k: int, exponent: int, a: int, b: int) -> int:
+    """Least q with (2^n + 1)^(kq) >= (a/b) * 2^exponent.  The bit lengths of
+    a and b prove some q sufficient, as (2^n + 1)^(kq) > 2^(nkq) for q > 0;
+    step down while q - 1 still reaches the target."""
+    q = max(0, ceil_fraction(Fraction(exponent + a.bit_length() - b.bit_length() + 1, n * k)))
+    while q and _reaches(n, k * (q - 1), exponent, a, b):
+        q -= 1
+    return q
 
 
 def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
@@ -435,9 +449,8 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
     if family_size is None and n - 6 + math.log2(3 * k) > sys.float_info.max_exp:
         raise BudgetExceededError(
             f"the family-size floor for n={n}, k={k} has a log2 past a float's range")
-    one_minus = 1 - delta
     base = (1 << n) + 1
-    a, b = one_minus.numerator, one_minus.denominator
+    a, b = (1 - delta).as_integer_ratio()
 
     if family_size is not None:
         if family_size < 1:
@@ -460,7 +473,7 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
                 raise ParameterError("entropy certificate needs r <= m/4")
             regime = "certified"
             exponent = ((3 * m) // 16 - 2) * k // 2
-            q_floor = _least_q_certified(n, k, exponent, one_minus)
+            q_floor = _least_q_certified(n, k, exponent, a, b)
             bound_log2 = float(exponent)
 
     return QueryBound(d=d, epsilon=choice.epsilon, delta=delta, n=n, k=k,

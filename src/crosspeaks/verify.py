@@ -33,6 +33,8 @@ MIN_DISTANCES = {(3, 2): Fraction(1, 20), (3, 4): Fraction(39, 400),
 QUERY_FLOORS = {
     (64, Fraction(1, 8), Fraction(1, 2)): (194, "exact"),
     (1024, Fraction(1, 8), Fraction(1, 2)): (13510798882111488, "certified"),
+    # 1 - delta = (1001/1000) 2^-1008: the target sits just under q = 3 * 2^52 - 1's reach
+    (1024, Fraction(1, 8), 1 - Fraction(1001, 1000 << 1008)): (13510798882111487, "certified"),
 }
 
 

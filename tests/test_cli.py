@@ -209,6 +209,16 @@ def test_bounds_splits_d_exactly_near_a_boundary(capsys):
     assert "q_floor=6291456" in stdout
 
 
+def test_bounds_certifies_a_delta_at_a_q_step(capsys):
+    # 1 - delta = (1001/1000) * 2^-1008; a fixed-slack log2 bracket refused it
+    den = 1000 << 1008
+    code, stdout, stderr = run(capsys, "bounds", "--d", "1024", "--epsilon", "1/8",
+                               "--delta", f"{den - 1001}/{den}")
+    assert code == 0, stderr
+    assert "regime=certified" in stdout
+    assert "q_floor=13510798882111487" in stdout
+
+
 def test_bounds_rejects_non_power_of_two(capsys):
     code, _, stderr = run(capsys, "bounds", "--d", "1000", "--epsilon", "1/8")
     assert code == 2

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from crosspeaks.errors import ParameterError
 from crosspeaks.exactmath import (binomial_ball_size, ceil_fraction,
                                   compare_exp_neg, exp_neg_bounds,
-                                  exp_neg_brackets,
-                                  log2_bounds, simplex_volume)
+                                  exp_neg_brackets, simplex_volume)
 
 
 def test_exp_neg_bounds_bracket_float():
@@ -32,6 +31,16 @@ def test_exp_neg_bounds_edges():
     assert exp_neg_bounds(Fraction(0)) == (1, 1)
     with pytest.raises(ParameterError):
         exp_neg_bounds(Fraction(-1))
+
+
+def test_exp_neg_bounds_refuses_fewer_than_one_term():
+    # zero terms would give (1, 1), a false bracket: e^-x < 1 for x > 0
+    for terms in (0, -3):
+        with pytest.raises(ParameterError):
+            exp_neg_bounds(Fraction(1, 2), terms)
+        with pytest.raises(ParameterError):
+            exp_neg_bounds(Fraction(5, 2), terms)
+    assert exp_neg_bounds(Fraction(1, 2), 1) == (Fraction(1, 2), 1)
 
 
 def test_compare_exp_neg_signs():
@@ -80,15 +89,6 @@ def test_compare_exp_neg_matches_decimal(num, den, digits, mantissa, sign):
         gap = exact - _decimal(value)
         assume(abs(gap) >= decimal.Decimal(10) ** -150)
         assert compare_exp_neg(x, value) == (1 if gap > 0 else -1)
-
-
-def test_log2_bounds_bracket():
-    for y in [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(5, 7),
-              Fraction(1000), Fraction(1, 1000)]:
-        lo, hi = log2_bounds(y)
-        assert lo <= hi
-        assert float(lo) - 1e-12 <= math.log2(float(y)) <= float(hi) + 1e-12
-        assert hi - lo <= Fraction(2, 1 << 10)
 
 
 def test_ceil_fraction():

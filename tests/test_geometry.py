@@ -394,3 +394,6 @@ def test_region_points_lands_in_each_region(rng):
     assert region_points(n, labels[:0], rng).shape == (0, n)
     with pytest.raises(ParameterError):
         region_points(n, np.array([0, outside_label_value(n)]), rng)
+    for shape in ((2, 3), ()):    # a (count, k) matrix or a bare label
+        with pytest.raises(ParameterError):
+            region_points(n, np.zeros(shape, dtype=np.int64), rng)

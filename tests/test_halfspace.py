@@ -181,6 +181,8 @@ def test_direction_set_refuses_unaddressable_counts(rng):
     for count in (1 << 60, 1 << 64):
         with pytest.raises(BudgetExceededError):
             direction_set(3, 2, count, rng)
+    with pytest.raises(ParameterError):
+        direction_set(3, 2, -1, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import decimal
 import functools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, MAX_TRIALS, GameConfig, Ga
                                 RandomGuessLearner,
                                 RESULTS_CSV_COLUMNS, choose_parameters,
                                 consistent_indices, game_result_row,
-                                query_lower_bound,
+                                _least_q_certified, query_lower_bound,
                                 run_game, success_upper_bound,
                                 write_results_csv)
 from crosspeaks.oracles import Transcript, parse_transcript_log
@@ -652,6 +653,75 @@ def test_query_bound_tracks_dimension():
         qb = query_lower_bound(d, F(1, 8))
         ratio = math.log2(max(qb.q_floor, 2)) / qb.asymptotic_log2
         assert 0.25 <= ratio <= 4
+
+
+def _least_q_by_search(n, k, exponent, a, b):
+    # the definition, in integers: least q with (2^n + 1)^(kq) * b >= a * 2^exponent
+    q = 0
+    while ((1 << n) + 1) ** (k * q) * b < a << exponent:
+        q += 1
+    return q
+
+
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(1, 6), k=st.integers(1, 3), exponent=st.integers(0, 48),
+       power=st.integers(0, 16), offset=st.integers(-2, 2), shift=st.integers(-4, 4),
+       den=st.integers(1, 10 ** 12), dyadic=st.booleans())
+def test_least_q_certified_matches_integer_search(n, k, exponent, power, offset, shift,
+                                                  den, dyadic):
+    # dyadic 1 - delta = ((2^n + 1)^power + offset) / 2^(exponent + shift) ties the
+    # target exactly at offset 0, shift 0 and k | power; otherwise any den
+    num = ((1 << n) + 1) ** power + offset
+    if dyadic:
+        den = 1 << max(exponent + shift, 0)
+    assume(0 < num <= den)
+    a, b = Fraction(num, den).as_integer_ratio()
+    assert _least_q_certified(n, k, exponent, a, b) == _least_q_by_search(n, k, exponent, a, b)
+
+
+def test_least_q_certified_decides_exact_ties():
+    for n, k, q in [(1, 1, 1), (1, 3, 4), (2, 2, 3), (3, 1, 5), (5, 2, 2), (64, 1, 1)]:
+        top = ((1 << n) + 1) ** (k * q)
+        exponent = top.bit_length()
+        for num in (top - 1, top, top + 1):
+            a, b = Fraction(num, 1 << exponent).as_integer_ratio()
+            want = q + (num > top)
+            assert _least_q_by_search(n, k, exponent, a, b) == want
+            assert _least_q_certified(n, k, exponent, a, b) == want
+
+
+def _boundary_delta(num, den=1000):
+    # 1 - delta = (num/den) * 2^-1008 puts the d = 1024, eps = 1/8 target
+    # within a factor num/den of where q = 3 * 2^52 - 1 stops reaching it
+    return 1 - F(num, den << 1008)
+
+
+def test_query_bound_certified_at_a_q_step():
+    # 1001/1000 lies under 1 + Ku and 1012/1000 over 1/(1 - Ku), K = 16 q
+    assert query_lower_bound(1024, F(1, 8), _boundary_delta(1001)).q_floor == 13510798882111487
+    assert query_lower_bound(1024, F(1, 8), _boundary_delta(1012)).q_floor == 13510798882111488
+
+
+def test_query_bound_certified_between_the_rational_bounds():
+    # (1 + 2^-64)^K from stdlib decimal at 80 digits, an independent oracle;
+    # 10^-40 either side falls between 1 + Ku and 1/(1 - Ku)
+    big_k = 16 * ((3 << 52) - 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        power = (big_k * (1 + decimal.Decimal(1) / (1 << 64)).ln()).exp()
+    for sign, q_floor in ((-1, 13510798882111487), (1, 13510798882111488)):
+        ratio = F(power) + sign * F(1, 10 ** 40)
+        delta = _boundary_delta(ratio.numerator, ratio.denominator)
+        assert query_lower_bound(1024, F(1, 8), delta).q_floor == q_floor
+
+
+def test_query_bound_long_delta_answers_fast():
+    # a 40 000-bit denominator costs big-integer steps, not powering
+    den = (1 << 40_000) - 3
+    start = time.perf_counter()
+    qb = query_lower_bound(1024, F(1, 8), F(den // 3, den))
+    assert time.perf_counter() - start < 1
+    assert qb.regime == "certified" and qb.q_floor == 13510798882111488
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,13 @@ def test_continuous_random_points_are_members(rng):
         assert continuous_membership(body, x)
 
 
+def test_random_batches_refuse_negative_counts(rng):
+    body = _product((0x0F, 0x33))
+    for batch in (continuous_random_batch, discrete_random_batch):
+        with pytest.raises(ParameterError):
+            batch(body, -1, rng)
+
+
 # ---------------------------------------------------------------------------
 # membership oracle
 
