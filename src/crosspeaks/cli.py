@@ -31,9 +31,11 @@ from .verify import DEFAULT_SEED, run_verification
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        str(value)  # a value the report could not print back, e.g. 1e-5000
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    return value
 
 
 def _natural(text: str) -> int:

@@ -33,11 +33,14 @@ DEFAULT_ENUMERATION_BUDGET = 1 << 24
 DEFAULT_PAIR_BUDGET = 50_000_000
 _WINDOW = 1 << 12  # bitmap words searched at a time for the next free word
 _FLIP_CHUNK = 1 << 20  # bitmap words one XOR-shift pass updates at a time
+_PAIR_BLOCK = 1 << 16  # word pairs the exhaustive distance scan compares at a time
 
 
 def gv_floor(q: int, length: int, min_dist: int) -> int:
     """ceil(q^length / V_q(length, min_dist - 1)): the size any maximal
     min_dist-separated code must reach."""
+    if min_dist < 1:
+        raise ParameterError(f"minimum distance must be >= 1, got {min_dist}")
     ball = binomial_ball_size(q, length, min_dist - 1)
     return -((-(q ** length)) // ball)
 
@@ -66,23 +69,40 @@ def _word_matrix(q: int, length: int, words) -> np.ndarray:
 
 def min_distance_exhaustive(words) -> int:
     """Exact minimum pairwise Hamming distance over all word pairs; more than
-    DEFAULT_PAIR_BUDGET pairs raise BudgetExceededError before the scan."""
+    DEFAULT_PAIR_BUDGET pairs raise BudgetExceededError before the scan.
+
+    Rows i0..i1 are compared with rows i0+1.. as one block of about
+    _PAIR_BLOCK pairs, one column at a time, into integer counts of the
+    narrowest unsigned dtype that holds length + 1; pairs with j <= i are
+    set to length + 1 before the block's minimum is taken.  A distance of 0
+    ends the scan."""
     m = len(words)
     if m < 2:
         raise ParameterError("minimum distance needs at least two words")
     if m * (m - 1) // 2 > DEFAULT_PAIR_BUDGET:
         raise BudgetExceededError(f"{m} words means {m*(m-1)//2} pairs, "
                                   f"over the budget of {DEFAULT_PAIR_BUDGET}")
-    arr = np.asarray(words)
+    try:
+        arr = np.asarray(words)
+    except ValueError as exc:  # ragged rows
+        raise ParameterError("words are not all of one length") from exc
+    if arr.ndim != 2:
+        raise ParameterError(f"words form a {arr.shape} array, not (m, length)")
     if arr.dtype.kind not in "iu":  # symbols past int64 would compare as floats
         raise ParameterError(f"symbols must be integers below 2^63, got {arr.dtype} words")
-    best = arr.shape[1] + 1
-    for i in range(m - 1):
-        d = int(np.count_nonzero(arr[i + 1:] != arr[i], axis=1).min())
-        if d < best:
-            best = d
-            if best == 0:
-                break
+    length = arr.shape[1]
+    columns = np.ascontiguousarray(arr.T)
+    best = length + 1
+    i0 = 0
+    while i0 < m - 1 and best:
+        i1 = min(m - 1, i0 + max(1, _PAIR_BLOCK // (m - 1 - i0)))
+        counts = np.zeros((i1 - i0, m - 1 - i0), dtype=np.min_scalar_type(length + 1))
+        for column in columns:
+            counts += column[i0:i1, None] != column[None, i0 + 1:]
+        # entry (r, c) pairs row i0 + r with row i0 + 1 + c: j <= i where c < r
+        counts[np.arange(m - 1 - i0) < np.arange(i1 - i0)[:, None]] = length + 1
+        best = min(best, int(counts.min()))
+        i0 = i1
     return best
 
 

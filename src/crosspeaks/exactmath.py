@@ -9,6 +9,7 @@ along one policy, the e^-x brackets of exp_neg_brackets.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -77,7 +78,12 @@ def binomial_ball_size(q: int, n: int, r: int) -> int:
 
     Runs in O(r) big-integer steps via the ratio recurrence, so it stays
     usable for n far beyond what per-term math.comb calls would allow.
+    Non-integer q, n or r raise ParameterError.
     """
+    try:
+        q, n, r = operator.index(q), operator.index(n), operator.index(r)
+    except TypeError as exc:
+        raise ParameterError(f"binomial_ball_size needs integers, got {(q, n, r)}") from exc
     if q < 2 or n < 0:
         raise ParameterError("binomial_ball_size requires q >= 2 and n >= 0")
     r = min(r, n)

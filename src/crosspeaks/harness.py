@@ -33,6 +33,7 @@ budget see identical hidden bodies and oracle draw prefixes.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import sys
@@ -427,6 +428,15 @@ def _least_q_certified(n: int, k: int, exponent: int, a: int, b: int) -> int:
     return q
 
 
+@functools.lru_cache(maxsize=None)  # only n with ceil(2^n/8) <= EXACT_TERM_BUDGET reach it
+def _exact_code_floor(n: int) -> int:
+    """ceil(2^m / V_2(m, r)) with m = 2^(n-1) and r = ceil(2^n/8) - 1: the
+    size floor of the inner seed code, computed once per n."""
+    m = 1 << (n - 1)
+    ball = binomial_ball_size(2, m, inner_seed_distance(n) - 1)
+    return ((1 << m) + ball - 1) // ball
+
+
 def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
                       family_size: int | None = None) -> QueryBound:
     """Least q such that (2^n+1)^(kq) >= (1 - delta) * family-size bound:
@@ -463,8 +473,7 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
         radius = inner_seed_distance(n) - 1
         if radius + 1 <= EXACT_TERM_BUDGET:
             regime = "exact"
-            ball = binomial_ball_size(2, m, radius)
-            g = ((1 << m) + ball - 1) // ball
+            g = _exact_code_floor(n)
             q_floor = _least_q(
                 lambda q: (base ** (k * q)) ** 2 * b * b * 4 ** k >= a * a * g ** k)
             bound_log2 = (g.bit_length() - 1 - 2) * (k / 2)

@@ -231,6 +231,27 @@ def test_bounds_rejects_big_epsilon(capsys):
     assert "epsilon" in stderr
 
 
+_TINY = "1/1" + "0" * 5000  # 10^-5000 as a ratio: its denominator alone is 5001 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--d", "64", "--epsilon", "1e-5000"),
+    ("bounds", "--d", "64", "--epsilon", _TINY),
+    ("bounds", "--d", "64", "--epsilon", "1/8", "--delta", "0.5e-5000"),
+    ("bounds", "--d", "64", "--epsilon", "1/8", "--delta", "5" + _TINY[1:] + "0"),
+    ("game", "--manifest", str(FAM32), "--q", "1", "--epsilon", "1e-5000"),
+])
+def test_rationals_past_the_digit_limit_exit_2(capsys, argv):
+    # a value whose str() would exceed int's digit limit is refused as it is
+    # parsed, whether written as a decimal or as a ratio
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a rational number" in err
+    assert "Traceback" not in err
+
+
 @settings(deadline=None, max_examples=30,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(log2_d=st.integers(6, 40), epsilon=st.sampled_from(("1/8", "1/64")))

@@ -44,6 +44,13 @@ def test_gv_floor_examples():
     assert gv_floor(16, 4, 2) == math.ceil(16 ** 4 / binomial_ball_size(16, 4, 1))
 
 
+def test_gv_floor_refuses_distance_below_one():
+    # the ball of radius -1 is empty: the floor would divide by zero
+    for min_dist in (0, -1):
+        with pytest.raises(ParameterError):
+            gv_floor(2, 4, min_dist)
+
+
 # ---------------------------------------------------------------------------
 # greedy construction
 
@@ -73,9 +80,12 @@ def test_greedy_grid_meets_floor_and_certifies():
 
 
 def test_greedy_known_sizes():
-    assert gv_greedy(2, 8, 4).size == 16
-    assert gv_greedy(16, 4, 2).size == 4096
-    assert gv_greedy(4, 8, 4).size == 256
+    # verify's GREEDY_SIZES codes, with distances re-counted by the pair scan
+    want = {(2, 4, 2): (8, 2), (2, 8, 4): (16, 4), (16, 4, 2): (4096, 2), (4, 8, 4): (256, 4)}
+    for (q, length, dist), (size, dmin) in want.items():
+        code = gv_greedy(q, length, dist)
+        assert code.size == size
+        assert min_distance_exhaustive(code.words) == dmin
 
 
 def test_code_words_are_a_read_only_matrix():
@@ -219,6 +229,13 @@ def test_min_distance_needs_two_words():
         min_distance_exhaustive([])
     with pytest.raises(ParameterError):
         min_distance_exhaustive([(0, 1)])
+    # nor words that do not form one (m, length) matrix
+    with pytest.raises(ParameterError):
+        min_distance_exhaustive([1, 2, 3])
+    with pytest.raises(ParameterError):
+        min_distance_exhaustive(np.zeros((3, 2, 2), dtype=np.int64))
+    with pytest.raises(ParameterError):
+        min_distance_exhaustive([(0, 1), (1,)])  # ragged rows
 
 
 def test_min_distance_pair_budget(monkeypatch):
@@ -226,11 +243,48 @@ def test_min_distance_pair_budget(monkeypatch):
     monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 119)
     with pytest.raises(BudgetExceededError):
         min_distance_exhaustive(words)
-    # the budget is checked before the scan: ragged words would fail in it
+    # the budget is checked first: ragged words would be refused after it
     with pytest.raises(BudgetExceededError):
         min_distance_exhaustive(words[:-1] + [(0, 1)])
     monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 120)
     assert min_distance_exhaustive(words) == 1
+
+
+def _min_distance_reference(rows):
+    """All pairs, in pure Python."""
+    return min(sum(a != b for a, b in zip(u, v))
+               for u, v in itertools.combinations(rows, 2))
+
+
+@st.composite
+def _word_sets(draw):
+    # long words with few rows, or many rows of short words: the reference
+    # stays cheap while lengths cross 255 (a wider count dtype) and m reaches 300
+    if draw(st.booleans(), label="long"):
+        m, length = draw(st.integers(2, 12), label="m"), draw(st.integers(250, 300), label="length")
+    else:
+        m, length = draw(st.integers(2, 300), label="m"), draw(st.integers(0, 4), label="length")
+    dtype = draw(st.sampled_from((np.uint16, np.int64)), label="dtype")
+    high = draw(st.sampled_from((2, 3, 1 << 16)), label="alphabet")
+    seed = draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, high, size=(m, length)).astype(dtype)
+    if dtype is np.int64:
+        words[:, ::2] <<= 40  # symbols past 32 bits
+    if draw(st.booleans(), label="duplicate"):  # distance 0
+        i, j = rng.choice(m, size=2, replace=False)
+        words[i] = words[j]
+    return words
+
+
+@settings(deadline=None, max_examples=60)
+@given(words=_word_sets(), block=st.sampled_from((None, 1, 7, 100)))
+def test_min_distance_matches_all_pairs_reference(words, block):
+    want = _min_distance_reference(words.tolist())
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:  # many blocks, and a ragged last one
+            patch.setattr(codes, "_PAIR_BLOCK", block)
+        assert min_distance_exhaustive(words) == want
 
 
 def _span_words(m, length, basis):

@@ -5,6 +5,7 @@ import decimal
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -105,6 +106,14 @@ def test_binomial_ball_size_against_comb():
                 assert binomial_ball_size(q, n, r) == want
     # r beyond n saturates at the whole space
     assert binomial_ball_size(2, 4, 9) == 16
+
+
+def test_binomial_ball_size_refuses_non_integers():
+    for args in ((2, 10.5, 3), (2.0, 10, 3), (2, 10, 3.0), (Fraction(2), 10, 3)):
+        with pytest.raises(ParameterError):
+            binomial_ball_size(*args)
+    # numpy integers are integers
+    assert binomial_ball_size(np.int64(2), np.uint8(10), np.int32(3)) == 176
 
 
 def test_binomial_ball_size_large_length():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crosspeaks import harness
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
 from crosspeaks.codes import certified_code
+from crosspeaks.exactmath import binomial_ball_size
 from crosspeaks.family import build_inner_family, product_family_from_parts
 from crosspeaks.geometry import core_label_value
 from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, MAX_TRIALS, GameConfig, GameStats,
@@ -636,6 +638,24 @@ def test_query_bound_delta_monotone():
     floors = [query_lower_bound(64, F(1, 8), delta).q_floor
               for delta in (F(1, 8), F(1, 4), F(1, 2), F(3, 4), F(7, 8))]
     assert all(a >= b for a, b in zip(floors, floors[1:]))
+
+
+def test_query_bound_computes_the_exact_family_floor_once_per_n(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return binomial_ball_size(*args)
+
+    deltas = (F(0), F(1, 4), F(1, 2))
+    monkeypatch.setattr(harness, "binomial_ball_size", counted)
+    harness._exact_code_floor.cache_clear()
+    cached = [query_lower_bound(64, F(1, 8), delta) for delta in deltas]
+    assert len(calls) == 1
+    for delta, qb in zip(deltas, cached):
+        harness._exact_code_floor.cache_clear()
+        assert query_lower_bound(64, F(1, 8), delta) == qb
+    assert len(calls) == 1 + len(deltas)
 
 
 def test_query_bound_validation():
