@@ -78,7 +78,10 @@ def outside_label_value(n: int) -> int:
 
 
 def label_text(n: int, value: int) -> str:
-    """Transcript form of a label: 'C', 'P<orthant index in hex>', or 'O'."""
+    """Transcript form of a label: 'C', 'P<orthant index in hex>', or 'O'.
+    A value outside [0, 2^n + 1] is a ParameterError."""
+    if not 0 <= value <= outside_label_value(n):
+        raise ParameterError(f"label {value} outside [0, 2^{n} + 1]")
     if value == core_label_value(n):
         return "C"
     if value == outside_label_value(n):
@@ -416,11 +419,14 @@ def region_points(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.nd
     (count, n) float64 points.  Core rows are drawn first, then the peak rows
     in orthant order (row order within an orthant).  A peak point has
     uniform barycentric weights over the n facet vertices s_i e_i and the
-    apex s/(n-1) of its orthant s."""
+    apex s/(n-1) of its orthant s.  Non-empty labels of a non-integer dtype,
+    bool included, are a ParameterError."""
     labels = np.asarray(labels)
     core = core_label_value(n)
-    if labels.ndim != 1 or len(labels) and not 0 <= labels.min() <= labels.max() <= core:
-        raise ParameterError("labels must be a (count,) array of peak orthant indices or the core")
+    if labels.ndim != 1 or len(labels) and (
+            labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() <= core):
+        raise ParameterError("labels must be a (count,) integer array of peak orthant "
+                             "indices or the core")
     points = np.empty((len(labels), n), dtype=np.float64)
     core_rows = labels == core
     n_core = int(core_rows.sum())

@@ -14,7 +14,12 @@ The fan-out bound: q queries can split the family into at most
 (2^n + 1)^(kq) / family_size.  choose_parameters and query_lower_bound
 instantiate the bound for a target dimension d = kn, using exact
 big-integer code-size floors where they are computable and certified
-power-of-two floors beyond that.
+power-of-two floors beyond that.  Every floor, explicit, exact or certified,
+becomes one exact target (a/b) * 2^E, and one search decides the least q for
+all three: start at a q the bit lengths prove sufficient and step down while
+q - 1 still reaches the target.  A step whose power is no longer than the
+target's integers (every explicit and exact step) is an integer comparison;
+a longer one (the certified regime) is decided on the e^(-x) brackets.
 
 Randomness: every run derives independent per-trial streams from the master
 seed.  Stream i of trial t (0 hidden draw, 1 oracle, 2 learner) is
@@ -36,6 +41,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +57,16 @@ from .oracles import Transcript, answer_space_size, discrete_membership
 # caps and budgets, read at call time
 MAX_LABELS_PER_TRIAL = 1 << 20  # region labels one game trial may draw (budget x k)
 MAX_TRIALS = 1 << 20            # trials one game may play
-QUERY_SEARCH_CAP = 1 << 40      # largest q the query-bound search tries
 EXACT_TERM_BUDGET = 1 << 14     # ball-sum terms the exact family-size floor may take
+
+
+def _count(value, what: str) -> int:
+    """value as a Python int, numpy's integers included; anything that is not
+    an integer (a float, a Fraction) is a ParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, not {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +77,7 @@ class OracleSession:
     recorded on the transcript."""
 
     def __init__(self, body: ProductBody, budget: int, rng: np.random.Generator):
+        budget = _count(budget, "query budget")
         if budget < 0:
             raise ParameterError("query budget must be >= 0")
         self._body = body
@@ -202,6 +217,10 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        for name in ("query_budget", "trials", "seed"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         if self.query_budget < 0:
             raise ParameterError("query budget must be >= 0")
         if self.trials < 1:
@@ -381,34 +400,18 @@ class QueryBound:
     asymptotic_log2: float       # sqrt(d / ln(1/(1-2 eps))), for context
 
 
-def _least_q(satisfies) -> int:
-    if satisfies(0):
-        return 0
-    hi = 1
-    while not satisfies(hi):
-        hi *= 2
-        if hi > QUERY_SEARCH_CAP:
-            raise BudgetExceededError("query bound search exceeded its cap")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if satisfies(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _reaches(n: int, power: int, exponent: int, a: int, b: int) -> bool:
-    """(2^n + 1)^power >= (a/b) * 2^exponent, decided exactly as
-    (1 + u)^K >= r with u = 2^-n, K = power and r = (a/b) * 2^(exponent - nK)."""
+    """(2^n + 1)^power >= (a/b) * 2^exponent for exponent >= 0, decided exactly
+    as (1 + u)^K >= r with u = 2^-n, K = power and r = (a/b) * 2^(exponent - nK)."""
+    # a tie b (2^n + 1)^K = a 2^E makes the odd (2^n + 1)^K > 2^(nK) divide a,
+    # so every tie, like any power no longer than a and b, is settled in integers
+    if n * power < a.bit_length() + b.bit_length():
+        return b * ((1 << n) + 1) ** power >= a << exponent
     shift = exponent - n * power
     r = Fraction(a << max(shift, 0), b << max(-shift, 0))
     x = Fraction(power, 1 << n)
     if r <= 1 + x or x < 1 and r * (1 - x) > 1:   # 1 + Ku <= (1 + u)^K <= 1/(1 - Ku)
         return r <= 1 + x
-    if b & (b - 1) == 0 and b.bit_length() == exponent + 1:
-        return ((1 << n) + 1) ** power >= a        # b = 2^exponent: the one way to tie
     # no tie: partial sums of ln(1 + u), above it at odd i, settle the side
     total = Fraction(0)
     for i in itertools.count(1):
@@ -418,7 +421,7 @@ def _reaches(n: int, power: int, exponent: int, a: int, b: int) -> bool:
             return sign < 0
 
 
-def _least_q_certified(n: int, k: int, exponent: int, a: int, b: int) -> int:
+def _least_q(n: int, k: int, exponent: int, a: int, b: int) -> int:
     """Least q with (2^n + 1)^(kq) >= (a/b) * 2^exponent.  The bit lengths of
     a and b prove some q sufficient, as (2^n + 1)^(kq) > 2^(nkq) for q > 0;
     step down while q - 1 still reaches the target."""
@@ -449,6 +452,8 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
     EXACT_TERM_BUDGET terms; else the certified floor 2^((3m/16 - 2) k / 2)
     from the entropy bound V_2(m, r) <= 2^(13m/16) for r <= m/4.  A floor
     whose log2 is no float raises BudgetExceededError before 2^n is built.
+    Whichever floor applies, (1 - delta) times it is one exact target and
+    q_floor comes from the one step-down search, _least_q.
     """
     choice = choose_parameters(d, epsilon)
     n, k = choice.n, choice.k
@@ -459,14 +464,13 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
     if family_size is None and n - 6 + math.log2(3 * k) > sys.float_info.max_exp:
         raise BudgetExceededError(
             f"the family-size floor for n={n}, k={k} has a log2 past a float's range")
-    base = (1 << n) + 1
-    a, b = (1 - delta).as_integer_ratio()
-
+    target, exponent = 1 - delta, 0   # every regime asks (2^n+1)^(kq) >= target * 2^exponent
     if family_size is not None:
+        family_size = _count(family_size, "family_size")   # numpy ints too
         if family_size < 1:
             raise ParameterError("family_size must be positive")
         regime = "explicit"
-        q_floor = _least_q(lambda q: b * base ** (k * q) >= a * family_size)
+        target *= family_size
         bound_log2 = math.log2(family_size)
     else:
         m = 1 << (n - 1)
@@ -474,16 +478,15 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
         if radius + 1 <= EXACT_TERM_BUDGET:
             regime = "exact"
             g = _exact_code_floor(n)
-            q_floor = _least_q(
-                lambda q: (base ** (k * q)) ** 2 * b * b * 4 ** k >= a * a * g ** k)
+            target *= Fraction(g ** (k // 2), 1 << k)   # (g/4)^(k/2), k a power of two >= 4
             bound_log2 = (g.bit_length() - 1 - 2) * (k / 2)
         else:
             if 4 * radius > m:
                 raise ParameterError("entropy certificate needs r <= m/4")
             regime = "certified"
             exponent = ((3 * m) // 16 - 2) * k // 2
-            q_floor = _least_q_certified(n, k, exponent, a, b)
             bound_log2 = float(exponent)
+    q_floor = _least_q(n, k, exponent, target.numerator, target.denominator)
 
     return QueryBound(d=d, epsilon=choice.epsilon, delta=delta, n=n, k=k,
                       q_floor=q_floor, regime=regime,

@@ -167,6 +167,13 @@ def test_label_text_forms():
     assert outside_label_value(3) == 9
 
 
+def test_label_text_refuses_values_outside_the_labels():
+    assert label_text(3, 0) == "P0"
+    for value in (-1, outside_label_value(3) + 1, 100):   # 100 printed 'P64'
+        with pytest.raises(ParameterError):
+            label_text(3, value)
+
+
 # ---------------------------------------------------------------------------
 # membership and the facet-oracle cross-check
 
@@ -397,3 +404,9 @@ def test_region_points_lands_in_each_region(rng):
     for shape in ((2, 3), ()):    # a (count, k) matrix or a bare label
         with pytest.raises(ParameterError):
             region_points(n, np.zeros(shape, dtype=np.int64), rng)
+    # float labels died in numpy's cast; bool labels were read as orthants 0 and 1
+    for bad in (labels[:3].astype(np.float64), np.array([True]), np.array([False, True])):
+        with pytest.raises(ParameterError):
+            region_points(n, bad, rng)
+    assert region_points(n, np.array([]), rng).shape == (0, n)
+    assert region_points(n, labels[:3].astype(np.uint8), rng).shape == (3, n)

@@ -21,7 +21,7 @@ from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, MAX_TRIALS, GameConfig, Ga
                                 RandomGuessLearner,
                                 RESULTS_CSV_COLUMNS, choose_parameters,
                                 consistent_indices, game_result_row,
-                                _least_q_certified, query_lower_bound,
+                                _least_q, query_lower_bound,
                                 run_game, success_upper_bound,
                                 write_results_csv)
 from crosspeaks.oracles import Transcript, parse_transcript_log
@@ -365,6 +365,19 @@ def test_game_config_validation(family_34):
     with pytest.raises(ParameterError):
         GameConfig(family=family_34, query_budget=0, epsilon=F(1, 16),
                    trials=1, seed=0)
+    # counts are integers, checked at construction, not when a trial runs
+    for bad in (dict(seed=-1), dict(query_budget=1.5), dict(trials=2.5), dict(seed=1.5),
+                dict(seed=F(3))):
+        args = dict(family=family_34, query_budget=0, epsilon=F(1, 64), trials=1, seed=0)
+        with pytest.raises(ParameterError):
+            GameConfig(**{**args, **bad})
+    config = GameConfig(family=family_34, query_budget=np.int64(2), epsilon=F(1, 64),
+                        trials=np.uint8(3), seed=np.int32(5))
+    assert [type(v) for v in (config.query_budget, config.trials, config.seed)] == [int] * 3
+    assert run_game(config, MLConsistencyLearner("random")).trials == 3
+    with pytest.raises(ParameterError):
+        OracleSession(family_34.body(0), 1.5, np.random.default_rng(0))
+    assert OracleSession(family_34.body(0), np.int64(1), np.random.default_rng(0)).remaining == 1
 
 
 def test_game_config_caps_labels_per_trial(family_34):
@@ -588,7 +601,10 @@ def test_choose_parameters_matches_decimal(log2_d, near, step, offset, sign, num
     else:
         epsilon = F(8, d) + (F(1, 8) - F(8, d)) * F(num, 10**6)
     assume(F(8, d) <= epsilon <= F(1, 8))
-    assert choose_parameters(d, epsilon).n == _least_power_of_two_n(d, epsilon)
+    choice = choose_parameters(d, epsilon)
+    assert choice.n == _least_power_of_two_n(d, epsilon)
+    # query_lower_bound's exact regime takes (g/4)^(k/2) = g^(k/2) / 2^k
+    assert choice.k >= 4 and choice.k & (choice.k - 1) == 0
 
 
 def test_choose_parameters_tiny_epsilon():
@@ -632,6 +648,69 @@ def test_query_bound_explicit_family():
     assert qb.regime == "explicit"
     assert qb.q_floor == 1
     assert query_lower_bound(64, F(1, 8), family_size=1).q_floor == 0
+    assert query_lower_bound(64, F(1, 8), family_size=np.int64(1075)).q_floor == 1
+    # (1/2) * 2 * 65537^4 = (2^16 + 1)^(k * 1) exactly: q = 1 reaches it
+    tie = 2 * 65537 ** 4
+    for size, q_floor in ((tie - 1, 1), (tie, 1), (tie + 1, 2)):
+        assert query_lower_bound(64, F(1, 8), F(1, 2), family_size=size).q_floor == q_floor
+    # a near tie, (1/3) F = (2^16 + 1)^64 + 1/3, is an integer comparison, not a series
+    start = time.perf_counter()
+    assert query_lower_bound(64, F(1, 8), F(2, 3), family_size=3 * 65537 ** 64 + 1).q_floor == 17
+    assert time.perf_counter() - start < 1
+
+
+def _least_q_explicit_by_search(n, k, a, b, family_size):
+    # the definition, in integers: least q with b * (2^n + 1)^(kq) >= a * F
+    q, power, step = 0, 1, ((1 << n) + 1) ** k
+    while b * power < a * family_size:
+        q, power = q + 1, power * step
+    return q
+
+
+@settings(deadline=None, max_examples=150)
+@given(d=st.sampled_from((64, 256, 1024)), bits=st.integers(0, 4000),
+       low=st.integers(0, 2 ** 64), num=st.integers(1, 10 ** 9), den=st.integers(1, 10 ** 9),
+       tie=st.integers(0, 60), offset=st.integers(-1, 1), exact_tie=st.booleans())
+def test_query_bound_explicit_matches_integer_search(d, bits, low, num, den, tie, offset,
+                                                     exact_tie):
+    choice = choose_parameters(d, F(1, 8))
+    n, k = choice.n, choice.k
+    if exact_tie:
+        # 1 - delta = 1/den and F = den * (2^n + 1)^(k * tie) + offset: a tie at offset 0
+        num, size = 1, den * ((1 << n) + 1) ** (k * tie) + offset
+    else:
+        size = (1 << bits) + low
+    assume(num <= den and size >= 1)
+    delta = 1 - F(num, den)
+    qb = query_lower_bound(d, F(1, 8), delta, family_size=size)
+    a, b = (1 - delta).as_integer_ratio()
+    assert qb.regime == "explicit"
+    assert qb.q_floor == _least_q_explicit_by_search(n, k, a, b, size)
+
+
+@functools.cache
+def _inner_code_floor(n):
+    # ceil(2^m / V_2(m, r)), m = 2^(n-1), r = 2^n/8 - 1
+    m = 1 << (n - 1)
+    return -(-(1 << m) // binomial_ball_size(2, m, (1 << n) // 8 - 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(num=st.integers(1, 2 ** 80), den=st.integers(1, 2 ** 80), dyadic=st.booleans())
+def test_query_bound_exact_matches_squared_predicate(num, den, dyadic):
+    # only (d, eps) = (64, 1/8) reaches the exact regime; the reference is the
+    # squared integer predicate (base^(kq))^2 b^2 4^k >= a^2 g^k
+    if dyadic:
+        den = 1 << den.bit_length()
+    assume(num <= den)
+    n, k = 16, 4
+    a, b = F(num, den).as_integer_ratio()
+    rhs = a * a * _inner_code_floor(n) ** k
+    q, power, step = 0, 1, ((1 << n) + 1) ** k
+    while power ** 2 * b * b * 4 ** k < rhs:
+        q, power = q + 1, power * step
+    qb = query_lower_bound(64, F(1, 8), 1 - F(num, den))
+    assert (qb.regime, qb.q_floor) == ("exact", q)
 
 
 def test_query_bound_delta_monotone():
@@ -665,6 +744,9 @@ def test_query_bound_validation():
         query_lower_bound(64, F(1, 8), F(-1, 2))
     with pytest.raises(ParameterError):
         query_lower_bound(64, F(1, 8), family_size=0)
+    for size in (10.5, F(3, 2), F(4), 1075.0):   # 10.5 gave q_floor 1, 3/2 gave 0
+        with pytest.raises(ParameterError):
+            query_lower_bound(64, F(1, 8), family_size=size)
 
 
 def test_query_bound_tracks_dimension():
@@ -696,7 +778,7 @@ def test_least_q_certified_matches_integer_search(n, k, exponent, power, offset,
         den = 1 << max(exponent + shift, 0)
     assume(0 < num <= den)
     a, b = Fraction(num, den).as_integer_ratio()
-    assert _least_q_certified(n, k, exponent, a, b) == _least_q_by_search(n, k, exponent, a, b)
+    assert _least_q(n, k, exponent, a, b) == _least_q_by_search(n, k, exponent, a, b)
 
 
 def test_least_q_certified_decides_exact_ties():
@@ -707,7 +789,7 @@ def test_least_q_certified_decides_exact_ties():
             a, b = Fraction(num, 1 << exponent).as_integer_ratio()
             want = q + (num > top)
             assert _least_q_by_search(n, k, exponent, a, b) == want
-            assert _least_q_certified(n, k, exponent, a, b) == want
+            assert _least_q(n, k, exponent, a, b) == want
 
 
 def _boundary_delta(num, den=1000):
