@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError, VerificationError
+from .errors import BudgetExceededError, ParameterError, VerificationError, require_int
 from .exactmath import binomial_ball_size
 
 # budgets, read at call time: words a greedy scan enumerates, pairs a certificate compares
@@ -39,9 +39,8 @@ _PAIR_BLOCK = 1 << 16  # word pairs the exhaustive distance scan compares at a t
 def gv_floor(q: int, length: int, min_dist: int) -> int:
     """ceil(q^length / V_q(length, min_dist - 1)): the size any maximal
     min_dist-separated code must reach."""
-    if min_dist < 1:
-        raise ParameterError(f"minimum distance must be >= 1, got {min_dist}")
-    ball = binomial_ball_size(q, length, min_dist - 1)
+    q, length = require_int(q, "alphabet size", 2), require_int(length, "length", 0)
+    ball = binomial_ball_size(q, length, require_int(min_dist, "minimum distance", 1) - 1)
     return -((-(q ** length)) // ball)
 
 
@@ -152,8 +151,7 @@ def certified_code(q: int, length: int, words) -> Code:
     nonzero weight when the words are XOR-closed, else min_distance_exhaustive
     (which raises ParameterError for fewer than two words and
     BudgetExceededError past the pair budget)."""
-    if q < 2:
-        raise ParameterError("alphabet size must be >= 2")
+    q, length = require_int(q, "alphabet size", 2), require_int(length, "length")
     words = _word_matrix(q, length, words)
     dmin = closure_distance(q, words)
     if dmin is None:
@@ -210,8 +208,10 @@ def gv_greedy(q: int, length: int, min_dist: int) -> Code:
     so does the pair budget when q is not a power of two and the floor's
     pairs exceed it.
     """
-    if q < 2 or length < 1 or not 1 <= min_dist <= length:
-        raise ParameterError(f"bad greedy-code parameters q={q} len={length} d={min_dist}")
+    q, length = require_int(q, "alphabet size", 2), require_int(length, "length", 1)
+    min_dist = require_int(min_dist, "minimum distance", 1)
+    if min_dist > length:
+        raise ParameterError(f"minimum distance {min_dist} over the length {length}")
     total = q ** length
     if total > DEFAULT_ENUMERATION_BUDGET:
         raise BudgetExceededError(

@@ -6,6 +6,7 @@ verification failures exit 3, blown resource budgets exit 4.
 
 from __future__ import annotations
 
+import operator
 import sys
 
 
@@ -25,13 +26,25 @@ class BudgetExceededError(CrosspeaksError):
     """A computation would exceed a configured resource budget."""
 
 
-def require_addressable(count: int, width: int, what: str) -> None:
-    """Refuse a negative count as a ParameterError, and a (count, width)
-    array of 8-byte items past the sys.maxsize bytes numpy can address, where
-    numpy raises a bare ValueError; smaller requests that do not fit raise
-    MemoryError, mapped to the same exit."""
-    if count < 0:
-        raise ParameterError(f"{what}: count {count} must be >= 0")
+def require_int(value, what: str, low: int | None = None) -> int:
+    """value as a Python int, numpy's integers included.  A non-integer (a
+    float, a Fraction) is a ParameterError, and so is a value under low."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, not {value!r}") from None
+    if low is not None and value < low:
+        raise ParameterError(f"need {what} >= {low}, got {value}")
+    return value
+
+
+def require_addressable(count, width: int, what: str) -> int:
+    """count through require_int, at least 0, refused as a BudgetExceededError
+    when a (count, width) array of 8-byte items passes the sys.maxsize bytes
+    numpy can address, where numpy raises a bare ValueError; smaller requests
+    that do not fit raise MemoryError, mapped to the same exit."""
+    count = require_int(count, f"{what} count", 0)
     if count * width * 8 > sys.maxsize:
         raise BudgetExceededError(
             f"{what}: a {count} x {width} array is too large to allocate")
+    return count

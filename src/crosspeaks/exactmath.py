@@ -9,10 +9,9 @@ along one policy, the e^-x brackets of exp_neg_brackets.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 
 
 def exp_neg_bounds(x: Fraction, terms: int = 32) -> tuple[Fraction, Fraction]:
@@ -22,9 +21,9 @@ def exp_neg_bounds(x: Fraction, terms: int = 32) -> tuple[Fraction, Fraction]:
     once the term magnitudes decrease; x > 1 is reduced by squaring
     e^-x = (e^-(x/2))^2.
     """
-    x = Fraction(x)
-    if x < 0 or terms < 1:
-        raise ParameterError("exp_neg_bounds requires x >= 0 and terms >= 1")
+    x, terms = Fraction(x), require_int(terms, "terms", 1)
+    if x < 0:
+        raise ParameterError("exp_neg_bounds requires x >= 0")
     if x == 0:
         one = Fraction(1)
         return one, one
@@ -78,15 +77,10 @@ def binomial_ball_size(q: int, n: int, r: int) -> int:
 
     Runs in O(r) big-integer steps via the ratio recurrence, so it stays
     usable for n far beyond what per-term math.comb calls would allow.
-    Non-integer q, n or r raise ParameterError.
+    Non-integer q, n or r, q < 2 and n < 0 raise ParameterError.
     """
-    try:
-        q, n, r = operator.index(q), operator.index(n), operator.index(r)
-    except TypeError as exc:
-        raise ParameterError(f"binomial_ball_size needs integers, got {(q, n, r)}") from exc
-    if q < 2 or n < 0:
-        raise ParameterError("binomial_ball_size requires q >= 2 and n >= 0")
-    r = min(r, n)
+    q, n = require_int(q, "alphabet size", 2), require_int(n, "length", 0)
+    r = min(require_int(r, "radius"), n)
     if r < 0:
         return 0
     term = 1  # C(n, 0) (q-1)^0

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import codes as codes_mod
 from .codes import Code, certified_code
-from .errors import BudgetExceededError, ParameterError, VerificationError
+from .errors import BudgetExceededError, ParameterError, VerificationError, require_int
 from .exactmath import compare_exp_neg, exp_neg_bounds, exp_neg_brackets
 from .geometry import InnerBody, core_weight, inner_volume, make_geometry
 
@@ -82,8 +82,7 @@ def inner_family_from_code(n: int, code: Code) -> InnerFamily:
     """Wrap a binary code as an inner family, validating the family invariants."""
     if code.alphabet_size != 2:
         raise ParameterError(f"inner code must be binary, got q={code.alphabet_size}")
-    if n < 2:
-        raise ParameterError("inner families need n >= 2")
+    n = require_int(n, "n", 2)
     if n > MAX_MASK_BITS.bit_length() - 1:  # decided before 2^n is formed: n may be 10^12
         raise ParameterError(
             f"n={n} needs {1 << n if n < 64 else f'2^{n}'}-bit peak masks; at most "
@@ -115,8 +114,7 @@ def outer_distance_floor(k: int) -> int:
 
 def build_inner_family(n: int) -> InnerFamily:
     """Greedy seed code over length 2^(n-1), complement-extended."""
-    if n < 2:
-        raise ParameterError("inner families need n >= 2")
+    n = require_int(n, "n", 2)
     if n > DEFAULT_MAX_N:
         raise BudgetExceededError(f"n={n} over the construction cap {DEFAULT_MAX_N}")
     seed = codes_mod.gv_greedy(2, 1 << (n - 1), inner_seed_distance(n))
@@ -188,6 +186,7 @@ class ProductFamily:
         return self.outer.size
 
     def body(self, index: int) -> ProductBody:
+        index = require_int(index, "body index")
         if not 0 <= index < self.size:
             raise ParameterError(f"body index {index} out of range [0, {self.size})")
         word = self.outer.words[index].tolist()
@@ -218,6 +217,7 @@ class ProductFamily:
             raise ParameterError(f"need one (care, want) pair per factor, k={self.k}")
         care_bits = want_bits = 0
         for j, (c, w) in enumerate(zip(care, want)):
+            c, w = require_int(c, "care mask"), require_int(w, "want mask")
             if not 0 <= c < 1 << width or w & ~c:
                 raise ParameterError(f"factor {j}: want {w} is no {width}-bit subset of care {c}")
             care_bits |= c << j * width
@@ -248,8 +248,7 @@ def product_family_from_parts(inner: InnerFamily, outer: Code) -> ProductFamily:
 def build_product_family(n: int, k: int) -> ProductFamily:
     """The inner family at n under the greedy outer code of length k and
     distance ceil(k/2); product_family_from_parts takes any other outer code."""
-    if k < 1:
-        raise ParameterError("product families need k >= 1")
+    k = require_int(k, "k", 1)
     if k > DEFAULT_MAX_K:
         raise BudgetExceededError(f"k={k} over the construction cap {DEFAULT_MAX_K}")
     inner = build_inner_family(n)

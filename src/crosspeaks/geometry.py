@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from .errors import ParameterError, require_addressable
+from .errors import ParameterError, require_addressable, require_int
 
 # membership_q_oracle enumerates n * 2^(n-1) halfspaces; cap the blowup.
 MAX_Q_ORACLE_DIM = 12
@@ -43,6 +42,7 @@ MAX_Q_ORACLE_DIM = 12
 
 def index_to_signs(n: int, index: int) -> tuple[int, ...]:
     """Decode an orthant index back to its {-1,+1} sign vector."""
+    index = require_int(index, "orthant index")
     if not 0 <= index < (1 << n):
         raise ParameterError(f"orthant index {index} out of range for n={n}")
     return tuple(1 if (index >> i) & 1 else -1 for i in range(n))
@@ -56,8 +56,8 @@ class OrthantSign:
     index: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError("OrthantSign needs n >= 1")
+        object.__setattr__(self, "n", require_int(self.n, "n", 1))
+        object.__setattr__(self, "index", require_int(self.index, "orthant index"))
         if not 0 <= self.index < (1 << self.n):
             raise ParameterError(
                 f"orthant index {self.index} out of range for n={self.n}")
@@ -79,7 +79,8 @@ def outside_label_value(n: int) -> int:
 
 def label_text(n: int, value: int) -> str:
     """Transcript form of a label: 'C', 'P<orthant index in hex>', or 'O'.
-    A value outside [0, 2^n + 1] is a ParameterError."""
+    A non-integer value, or one outside [0, 2^n + 1], is a ParameterError."""
+    value = require_int(value, "label")
     if not 0 <= value <= outside_label_value(n):
         raise ParameterError(f"label {value} outside [0, 2^{n} + 1]")
     if value == core_label_value(n):
@@ -108,8 +109,7 @@ class GeometryParams:
 
 
 def make_geometry(n: int) -> GeometryParams:
-    if n < 2:
-        raise ParameterError("peaks need n >= 2 (alpha = n/(n-1) degenerates at n=1)")
+    n = require_int(n, "n", 2)   # alpha = n/(n-1) degenerates at n = 1
     core = Fraction(2 ** n, factorial(n))
     return GeometryParams(
         n=n,
@@ -144,9 +144,8 @@ class InnerBody:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ParameterError("InnerBody needs n >= 2")
-        object.__setattr__(self, "mask", operator.index(self.mask))
+        object.__setattr__(self, "n", require_int(self.n, "n", 2))
+        object.__setattr__(self, "mask", require_int(self.mask, "peak mask"))
         if self.mask < 0 or self.mask.bit_length() > 1 << self.n:
             raise ParameterError(f"peak mask {self.mask:#x} out of range for n={self.n}")
 
@@ -276,6 +275,7 @@ def _orthant_indices(points: np.ndarray) -> np.ndarray:
 def _classify_rows(n: int, points: np.ndarray, one) -> np.ndarray:
     """classify_point over the rows of `points`, with `one` the unit (1.0 for
     float points, the scale for integer-scaled points)."""
+    n = require_int(n, "n")
     if points.ndim != 2 or points.shape[1] != n:
         raise ParameterError("points must be a (count, n) array")
     if n >= 63:
@@ -360,7 +360,7 @@ def sample_region_label_rows(bodies, count: int, rng: np.random.Generator) -> np
     n = bodies[0].n
     if any(b.n != n for b in bodies):
         raise ParameterError("all bodies must share the same dimension")
-    require_addressable(count, len(bodies), "region labels")
+    count = require_addressable(count, len(bodies), "region labels")
     r = core_weight(n)
     counts = [b.peak_count for b in bodies]
     high = r + counts[0] if counts.count(counts[0]) == len(counts) else r + np.array(counts)

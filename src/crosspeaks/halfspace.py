@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, VerificationError, require_addressable
+from .errors import ParameterError, VerificationError, require_addressable, require_int
 from .family import ProductBody, ProductFamily, exact_distance, separation_holds
 from .geometry import orthant_signs
 from .oracles import continuous_random_batch
@@ -107,8 +107,8 @@ def noise_floor(samples: int, directions: int) -> float:
     """Threshold the max-over-directions KS statistic of two same-law
     samples exceeds with probability <= NOISE_FLOOR_P_FAIL (DKW plus a union
     bound over both samples and all directions)."""
-    if samples < 1 or directions < 1:
-        raise ParameterError("need samples >= 1 and directions >= 1")
+    samples = require_int(samples, "samples", 1)
+    directions = require_int(directions, "directions", 1)
     return math.sqrt(2.0 * math.log(4.0 * directions / NOISE_FLOOR_P_FAIL) / samples)
 
 
@@ -117,8 +117,7 @@ def direction_set(n: int, k: int, random_count: int,
     """(D, n*k) matrix of unit probe directions and their labels: all d
     axes, all k * 2^n per-factor orthant diagonals, then random_count
     uniform unit vectors."""
-    if random_count < 0:
-        raise ParameterError("random_count must be >= 0")
+    random_count = require_int(random_count, "random_count", 0)
     d, orthants = n * k, 1 << n
     structured = d + k * orthants
     require_addressable(structured + random_count, d, "probe directions")
@@ -163,10 +162,8 @@ def halfspace_discrepancy(a: ProductBody, b: ProductBody, dirs: int,
         raise ParameterError("bodies live in different spaces")
     if a.volume() != b.volume():
         raise ParameterError("halfspace comparison expects equal-volume bodies")
-    if dirs < 1:
-        raise ParameterError("need at least one random direction")
-    if samples < MIN_SAMPLES:
-        raise ParameterError(f"need samples >= {MIN_SAMPLES} per body")
+    dirs = require_int(dirs, "random directions", 1)
+    samples = require_int(samples, "samples per body", MIN_SAMPLES)
     rng = np.random.default_rng(rng)  # a Generator comes back unchanged
     # one shared base seed; everything below is keyed off it so that the
     # result depends on (base, {a, b}) as a set, not on argument order
@@ -233,7 +230,7 @@ def _pair_list(family: ProductFamily, pairs, rng: np.random.Generator):
     except TypeError:
         count = None
     if count is None:
-        out = [(int(i), int(j)) for i, j in pairs]
+        out = [(require_int(i, "pair index"), require_int(j, "pair index")) for i, j in pairs]
         for i, j in out:
             if not (0 <= i < size and 0 <= j < size and i != j):
                 raise ParameterError(f"bad pair ({i}, {j}) for family of {size}")

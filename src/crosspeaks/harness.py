@@ -41,15 +41,15 @@ import csv
 import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError, VerificationError
-from .exactmath import binomial_ball_size, ceil_fraction, compare_exp_neg
+from .codes import gv_floor
+from .errors import BudgetExceededError, ParameterError, VerificationError, require_int
+from .exactmath import ceil_fraction, compare_exp_neg
 from .family import ProductBody, ProductFamily, inner_seed_distance, separation_holds
 from .geometry import core_label_value, sample_region_label_rows
 from .oracles import Transcript, answer_space_size, discrete_membership
@@ -60,15 +60,6 @@ MAX_TRIALS = 1 << 20            # trials one game may play
 EXACT_TERM_BUDGET = 1 << 14     # ball-sum terms the exact family-size floor may take
 
 
-def _count(value, what: str) -> int:
-    """value as a Python int, numpy's integers included; anything that is not
-    an integer (a float, a Fraction) is a ParameterError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, not {value!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # oracle sessions and consistency filtering
 
@@ -77,11 +68,8 @@ class OracleSession:
     recorded on the transcript."""
 
     def __init__(self, body: ProductBody, budget: int, rng: np.random.Generator):
-        budget = _count(budget, "query budget")
-        if budget < 0:
-            raise ParameterError("query budget must be >= 0")
         self._body = body
-        self.budget = budget
+        self.budget = require_int(budget, "query budget", 0)
         self._rng = rng
         self.transcript = Transcript(body.n)
 
@@ -97,8 +85,7 @@ class OracleSession:
         """`count` random-oracle queries as one (count, k) label draw, taken
         query by query and recorded one transcript entry per row.  A batch
         that would overrun the budget is refused before anything is drawn."""
-        if count < 0:
-            raise ParameterError("random query count must be >= 0")
+        count = require_int(count, "random query count", 0)
         self._spend(count)
         labels = sample_region_label_rows(self._body.factors, count, self._rng)
         self.transcript.record_random_rows(labels)
@@ -106,7 +93,7 @@ class OracleSession:
 
     def membership(self, indices) -> tuple[bool, ...]:
         self._spend()
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(require_int(i, "peak index") for i in indices)
         answers = discrete_membership(self._body, indices)
         self.transcript.record_membership(indices, answers)
         return answers
@@ -217,14 +204,8 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        for name in ("query_budget", "trials", "seed"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
-        if self.query_budget < 0:
-            raise ParameterError("query budget must be >= 0")
-        if self.trials < 1:
-            raise ParameterError("need at least one trial")
+        for name, low in (("query_budget", 0), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, low))
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be positive")
         if not separation_holds(self.family.n, self.family.k, self.epsilon):
@@ -328,8 +309,7 @@ def success_upper_bound(n: int, k: int, q: int, family_size: int,
     2*epsilon < 1 - e^(-k/(16n)) (each answer tuple commits to at most one
     body), which is decided exactly and refused when unmet.
     """
-    if q < 0 or family_size < 1:
-        raise ParameterError("need q >= 0 and a non-empty family")
+    q, family_size = require_int(q, "q", 0), require_int(family_size, "family_size", 1)
     if not separation_holds(n, k, Fraction(epsilon)):
         raise ParameterError(
             "success_upper_bound needs 2*epsilon below the separation floor")
@@ -362,8 +342,8 @@ def choose_parameters(d: int, epsilon) -> ParameterChoice:
     condition 2 eps < 1 - e^(-k/(16n)) generally does NOT hold (it would
     need n about 4x smaller), so it is reported, not asserted.
     """
-    epsilon = Fraction(epsilon)
-    if d < 1 or d & (d - 1):
+    d, epsilon = require_int(d, "d", 1), Fraction(epsilon)
+    if d & (d - 1):
         raise ParameterError(f"d={d} must be a power of two")
     if not Fraction(8, d) <= epsilon <= Fraction(1, 8):
         raise ParameterError(f"epsilon={epsilon} outside [8/d, 1/8] for d={d}")
@@ -433,11 +413,8 @@ def _least_q(n: int, k: int, exponent: int, a: int, b: int) -> int:
 
 @functools.lru_cache(maxsize=None)  # only n with ceil(2^n/8) <= EXACT_TERM_BUDGET reach it
 def _exact_code_floor(n: int) -> int:
-    """ceil(2^m / V_2(m, r)) with m = 2^(n-1) and r = ceil(2^n/8) - 1: the
-    size floor of the inner seed code, computed once per n."""
-    m = 1 << (n - 1)
-    ball = binomial_ball_size(2, m, inner_seed_distance(n) - 1)
-    return ((1 << m) + ball - 1) // ball
+    """The size floor of the inner seed code, computed once per n."""
+    return gv_floor(2, 1 << (n - 1), inner_seed_distance(n))
 
 
 def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
@@ -450,8 +427,9 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
     supplied size; the exact big-integer floor (ceil(2^m / V_2(m, r)) / 4)^(k/2)
     with m = 2^(n-1) and r = ceil(2^n/8) - 1 when the ball sum is within
     EXACT_TERM_BUDGET terms; else the certified floor 2^((3m/16 - 2) k / 2)
-    from the entropy bound V_2(m, r) <= 2^(13m/16) for r <= m/4.  A floor
-    whose log2 is no float raises BudgetExceededError before 2^n is built.
+    from the entropy bound V_2(m, r) <= 2^(13m/16) for r <= m/4, which every
+    n >= 2 meets: r = ceil(2^n/8) - 1 <= 2^(n-3) = m/4.  A floor whose log2
+    is no float raises BudgetExceededError before 2^n is built.
     Whichever floor applies, (1 - delta) times it is one exact target and
     q_floor comes from the one step-down search, _least_q.
     """
@@ -466,29 +444,22 @@ def query_lower_bound(d: int, epsilon, delta=Fraction(1, 2), *,
             f"the family-size floor for n={n}, k={k} has a log2 past a float's range")
     target, exponent = 1 - delta, 0   # every regime asks (2^n+1)^(kq) >= target * 2^exponent
     if family_size is not None:
-        family_size = _count(family_size, "family_size")   # numpy ints too
-        if family_size < 1:
-            raise ParameterError("family_size must be positive")
+        family_size = require_int(family_size, "family_size", 1)
         regime = "explicit"
         target *= family_size
         bound_log2 = math.log2(family_size)
+    elif inner_seed_distance(n) <= EXACT_TERM_BUDGET:
+        regime = "exact"
+        g = _exact_code_floor(n)
+        target *= Fraction(g ** (k // 2), 1 << k)   # (g/4)^(k/2), k a power of two >= 4
+        bound_log2 = (g.bit_length() - 1 - 2) * (k / 2)
     else:
-        m = 1 << (n - 1)
-        radius = inner_seed_distance(n) - 1
-        if radius + 1 <= EXACT_TERM_BUDGET:
-            regime = "exact"
-            g = _exact_code_floor(n)
-            target *= Fraction(g ** (k // 2), 1 << k)   # (g/4)^(k/2), k a power of two >= 4
-            bound_log2 = (g.bit_length() - 1 - 2) * (k / 2)
-        else:
-            if 4 * radius > m:
-                raise ParameterError("entropy certificate needs r <= m/4")
-            regime = "certified"
-            exponent = ((3 * m) // 16 - 2) * k // 2
-            bound_log2 = float(exponent)
+        regime = "certified"
+        exponent = ((3 << (n - 1)) // 16 - 2) * k // 2   # (3m/16 - 2) k/2
+        bound_log2 = float(exponent)
     q_floor = _least_q(n, k, exponent, target.numerator, target.denominator)
 
-    return QueryBound(d=d, epsilon=choice.epsilon, delta=delta, n=n, k=k,
+    return QueryBound(d=choice.d, epsilon=choice.epsilon, delta=delta, n=n, k=k,
                       q_floor=q_floor, regime=regime,
                       family_bound_log2=bound_log2,
                       asymptotic_log2=choice.sqrt_ratio)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, require_addressable
+from .errors import ParameterError, require_addressable, require_int
 from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,
                        region_points, sample_inner_batch,
@@ -58,7 +58,7 @@ class Transcript:
         return len(self.entries)
 
     def record_random(self, labels) -> None:
-        self.entries.append(("R", tuple(int(v) for v in labels)))
+        self.entries.append(("R", tuple(require_int(v, "label") for v in labels)))
 
     def record_random_rows(self, rows: np.ndarray) -> None:
         """One random-draw entry per row of a (count, k) label matrix."""
@@ -96,8 +96,7 @@ def _parse_draw_label(n: int, token: str) -> int:
 
 def parse_transcript_log(n: int, text: str) -> Transcript:
     """Inverse of Transcript.to_log for n-dimensional factors (n >= 2)."""
-    if n < 2:
-        raise ParameterError(f"transcript factors need n >= 2, got n={n}")
+    n = require_int(n, "n", 2)
     t = Transcript(n)
     for line in text.splitlines():
         line = line.strip()
@@ -157,7 +156,7 @@ def discrete_random_batch(body: ProductBody, count: int,
     """(count, k) integer label matrix (core = 2^n), drawn factor by factor:
     column j takes `count` consecutive draws, unlike count discrete_random
     calls, which draw query by query."""
-    require_addressable(count, body.k, "region labels")
+    count = require_addressable(count, body.k, "region labels")
     out = np.empty((count, body.k), dtype=np.int64)
     for j, f in enumerate(body.factors):
         out[:, j] = sample_region_labels(f, count, rng)
@@ -170,6 +169,7 @@ def discrete_membership(body: ProductBody, indices: tuple[int, ...]) -> tuple[bo
     if len(indices) != body.k:
         raise ParameterError(f"query has {len(indices)} indices, body has {body.k} factors")
     n = body.n
+    indices = tuple(require_int(i, "peak index") for i in indices)
     for i in indices:
         if not 0 <= i < (1 << n):
             raise ParameterError(f"peak index {i} out of range for n={n}")
@@ -181,12 +181,14 @@ def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.n
     labels -> (count, k*n) points, drawn factor by factor through
     geometry.region_points.  Because continuous_random_batch is a mixture
     over regions with the label law of discrete_random, feeding this
-    discrete draws yields exactly the continuous oracle's distribution."""
+    discrete draws yields exactly the continuous oracle's distribution.  A
+    (count, 0) matrix gives (count, 0) points and draws nothing."""
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ParameterError(
             f"labels must be a (count, k) array, got shape {labels.shape}")
-    return np.concatenate([region_points(n, col, rng) for col in labels.T], axis=1)
+    cols = [region_points(n, col, rng) for col in labels.T]
+    return np.concatenate(cols, axis=1) if cols else np.empty((len(labels), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -727,7 +727,7 @@ def test_query_bound_computes_the_exact_family_floor_once_per_n(monkeypatch):
         return binomial_ball_size(*args)
 
     deltas = (F(0), F(1, 4), F(1, 2))
-    monkeypatch.setattr(harness, "binomial_ball_size", counted)
+    monkeypatch.setattr("crosspeaks.codes.binomial_ball_size", counted)
     harness._exact_code_floor.cache_clear()
     cached = [query_lower_bound(64, F(1, 8), delta) for delta in deltas]
     assert len(calls) == 1
