@@ -240,6 +240,7 @@ def membership_q_oracle(n: int, missing, x) -> bool:
     classify_point.  `missing` lists the orthant indices whose peaks the body
     does NOT have.
     """
+    n = require_int(n, "n")
     if n > MAX_Q_ORACLE_DIM:
         raise ParameterError(f"halfspace oracle capped at n <= {MAX_Q_ORACLE_DIM}")
     x = list(x)
@@ -325,6 +326,7 @@ def membership_scaled_batch(body: InnerBody, ipoints: np.ndarray, scale: int) ->
 
 def q_membership_scaled_batch(n: int, missing, ipoints: np.ndarray, scale: int) -> np.ndarray:
     """Exact vectorized halfspace-oracle membership on integer-scaled points."""
+    n = require_int(n, "n")
     if n > MAX_Q_ORACLE_DIM:
         raise ParameterError(f"halfspace oracle capped at n <= {MAX_Q_ORACLE_DIM}")
     ipoints = _scaled_points(n, ipoints, scale)
@@ -364,13 +366,27 @@ def sample_region_label_rows(bodies, count: int, rng: np.random.Generator) -> np
     r = core_weight(n)
     counts = [b.peak_count for b in bodies]
     high = r + counts[0] if counts.count(counts[0]) == len(counts) else r + np.array(counts)
-    u = rng.integers(0, high, size=(count, len(bodies)))
-    labels = np.full(u.shape, core_label_value(n), dtype=np.int64)
-    hit = u >= r
-    if hit.any():
-        # column j's peaks follow the earlier columns' in one concatenated table
-        u += list(itertools.accumulate(counts[:-1], initial=0))
-        labels[hit] = np.concatenate([b.peaks for b in bodies])[u[hit] - r]
+    return region_labels_of_draws(bodies, rng.integers(0, high, size=(count, len(bodies))))
+
+
+def _peak_table(bodies) -> tuple[np.ndarray, np.ndarray]:
+    """The bodies' peaks in one concatenated table, and per body its offset in
+    the table minus R: a peak draw u of bodies[j] is table entry u + shift[j]."""
+    shift = itertools.accumulate((b.peak_count for b in bodies[:-1]),
+                                 initial=-core_weight(bodies[0].n))
+    return np.concatenate([b.peaks for b in bodies]), np.fromiter(shift, np.int64)
+
+
+def region_labels_of_draws(bodies, u: np.ndarray) -> np.ndarray:
+    """sample_region_label_rows' labels of its draws u, each u[:, j] in
+    [0, R + w_j) for R = core_weight(n) and w_j the peak count of bodies[j]:
+    u[:, j] < R is the core of bodies[j] and R + i its i-th present peak."""
+    table, shift = _peak_table(bodies)
+    labels = np.full(u.shape, core_label_value(bodies[0].n), dtype=np.int64)
+    # gathering at the peak draws' flat positions keeps every temporary the
+    # size of the peak draws; a temporary the size of u raised peak RSS
+    at = np.flatnonzero(u >= core_weight(bodies[0].n))
+    labels.put(at, table[u.take(at) + shift.take(at % u.shape[1])])
     return labels
 
 

@@ -93,7 +93,7 @@ class OracleSession:
 
     def membership(self, indices) -> tuple[bool, ...]:
         self._spend()
-        indices = tuple(require_int(i, "peak index") for i in indices)
+        indices = tuple(indices)    # read once: the oracle and the transcript both take it
         answers = discrete_membership(self._body, indices)
         self.transcript.record_membership(indices, answers)
         return answers
@@ -294,6 +294,7 @@ def run_game(config: GameConfig, learner) -> GameStats:
         except BudgetExceededError:
             violations += 1
             continue
+        hypothesis = require_int(hypothesis, "hypothesis")
         if not 0 <= hypothesis < family.size:
             raise ParameterError(f"hypothesis {hypothesis} outside [0, {family.size})")
         if hypothesis == hidden_index:

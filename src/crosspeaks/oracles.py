@@ -66,6 +66,10 @@ class Transcript:
 
     def record_membership(self, indices: tuple[int, ...],
                           answers: tuple[bool, ...]) -> None:
+        indices = tuple(require_int(i, "peak index") for i in indices)
+        answers = tuple(answers)
+        if not all(isinstance(a, bool) for a in answers):
+            raise ParameterError(f"membership answers must be bools, not {answers!r}")
         self.entries.append(("M", indices, answers))
 
     def to_log(self) -> str:

@@ -72,33 +72,6 @@ def _require(condition: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 # p-values
 
-def chisquare_pvalue(observed, expected) -> float:
-    """Pearson chi-square goodness-of-fit p-value with len - 1 degrees of
-    freedom.  The tail of chi-square with integer df is closed-form
-    (Abramowitz & Stegun 26.4.4/26.4.5): with y = statistic / 2, a Poisson
-    sum e^-y sum_{i < df/2} y^i / i! for even df, and
-    erfc(sqrt y) + e^-y sum_{i=1}^{(df-1)/2} y^(i-1/2) / Gamma(i+1/2) for odd
-    df.  Each term is taken as exp of a log, so no factor underflows alone."""
-    observed = np.asarray(observed, dtype=np.float64)
-    expected = np.asarray(expected, dtype=np.float64)
-    if observed.ndim != 1 or observed.shape != expected.shape or len(observed) < 2:
-        raise ParameterError("chi-square needs two or more categories, "
-                             "observed and expected alike")
-    if not np.all(expected > 0):
-        raise ParameterError("chi-square needs positive expected counts")
-    y = float(((observed - expected) ** 2 / expected).sum()) / 2
-    df = len(observed) - 1
-    if y == 0:
-        return 1.0
-    log_y = math.log(y)
-    if df % 2 == 0:
-        terms = (math.exp(i * log_y - y - math.lgamma(i + 1)) for i in range(df // 2))
-        return min(1.0, math.fsum(terms))
-    terms = (math.exp((i - 0.5) * log_y - y - math.lgamma(i + 0.5))
-             for i in range(1, (df + 1) // 2))
-    return min(1.0, math.erfc(math.sqrt(y)) + math.fsum(terms))
-
-
 def ks_2samp_pvalue(a, b) -> float:
     """Exact two-sided two-sample Kolmogorov-Smirnov p-value for equal sample
     sizes n (Gnedenko-Korolyuk): with D = h/n,
@@ -190,21 +163,13 @@ def check_convexity(ctx: _Context) -> str:
 def check_sampler_regions(ctx: _Context) -> str:
     rng = ctx.rng(3)
     n, samples = 3, 100_000
-    worst = 1.0
     for mask in (0x00, 0x0F, 0xFF):
         body = geometry.body_from_mask(n, mask)
-        pts, _ = geometry.sample_inner_batch(body, samples, rng)
-        labels = geometry.classify_batch(n, pts)
-        values, expected = geometry.region_expectations(body)
-        counts = np.array([int(np.sum(labels == v)) for v in values])
-        _require(int(counts.sum()) == samples,
-                 f"sampled point classified outside {body.text()}")
-        if len(values) > 1:
-            ratios = np.array([float(e) for e in expected])
-            p = chisquare_pvalue(counts, ratios * samples)
-            _require(p > 1e-3, f"region frequencies off on {body.text()}: p={p:.2e}")
-            worst = min(worst, p)
-    return f"region chi-square over 3 bodies x {samples} samples, min p={worst:.3f}"
+        pts, labels = geometry.sample_inner_batch(body, samples, rng)
+        misplaced = int(np.sum(geometry.classify_batch(n, pts) != labels))
+        _require(misplaced == 0,
+                 f"{misplaced} sampled points left their drawn region on {body.text()}")
+    return f"3 bodies x {samples} samples, every point classified into its drawn region"
 
 
 def check_sampler_symmetry(ctx: _Context) -> str:
@@ -306,19 +271,30 @@ def check_manifest_roundtrip(ctx: _Context) -> str:
 # ---------------------------------------------------------------------------
 # oracles
 
+def _require_exact_label_law(bodies, u: np.ndarray) -> None:
+    """Column j's label frequencies over the draws u equal bodies[j]'s
+    region_expectations exactly."""
+    labels = geometry.region_labels_of_draws(bodies, u)
+    for body, column in zip(bodies, labels.T):
+        values, expected = geometry.region_expectations(body)
+        found, counts = np.unique(column, return_counts=True)
+        law = {int(v): Fraction(int(c), len(column)) for v, c in zip(found, counts)}
+        _require(law == dict(zip(values.tolist(), expected)),
+                 f"label map law {law} off the region volumes of {body.text()}")
+
+
 def check_oracle_branching(ctx: _Context) -> str:
-    rng = ctx.rng(5)
-    body = geometry.body_from_mask(3, 0x0F)
-    draws = 30_000
-    labels = geometry.sample_region_labels(body, draws, rng)
-    values, expected = geometry.region_expectations(body)
-    legal = set(int(v) for v in values)
-    seen = set(int(v) for v in np.unique(labels))
-    _require(seen <= legal, f"oracle produced illegal labels {seen - legal}")
-    counts = np.array([int(np.sum(labels == v)) for v in values])
-    p = chisquare_pvalue(counts, np.array([float(e) for e in expected]) * draws)
-    _require(p > 1e-3, f"label frequencies off: p={p:.2e}")
-    return f"discrete labels match volume ratios (p={p:.3f}), no illegal labels"
+    r = geometry.core_weight(3)
+    bodies = tuple(geometry.body_from_mask(3, m) for m in (0xFF, 0x2D, 0x00))
+    axes = [np.arange(r + b.peak_count) for b in bodies]
+    for body, axis in zip(bodies, axes):
+        _require_exact_label_law((body,), axis[:, None])
+    # unequal peak counts: the offsets into the concatenated peak table; on the
+    # full grid of draws each column sees each of its values equally often
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bodies))
+    _require_exact_label_law(bodies, grid)
+    return (f"label map exact on every draw of 3 bodies ({', '.join(map(str, map(len, axes)))}"
+            f" values) and of their {len(grid)}-row product grid")
 
 
 def check_transcript_roundtrip(ctx: _Context) -> str:

@@ -16,6 +16,22 @@ def _rng():
     return np.random.default_rng(7)
 
 
+def _game_naming(fam, hypothesis):
+    """A two-trial q=0 game whose learner names `hypothesis` every trial."""
+    class Fixed:
+        def play(self, session, family, rng):
+            return hypothesis
+    config = harness.GameConfig(family=fam, query_budget=0, epsilon=Fraction(1, 64),
+                                trials=2, seed=0)
+    return harness.run_game(config, Fixed())
+
+
+def _membership_entry(index):
+    transcript = oracles.Transcript(3)
+    transcript.record_membership((index, 2), (True, False))
+    return transcript.entries
+
+
 # name -> (call(family_32, v), a valid integer v); each call returns arrays,
 # tuples of them, or plain values, so the int and numpy-int results compare
 ENTRY_POINTS = {
@@ -40,6 +56,9 @@ ENTRY_POINTS = {
     "gv_greedy q": (lambda fam, v: codes.gv_greedy(v, 4, 2).words, 2),
     "gv_greedy length": (lambda fam, v: codes.gv_greedy(3, v, 2).words, 4),
     "gv_greedy min_dist": (lambda fam, v: codes.gv_greedy(3, 4, v).words, 2),
+    "membership_q_oracle n": (lambda fam, v: geometry.membership_q_oracle(v, [], [0, 0, 0]), 3),
+    "q_membership_scaled_batch n": (
+        lambda fam, v: geometry.q_membership_scaled_batch(v, [], np.zeros((1, 3), int), 1), 3),
     "index_to_signs index": (lambda fam, v: geometry.index_to_signs(3, v), 5),
     "OrthantSign n": (lambda fam, v: geometry.OrthantSign(v, 1).signs, 3),
     "OrthantSign index": (lambda fam, v: geometry.OrthantSign(3, v).signs, 5),
@@ -62,6 +81,8 @@ ENTRY_POINTS = {
     "ProductFamily.body index": (lambda fam, v: fam.body(v).text(), 3),
     "matching_indices care": (lambda fam, v: fam.matching_indices([v, 0], [0, 0]), 6),
     "matching_indices want": (lambda fam, v: fam.matching_indices([6, 0], [v, 0]), 2),
+    "Transcript.record_membership index": (lambda fam, v: _membership_entry(v), 3),
+    "run_game hypothesis": (_game_naming, 3),
     "discrete_membership index": (
         lambda fam, v: oracles.discrete_membership(fam.body(3), (v, 1)), 2),
     "parse_transcript_log n": (
@@ -127,6 +148,17 @@ def test_transcript_refuses_float_labels():
     with pytest.raises(ParameterError, match="label"):
         transcript.record_random([1.7, 8.0])
     assert transcript.entries == []
+
+
+def test_transcript_refuses_answers_that_are_not_bools(family_32):
+    transcript = oracles.Transcript(3)
+    for answers in ((1, 0), ("true", False), (None, True)):
+        with pytest.raises(ParameterError, match="must be bools"):
+            transcript.record_membership((1, 2), answers)
+    assert transcript.entries == []
+    transcript.record_membership((np.int64(1), 2), [True, False])
+    assert transcript.entries == [("M", (1, 2), (True, False))]
+    assert len(harness.consistent_indices(transcript, family_32)) > 0
 
 
 def test_corollary_explore_refuses_float_pairs(family_32):

@@ -18,7 +18,7 @@ from crosspeaks.geometry import (OrthantSign, bare_body,
                                  orthant_signs, outside_label_value,
                                  peak_vertices, q_halfspace_normals,
                                  q_membership_scaled_batch, region_expectations,
-                                 region_points,
+                                 region_labels_of_draws, region_points,
                                  sample_inner_batch, sample_region_label_rows)
 
 F = Fraction
@@ -378,6 +378,23 @@ def test_label_rows_columns_follow_their_bodies(rng):
     assert (rows[:, 1] == core_label_value(3)).all()
     assert set(np.unique(rows[:, 2])) == {0, 7, core_label_value(3)}
     assert sample_region_label_rows(bodies, 0, rng).shape == (0, 3)
+
+
+@pytest.mark.parametrize("masks", [(0x0F, 0x2D, 0x33), (0xFF, 0x2D, 0x00)],
+                         ids=["equal-peak-counts", "unequal-peak-counts"])
+def test_label_map_reproduces_the_sampler(masks):
+    # two generators from one seed: the sampler's, and one whose draw the test
+    # repeats and feeds to the map by hand
+    bodies = tuple(body_from_mask(3, m) for m in masks)
+    sampler_rng, map_rng = np.random.default_rng(11), np.random.default_rng(11)
+    rows = sample_region_label_rows(bodies, 3000, sampler_rng)
+    counts = [b.peak_count for b in bodies]
+    high = core_weight(3) + (counts[0] if len(set(counts)) == 1 else np.array(counts))
+    u = map_rng.integers(0, high, size=rows.shape)
+    drawn = u.copy()
+    assert np.array_equal(region_labels_of_draws(bodies, u), rows)
+    assert np.array_equal(u, drawn)     # the map leaves its draws alone
+    assert sampler_rng.bit_generator.state == map_rng.bit_generator.state
 
 
 def test_label_rows_validation(rng):
