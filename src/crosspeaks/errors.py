@@ -26,14 +26,19 @@ class BudgetExceededError(CrosspeaksError):
     """A computation would exceed a configured resource budget."""
 
 
-def require_int(value, what: str, low: int | None = None) -> int:
+def require_int(value, what: str, low: int | None = None,
+                high: int | None = None) -> int:
     """value as a Python int, numpy's integers included.  A non-integer (a
-    float, a Fraction) is a ParameterError, and so is a value under low."""
+    float, a Fraction) is a ParameterError, and so is a value under low or,
+    when high is given (with low), one outside [low, high)."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{what} must be an integer, not {value!r}") from None
-    if low is not None and value < low:
+    if high is not None:
+        if not low <= value < high:
+            raise ParameterError(f"{what} {value} out of range [{low}, {high})")
+    elif low is not None and value < low:
         raise ParameterError(f"need {what} >= {low}, got {value}")
     return value
 

@@ -186,9 +186,7 @@ class ProductFamily:
         return self.outer.size
 
     def body(self, index: int) -> ProductBody:
-        index = require_int(index, "body index")
-        if not 0 <= index < self.size:
-            raise ParameterError(f"body index {index} out of range [0, {self.size})")
+        index = require_int(index, "body index", 0, self.size)
         word = self.outer.words[index].tolist()
         return ProductBody(tuple(self.inner.bodies[s] for s in word))
 

@@ -42,9 +42,7 @@ MAX_Q_ORACLE_DIM = 12
 
 def index_to_signs(n: int, index: int) -> tuple[int, ...]:
     """Decode an orthant index back to its {-1,+1} sign vector."""
-    index = require_int(index, "orthant index")
-    if not 0 <= index < (1 << n):
-        raise ParameterError(f"orthant index {index} out of range for n={n}")
+    index = require_int(index, "orthant index", 0, 1 << n)
     return tuple(1 if (index >> i) & 1 else -1 for i in range(n))
 
 
@@ -57,10 +55,8 @@ class OrthantSign:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", require_int(self.n, "n", 1))
-        object.__setattr__(self, "index", require_int(self.index, "orthant index"))
-        if not 0 <= self.index < (1 << self.n):
-            raise ParameterError(
-                f"orthant index {self.index} out of range for n={self.n}")
+        object.__setattr__(self, "index",
+                           require_int(self.index, "orthant index", 0, 1 << self.n))
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -80,9 +76,7 @@ def outside_label_value(n: int) -> int:
 def label_text(n: int, value: int) -> str:
     """Transcript form of a label: 'C', 'P<orthant index in hex>', or 'O'.
     A non-integer value, or one outside [0, 2^n + 1], is a ParameterError."""
-    value = require_int(value, "label")
-    if not 0 <= value <= outside_label_value(n):
-        raise ParameterError(f"label {value} outside [0, 2^{n} + 1]")
+    value = require_int(value, "label", 0, outside_label_value(n) + 1)
     if value == core_label_value(n):
         return "C"
     if value == outside_label_value(n):

@@ -230,9 +230,10 @@ def _pair_list(family: ProductFamily, pairs, rng: np.random.Generator):
     except TypeError:
         count = None
     if count is None:
-        out = [(require_int(i, "pair index"), require_int(j, "pair index")) for i, j in pairs]
+        out = [(require_int(i, "pair index", 0, size), require_int(j, "pair index", 0, size))
+               for i, j in pairs]
         for i, j in out:
-            if not (0 <= i < size and 0 <= j < size and i != j):
+            if i == j:
                 raise ParameterError(f"bad pair ({i}, {j}) for family of {size}")
     elif count >= total:
         out = [(i, j) for i in range(size) for j in range(i + 1, size)]

@@ -30,7 +30,9 @@ Transcripts record queries append-only, random draws as tuples of integer
 labels and membership probes as tuples of integer peak indices, and
 serialize one line per query: 'R <label,...>' for random draws,
 'M <idx,...> -> <bool,...>' for membership probes; labels are 'C' or
-'P<orthant-hex>'.
+'P<orthant-hex>'.  A transcript checks every entry when it is recorded
+(labels in [0, 2^n], peak indices in [0, 2^n), one bool answer per index),
+so every transcript it holds replays from its log.
 """
 
 from __future__ import annotations
@@ -48,28 +50,45 @@ from .geometry import (core_label_value, label_text, membership_inner,
 
 @dataclass
 class Transcript:
-    """Append-only record of oracle interactions with n-dimensional factors."""
+    """Append-only record of oracle interactions with n-dimensional factors
+    (n >= 2).  Each entry is checked when it is recorded, so every recorded
+    transcript is one its log can replay: a random draw is one label in
+    [0, 2^n] per factor, a membership probe one peak index in [0, 2^n) and
+    one bool answer per factor, and neither is empty."""
 
     n: int
-    entries: list = field(default_factory=list)
+    entries: list = field(default_factory=list, init=False)
+
+    def __post_init__(self) -> None:
+        self.n = require_int(self.n, "n", 2)
 
     @property
     def query_count(self) -> int:
         return len(self.entries)
 
     def record_random(self, labels) -> None:
-        self.entries.append(("R", tuple(require_int(v, "label") for v in labels)))
+        labels = tuple(require_int(v, "label", 0, (1 << self.n) + 1) for v in labels)
+        if not labels:
+            raise ParameterError("a random draw needs at least one label")
+        self.entries.append(("R", labels))
 
     def record_random_rows(self, rows: np.ndarray) -> None:
-        """One random-draw entry per row of a (count, k) label matrix."""
+        """One random-draw entry per row of a (count, k >= 1) label matrix."""
+        top = core_label_value(self.n)
+        if (rows.ndim != 2 or not rows.shape[1] or rows.dtype.kind not in "iu"
+                or rows.size and (rows.min() < 0 or rows.max() > top)):
+            raise ParameterError(f"label rows must be a (count, k >= 1) integer "
+                                 f"array in [0, {top}], got a {rows.dtype} {rows.shape}")
         self.entries.extend(("R", tuple(row)) for row in rows.tolist())
 
-    def record_membership(self, indices: tuple[int, ...],
-                          answers: tuple[bool, ...]) -> None:
-        indices = tuple(require_int(i, "peak index") for i in indices)
+    def record_membership(self, indices, answers) -> None:
+        indices = tuple(require_int(i, "peak index", 0, 1 << self.n) for i in indices)
         answers = tuple(answers)
-        if not all(isinstance(a, bool) for a in answers):
-            raise ParameterError(f"membership answers must be bools, not {answers!r}")
+        if not indices:
+            raise ParameterError("a membership probe needs at least one peak index")
+        if len(answers) != len(indices) or not all(isinstance(a, bool) for a in answers):
+            raise ParameterError(f"membership answers must be bools, one per peak "
+                                 f"index, not {answers!r} for {indices}")
         self.entries.append(("M", indices, answers))
 
     def to_log(self) -> str:
@@ -117,10 +136,6 @@ def parse_transcript_log(n: int, text: str) -> Transcript:
                             for s in right.strip().split(","))
             except (ValueError, KeyError) as exc:
                 raise ParameterError(f"malformed membership line {line!r}") from exc
-            if len(idx) != len(ans) or not all(0 <= i < (1 << n) for i in idx):
-                raise ParameterError(
-                    f"membership line {line!r} needs one answer per peak index "
-                    f"below 2^{n}")
             t.record_membership(idx, ans)
         else:
             raise ParameterError(f"unknown transcript line {line!r}")
@@ -169,14 +184,10 @@ def discrete_random_batch(body: ProductBody, count: int,
 
 def discrete_membership(body: ProductBody, indices: tuple[int, ...]) -> tuple[bool, ...]:
     """Peak-presence bit per factor for the queried orthant indices, one
-    index per factor."""
+    index per factor; any iterable of indices is read once."""
+    indices = tuple(require_int(i, "peak index", 0, 1 << body.n) for i in indices)
     if len(indices) != body.k:
         raise ParameterError(f"query has {len(indices)} indices, body has {body.k} factors")
-    n = body.n
-    indices = tuple(require_int(i, "peak index") for i in indices)
-    for i in indices:
-        if not 0 <= i < (1 << n):
-            raise ParameterError(f"peak index {i} out of range for n={n}")
     return tuple(f.has_peak(i) for i, f in zip(indices, body.factors))
 
 

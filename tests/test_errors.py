@@ -1,7 +1,9 @@
 """The one integer gate, errors.require_int: every count, index and label
-the library takes is refused as a ParameterError when it is not an integer,
-and a numpy integer is taken as the Python int it equals."""
+the library takes is refused as a ParameterError when it is not an integer
+or lies outside its range, and a numpy integer is taken as the Python int it
+equals."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,8 +34,15 @@ def _membership_entry(index):
     return transcript.entries
 
 
-# name -> (call(family_32, v), a valid integer v); each call returns arrays,
-# tuples of them, or plain values, so the int and numpy-int results compare
+def _random_entry(label):
+    transcript = oracles.Transcript(3)
+    transcript.record_random((label, 2))
+    return transcript.entries
+
+
+# name -> (call(family_32, v), a valid integer v[, (an out-of-range v, its
+# refusal)]); each call returns arrays, tuples of them, or plain values, so
+# the int and numpy-int results compare
 ENTRY_POINTS = {
     "OracleSession.random_batch count": (
         lambda fam, v: harness.OracleSession(fam.body(3), 5, _rng()).random_batch(v), 3),
@@ -59,13 +68,16 @@ ENTRY_POINTS = {
     "membership_q_oracle n": (lambda fam, v: geometry.membership_q_oracle(v, [], [0, 0, 0]), 3),
     "q_membership_scaled_batch n": (
         lambda fam, v: geometry.q_membership_scaled_batch(v, [], np.zeros((1, 3), int), 1), 3),
-    "index_to_signs index": (lambda fam, v: geometry.index_to_signs(3, v), 5),
+    "index_to_signs index": (lambda fam, v: geometry.index_to_signs(3, v), 5,
+                             (8, "orthant index 8 out of range [0, 8)")),
     "OrthantSign n": (lambda fam, v: geometry.OrthantSign(v, 1).signs, 3),
-    "OrthantSign index": (lambda fam, v: geometry.OrthantSign(3, v).signs, 5),
+    "OrthantSign index": (lambda fam, v: geometry.OrthantSign(3, v).signs, 5,
+                          (-1, "orthant index -1 out of range [0, 8)")),
     "make_geometry n": (lambda fam, v: geometry.make_geometry(v), 3),
     "InnerBody n": (lambda fam, v: geometry.InnerBody(v, 0b1011).text(), 3),
     "InnerBody mask": (lambda fam, v: geometry.InnerBody(3, v).text(), 0b1011),
-    "label_text value": (lambda fam, v: geometry.label_text(3, v), 5),
+    "label_text value": (lambda fam, v: geometry.label_text(3, v), 5,
+                         (10, "label 10 out of range [0, 10)")),
     "classify_batch n": (lambda fam, v: geometry.classify_batch(v, np.full((2, 3), 0.25)), 3),
     "sample_region_label_rows count": (
         lambda fam, v: geometry.sample_region_label_rows(fam.body(3).factors, v, _rng()), 3),
@@ -81,16 +93,23 @@ ENTRY_POINTS = {
     "ProductFamily.body index": (lambda fam, v: fam.body(v).text(), 3),
     "matching_indices care": (lambda fam, v: fam.matching_indices([v, 0], [0, 0]), 6),
     "matching_indices want": (lambda fam, v: fam.matching_indices([6, 0], [v, 0]), 2),
-    "Transcript.record_membership index": (lambda fam, v: _membership_entry(v), 3),
-    "run_game hypothesis": (_game_naming, 3),
+    "Transcript.record_membership index": (lambda fam, v: _membership_entry(v), 3,
+                                           (8, "peak index 8 out of range [0, 8)")),
+    "Transcript.record_random label": (lambda fam, v: _random_entry(v), 8,
+                                       (9, "label 9 out of range [0, 9)")),
+    "run_game hypothesis": (_game_naming, 3, (256, "hypothesis 256 out of range [0, 256)")),
     "discrete_membership index": (
-        lambda fam, v: oracles.discrete_membership(fam.body(3), (v, 1)), 2),
+        lambda fam, v: oracles.discrete_membership(fam.body(3), (v, 1)), 2,
+        (-1, "peak index -1 out of range [0, 8)")),
     "parse_transcript_log n": (
         lambda fam, v: oracles.parse_transcript_log(v, "R C,P1").entries, 3),
     "discrete_random_batch count": (
         lambda fam, v: oracles.discrete_random_batch(fam.body(3), v, _rng()), 3),
     "continuous_random_batch count": (
         lambda fam, v: oracles.continuous_random_batch(fam.body(3), v, _rng()), 3),
+    "corollary_explore pair index": (
+        lambda fam, v: halfspace.corollary_explore(fam, [(v, 1)], 1, 1000, 0).rows, 3,
+        (256, "pair index 256 out of range [0, 256)")),
     "noise_floor samples": (lambda fam, v: halfspace.noise_floor(v, 10), 1000),
     "noise_floor directions": (lambda fam, v: halfspace.noise_floor(1000, v), 10),
     "direction_set random_count": (lambda fam, v: halfspace.direction_set(3, 2, v, _rng()), 2),
@@ -111,9 +130,12 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_point_takes_integers_only(family_32, name):
-    call, good = ENTRY_POINTS[name]
+    call, good, *out_of_range = ENTRY_POINTS[name]
     for bad in (2.5, Fraction(5, 2)):
         with pytest.raises(ParameterError, match="must be an integer, not"):
+            call(family_32, bad)
+    for bad, message in out_of_range:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             call(family_32, bad)
     assert _same(call(family_32, np.int64(good)), call(family_32, good))
 
@@ -127,6 +149,11 @@ def test_require_int_messages():
         require_int(Fraction(5, 2), "count", 0)
     with pytest.raises(ParameterError, match=r"^need count >= 1, got 0$"):
         require_int(0, "count", 1)
+    assert require_int(np.int64(7), "peak index", 0, 8) == 7
+    for value in (-1, 8):
+        with pytest.raises(ParameterError,
+                           match=rf"^peak index {value} out of range \[0, 8\)$"):
+            require_int(value, "peak index", 0, 8)
     assert require_addressable(np.int64(4), 3, "labels") == 4
     with pytest.raises(ParameterError, match=r"^need labels count >= 0, got -1$"):
         require_addressable(-1, 3, "labels")
@@ -134,6 +161,15 @@ def test_require_int_messages():
 
 # ---------------------------------------------------------------------------
 # indices that were truncated with int() are refused
+
+def test_membership_reads_an_index_generator_once(family_32):
+    body = family_32.body(3)
+    want = oracles.discrete_membership(body, (1, 2))
+    assert oracles.discrete_membership(body, (i for i in (1, 2))) == want
+    session = harness.OracleSession(body, 1, _rng())
+    assert session.membership(i for i in (1, 2)) == want
+    assert session.transcript.entries == [("M", (1, 2), want)]
+
 
 def test_session_membership_refuses_float_indices(family_32):
     session = harness.OracleSession(family_32.body(3), 2, _rng())

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
-from crosspeaks import geometry, verify
+from crosspeaks import geometry, oracles, verify
 from crosspeaks.errors import ParameterError, VerificationError
 from crosspeaks.family import ProductBody
 from crosspeaks.geometry import (InnerBody, bare_body, body_from_mask,
@@ -21,7 +20,6 @@ from crosspeaks.oracles import (Transcript, answer_space_size,
                                 discrete_membership, discrete_random,
                                 discrete_random_batch, parse_transcript_log,
                                 simulate_batch)
-from crosspeaks.verify import ks_2samp_pvalue
 
 
 def _product(mask_per_factor, n=3):
@@ -296,43 +294,48 @@ def test_identical_seeds_identical_transcripts():
     assert logs[0] == logs[1]
 
 
-# ---------------------------------------------------------------------------
-# the stdlib KS p-value against scipy, the independent reference
+@pytest.mark.parametrize("record", [
+    lambda t: t.record_membership((1, 2), (True,)),        # logged "M 1,2 -> true"
+    lambda t: t.record_random((9, 8)),                     # logged "R O,C"
+    lambda t: t.record_membership((9, 1), (True, False)),  # orthant 9 needs n >= 4
+    lambda t: t.record_random(()),                         # logged "R "
+    lambda t: t.record_membership((), ()),                 # logged "M  -> "
+    lambda t: t.record_random_rows(np.array([[0, 9]])),
+    lambda t: t.record_random_rows(np.array([[-1, 8]])),
+    lambda t: t.record_random_rows(np.array([[0.5, 8.0]])),
+    lambda t: t.record_random_rows(np.zeros((2, 0), dtype=np.int64)),
+], ids=["M-missing-answer", "R-outside", "M-index-past-2^n", "R-empty", "M-empty",
+        "rows-outside", "rows-negative", "rows-float", "rows-zero-width"])
+def test_transcript_refuses_entries_its_log_cannot_replay(record):
+    t = Transcript(3)
+    t.record_random((8, 1))
+    with pytest.raises(ParameterError):
+        record(t)
+    assert t.entries == [("R", (8, 1))]
+    assert parse_transcript_log(3, t.to_log()).entries == t.entries
+
 
 @settings(deadline=None)
-@given(n=st.integers(1, 1000), seed=st.integers(0, 2 ** 32 - 1),
-       shift=st.floats(0.0, 1.0), levels=st.sampled_from([3, 50, 0]))
-def test_ks_2samp_pvalue_matches_scipy_exact(n, seed, shift, levels):
-    gen = np.random.default_rng(seed)
-    a, b = gen.standard_normal(n), gen.standard_normal(n) + shift
-    if levels:  # ties within and across the samples
-        a, b = np.round(a * levels), np.round(b * levels)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        want = ks_2samp(a, b, method="exact").pvalue
-    if caught:
-        # scipy gives up on "exact" when rounding lifts its sum past 1 at
-        # D = 1/n, where the exact tail is 1, and answers asymptotically
-        assert round(n * ks_2samp(a, b).statistic) == 1
-        want = 1.0
-    assert ks_2samp_pvalue(a, b) == pytest.approx(want, rel=1e-9, abs=1e-300)
-
-
-def test_pvalues_of_identical_samples_are_one(rng):
-    a = rng.standard_normal(500)
-    assert ks_2samp_pvalue(a, a) == 1.0
-    assert ks_2samp_pvalue(a, rng.permutation(a)) == 1.0
-
-
-def test_pvalues_reject_bad_input():
-    with pytest.raises(ParameterError):
-        ks_2samp_pvalue([0.1, 0.2], [0.3])
-    with pytest.raises(ParameterError):
-        ks_2samp_pvalue([], [])
+@given(n=st.integers(2, 4), calls=st.lists(st.tuples(
+    st.sampled_from(["R", "rows", "M"]), st.lists(st.integers(-2, 18), max_size=3),
+    st.lists(st.booleans(), max_size=3)), max_size=8))
+def test_every_recorded_transcript_replays(n, calls):
+    t = Transcript(n)
+    for kind, values, answers in calls:
+        try:
+            if kind == "R":
+                t.record_random(values)
+            elif kind == "M":
+                t.record_membership(values, answers)
+            else:
+                t.record_random_rows(np.array(values, dtype=np.int64).reshape(1, -1))
+        except ParameterError:
+            pass
+    assert parse_transcript_log(n, t.to_log()).entries == t.entries
 
 
 # ---------------------------------------------------------------------------
-# the exact label-law check of verify
+# the exact checks of verify
 
 def test_oracle_branching_fails_on_an_offset_off_by_one(monkeypatch):
     ctx = verify._Context(None, verify.DEFAULT_SEED)
@@ -347,3 +350,17 @@ def test_oracle_branching_fails_on_an_offset_off_by_one(monkeypatch):
     monkeypatch.setattr(geometry, "_peak_table", shifted)
     with pytest.raises(VerificationError, match="label map law"):
         verify.check_oracle_branching(ctx)
+
+
+def test_simulation_match_fails_on_one_extra_draw(monkeypatch):
+    ctx = verify._Context(None, verify.DEFAULT_SEED)
+    assert "reproduces direct sampling exactly" in verify.check_simulation_match(ctx)
+    simulate = oracles.simulate_batch
+
+    def shifted(n, labels, rng):
+        rng.random()    # one stray draw shifts every later point
+        return simulate(n, labels, rng)
+
+    monkeypatch.setattr(oracles, "simulate_batch", shifted)
+    with pytest.raises(VerificationError, match="differ from direct sampling"):
+        verify.check_simulation_match(ctx)
