@@ -6,6 +6,9 @@ file that cannot be written counts too), 3 verification failure, 4 resource
 budget exceeded (also a request too large to allocate).  Every command that
 involves randomness takes --seed; identical flags and seed give
 byte-identical output.
+
+Each subcommand imports the modules it calls when it runs, so `bounds`
+loads no numpy and no command loads a module it never calls.
 """
 
 from __future__ import annotations
@@ -15,18 +18,9 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
-
+from . import DEFAULT_SEED
 from .errors import (BudgetExceededError, CrosspeaksError, ParameterError,
                      VerificationError)
-from .family import build_product_family, exact_distance, read_manifest, write_manifest
-from .geometry import label_text
-from .halfspace import halfspace_discrepancy
-from .harness import (GameConfig, MLConsistencyLearner, RandomGuessLearner,
-                      choose_parameters, game_result_row, query_lower_bound,
-                      run_game, success_upper_bound, write_results_csv)
-from .oracles import continuous_membership, continuous_random_batch, discrete_random_batch
-from .verify import DEFAULT_SEED, run_verification
 
 
 def _fraction(text: str) -> Fraction:
@@ -60,6 +54,7 @@ def _point(text: str) -> tuple[Fraction, ...]:
 
 
 def _load_family(path: str):
+    from .family import read_manifest
     try:
         return read_manifest(path)
     except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
@@ -78,6 +73,7 @@ def _writing(path: str):
 # subcommands
 
 def _cmd_gen_family(args) -> int:
+    from .family import build_product_family, write_manifest
     family = build_product_family(args.n, args.k)
     with _writing(args.out):
         write_manifest(family, args.out)
@@ -87,6 +83,7 @@ def _cmd_gen_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
     family = _load_family(args.manifest) if args.manifest else None
     results = run_verification(family, seed=args.seed)
     for r in results:
@@ -100,6 +97,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    import numpy as np
+
+    from .geometry import label_text
+    from .oracles import continuous_random_batch, discrete_random_batch
     family = _load_family(args.manifest)
     body = family.body(args.body_index)
     rng = np.random.default_rng(args.seed)
@@ -113,6 +114,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from .oracles import continuous_membership
     family = _load_family(args.manifest)
     body = family.body(args.body_index)
     if len(args.point) != body.dimension:
@@ -124,6 +126,9 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_game(args) -> int:
+    from .bounds import success_upper_bound
+    from .harness import (GameConfig, MLConsistencyLearner, RandomGuessLearner,
+                          game_result_row, run_game, write_results_csv)
     family = _load_family(args.manifest)
     config = GameConfig(family=family, query_budget=args.q, epsilon=args.epsilon,
                         trials=args.trials, seed=args.seed)
@@ -149,6 +154,7 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import choose_parameters, query_lower_bound
     choice = choose_parameters(args.d, args.epsilon)
     qb = query_lower_bound(args.d, args.epsilon, args.delta)  # may fail: print nothing yet
     print(f"d={choice.d} epsilon={choice.epsilon}")
@@ -162,6 +168,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_halfspace_gap(args) -> int:
+    from .family import exact_distance
+    from .halfspace import halfspace_discrepancy
     family = _load_family(args.manifest)
     i, j = args.pair
     a, b = family.body(i), family.body(j)

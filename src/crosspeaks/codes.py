@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import gv_floor
 from .errors import BudgetExceededError, ParameterError, VerificationError, require_int
-from .exactmath import binomial_ball_size
 
 # budgets, read at call time: words a greedy scan enumerates, pairs a certificate compares
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
@@ -34,14 +34,6 @@ DEFAULT_PAIR_BUDGET = 50_000_000
 _WINDOW = 1 << 12  # bitmap words searched at a time for the next free word
 _FLIP_CHUNK = 1 << 20  # bitmap words one XOR-shift pass updates at a time
 _PAIR_BLOCK = 1 << 16  # word pairs the exhaustive distance scan compares at a time
-
-
-def gv_floor(q: int, length: int, min_dist: int) -> int:
-    """ceil(q^length / V_q(length, min_dist - 1)): the size any maximal
-    min_dist-separated code must reach."""
-    q, length = require_int(q, "alphabet size", 2), require_int(length, "length", 0)
-    ball = binomial_ball_size(q, length, require_int(min_dist, "minimum distance", 1) - 1)
-    return -((-(q ** length)) // ball)
 
 
 def _word_matrix(q: int, length: int, words) -> np.ndarray:

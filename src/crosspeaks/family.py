@@ -35,9 +35,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes as codes_mod
+from .bounds import inner_seed_distance, separation_floor, separation_holds  # used or re-exported
 from .codes import Code, certified_code
 from .errors import BudgetExceededError, ParameterError, VerificationError, require_int
-from .exactmath import compare_exp_neg, exp_neg_bounds, exp_neg_brackets
+from .exactmath import exp_neg_brackets
 from .geometry import InnerBody, core_weight, inner_volume, make_geometry
 
 # construction caps, read at call time
@@ -100,11 +101,6 @@ def inner_family_from_code(n: int, code: Code) -> InnerFamily:
     masks = code.words @ (1 << np.arange(orthants, dtype=np.int64))  # coordinate i is bit i
     bodies = tuple(InnerBody(n, mask) for mask in masks.tolist())
     return InnerFamily(n=n, code=code, bodies=bodies)
-
-
-def inner_seed_distance(n: int) -> int:
-    """ceil(2^n / 8), the inner seed code's distance (doubled by extension)."""
-    return -((-(1 << n)) // 8)
 
 
 def outer_distance_floor(k: int) -> int:
@@ -300,18 +296,6 @@ def exact_distance(a: ProductBody, b: ProductBody) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # separation certificate
-
-def separation_floor(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds (lo, hi) around 1 - e^(-k/(16n))."""
-    e_lo, e_hi = exp_neg_bounds(Fraction(k, 16 * n))
-    return 1 - e_hi, 1 - e_lo
-
-
-def separation_holds(n: int, k: int, epsilon: Fraction) -> bool:
-    """Exact decision of 2*epsilon < 1 - e^(-k/(16n))."""
-    # equivalent to e^(-k/(16n)) < 1 - 2 eps
-    return compare_exp_neg(Fraction(k, 16 * n), 1 - 2 * Fraction(epsilon)) < 0
-
 
 def _pair_threshold(n: int, k: int, w: int) -> tuple[int, int]:
     """(T, den) such that for intersection counts m_1..m_k the pair clears the

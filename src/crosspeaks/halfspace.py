@@ -35,8 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import separation_holds
 from .errors import ParameterError, VerificationError, require_addressable, require_int
-from .family import ProductBody, ProductFamily, exact_distance, separation_holds
+from .family import ProductBody, ProductFamily, exact_distance
 from .geometry import orthant_signs
 from .oracles import continuous_random_batch
 

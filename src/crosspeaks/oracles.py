@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import answer_space_size  # re-exported
 from .errors import ParameterError, require_addressable, require_int
 from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,
@@ -204,11 +205,3 @@ def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.n
             f"labels must be a (count, k) array, got shape {labels.shape}")
     cols = [region_points(n, col, rng) for col in labels.T]
     return np.concatenate(cols, axis=1) if cols else np.empty((len(labels), 0))
-
-
-# ---------------------------------------------------------------------------
-# answer space
-
-def answer_space_size(n: int, k: int) -> int:
-    """The fan-out of the discrete random oracle: (2^n + 1)^k."""
-    return ((1 << n) + 1) ** k

@@ -18,11 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import DEFAULT_SEED  # defined on the package, where the CLI's parser reads it
 from . import codes, family as family_mod, geometry, halfspace, harness, oracles
 from .errors import BudgetExceededError, CrosspeaksError, VerificationError
 from .exactmath import simplex_volume
-
-DEFAULT_SEED = 20260816
 
 # pinned outputs of deterministic constructions (drift detectors)
 GREEDY_SIZES = {(2, 4, 2): 8, (2, 8, 4): 16, (16, 4, 2): 4096, (4, 8, 4): 256}
