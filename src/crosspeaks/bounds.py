@@ -20,9 +20,10 @@ step whose power is no longer than the target's integers (every explicit
 and exact step) is an integer comparison; a longer one (the certified
 regime) is decided on the e^(-x) brackets.
 
-This module needs only the standard library, errors and exactmath, so the
-`bounds` command runs without numpy.  The modules that used to define these
-names (harness, codes, family, oracles) re-export them.
+Every n and k is a positive integer (errors.require_int).  This module
+needs only the standard library, errors and exactmath, so the `bounds`
+command runs without numpy.  It is these names' one home: every module
+that calls them imports them from here.
 """
 
 from __future__ import annotations
@@ -53,23 +54,26 @@ def gv_floor(q: int, length: int, min_dist: int) -> int:
 
 def inner_seed_distance(n: int) -> int:
     """ceil(2^n / 8), the inner seed code's distance (doubled by extension)."""
-    return -((-(1 << n)) // 8)
+    return -((-(1 << require_int(n, "n", 1))) // 8)
 
 
 def separation_floor(n: int, k: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds (lo, hi) around 1 - e^(-k/(16n))."""
+    n, k = require_int(n, "n", 1), require_int(k, "k", 1)
     e_lo, e_hi = exp_neg_bounds(Fraction(k, 16 * n))
     return 1 - e_hi, 1 - e_lo
 
 
 def separation_holds(n: int, k: int, epsilon: Fraction) -> bool:
     """Exact decision of 2*epsilon < 1 - e^(-k/(16n))."""
+    n, k = require_int(n, "n", 1), require_int(k, "k", 1)
     # equivalent to e^(-k/(16n)) < 1 - 2 eps
     return compare_exp_neg(Fraction(k, 16 * n), 1 - 2 * Fraction(epsilon)) < 0
 
 
 def answer_space_size(n: int, k: int) -> int:
     """The fan-out of the discrete random oracle: (2^n + 1)^k."""
+    n, k = require_int(n, "n", 1), require_int(k, "k", 1)
     return ((1 << n) + 1) ** k
 
 

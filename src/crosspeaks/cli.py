@@ -117,16 +117,11 @@ def _cmd_member(args) -> int:
     from .oracles import continuous_membership
     family = _load_family(args.manifest)
     body = family.body(args.body_index)
-    if len(args.point) != body.dimension:
-        raise ParameterError(
-            f"point has {len(args.point)} coordinates, body lives in "
-            f"dimension {body.dimension}")
     print("true" if continuous_membership(body, args.point) else "false")
     return 0
 
 
 def _cmd_game(args) -> int:
-    from .bounds import success_upper_bound
     from .harness import (GameConfig, MLConsistencyLearner, RandomGuessLearner,
                           game_result_row, run_game, write_results_csv)
     family = _load_family(args.manifest)
@@ -138,17 +133,16 @@ def _cmd_game(args) -> int:
         with _writing(args.csv):
             open(args.csv, "w").close()
     stats = run_game(config, learner)
-    bound = success_upper_bound(family.n, family.k, args.q, family.size,
-                                args.epsilon)
+    row = game_result_row(config, stats)
     print(f"trials={stats.trials} successes={stats.successes} "
           f"exact={stats.exact_identifications} "
           f"violations={stats.budget_violations}")
     print(f"success_rate={stats.success_rate!r} "
           f"confidence_radius={stats.confidence_radius!r} "
-          f"upper_bound={float(bound)!r}")
+          f"upper_bound={row['upper_bound']}")
     if args.csv:
         with _writing(args.csv):
-            write_results_csv(args.csv, [game_result_row(config, stats)])
+            write_results_csv(args.csv, [row])
         print(f"wrote {args.csv}")
     return 0
 

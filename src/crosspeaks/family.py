@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes as codes_mod
-from .bounds import inner_seed_distance, separation_floor, separation_holds  # used or re-exported
+from .bounds import inner_seed_distance, separation_floor
 from .codes import Code, certified_code
 from .errors import BudgetExceededError, ParameterError, VerificationError, require_int
 from .exactmath import exp_neg_brackets

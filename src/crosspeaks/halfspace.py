@@ -157,7 +157,7 @@ def halfspace_discrepancy(a: ProductBody, b: ProductBody, dirs: int,
 
     Requires equal volumes (otherwise a constant-offset indicator term, not
     a projection effect, dominates) and samples >= 1000 per body.  rng may
-    be a numpy Generator or a seed.
+    be a numpy Generator or a seed, a non-negative integer.
     """
     if a.dimension != b.dimension or a.n != b.n:
         raise ParameterError("bodies live in different spaces")
@@ -165,7 +165,8 @@ def halfspace_discrepancy(a: ProductBody, b: ProductBody, dirs: int,
         raise ParameterError("halfspace comparison expects equal-volume bodies")
     dirs = require_int(dirs, "random directions", 1)
     samples = require_int(samples, "samples per body", MIN_SAMPLES)
-    rng = np.random.default_rng(rng)  # a Generator comes back unchanged
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(require_int(rng, "seed", 0))
     # one shared base seed; everything below is keyed off it so that the
     # result depends on (base, {a, b}) as a set, not on argument order
     base = tuple(int(w) for w in rng.integers(1 << 32, size=4))
@@ -223,6 +224,14 @@ class CorollaryReport:
                    "samples": self.samples}
 
 
+def _index_pair(pair, size: int) -> tuple[int, int]:
+    try:
+        i, j = pair
+    except (TypeError, ValueError):
+        raise ParameterError(f"a pair is two indices, not {pair!r}") from None
+    return require_int(i, "pair index", 0, size), require_int(j, "pair index", 0, size)
+
+
 def _pair_list(family: ProductFamily, pairs, rng: np.random.Generator):
     size = family.size
     total = size * (size - 1) // 2
@@ -231,8 +240,12 @@ def _pair_list(family: ProductFamily, pairs, rng: np.random.Generator):
     except TypeError:
         count = None
     if count is None:
-        out = [(require_int(i, "pair index", 0, size), require_int(j, "pair index", 0, size))
-               for i, j in pairs]
+        try:
+            pairs = list(pairs)
+        except TypeError:
+            raise ParameterError(
+                f"pairs must be a count or index pairs, not {pairs!r}") from None
+        out = [_index_pair(pair, size) for pair in pairs]
         for i, j in out:
             if i == j:
                 raise ParameterError(f"bad pair ({i}, {j}) for family of {size}")
@@ -260,6 +273,7 @@ def corollary_explore(family: ProductFamily, pairs, dirs: int, samples: int,
     The estimator maximizes over finitely many directions, so its column is
     a lower bound on true halfspace distance; the exact_dist column is exact.
     """
+    seed = require_int(seed, "seed", 0)
     master = np.random.SeedSequence(seed)
     pair_rng = np.random.default_rng(master.spawn(1)[0])
     scan = _pair_list(family, pairs, pair_rng)

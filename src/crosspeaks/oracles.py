@@ -23,8 +23,8 @@ continuous_random_batch on the same body.  Both turn labels into points
 through one function, geometry.region_points: continuous_random_batch via
 sample_inner_batch, the simulator factor by factor.  Every body answers a
 random query with one of (2^n + 1)^k possible label tuples (2^n peaks or
-core, per factor), which is the fan-out that bounds what q queries can
-distinguish.
+core, per factor), which is the fan-out (bounds.answer_space_size) that
+bounds what q queries can distinguish.
 
 Transcripts record queries append-only, random draws as tuples of integer
 labels and membership probes as tuples of integer peak indices, and
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import answer_space_size  # re-exported
 from .errors import ParameterError, require_addressable, require_int
 from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,

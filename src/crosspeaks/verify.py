@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_SEED  # defined on the package, where the CLI's parser reads it
-from . import codes, family as family_mod, geometry, halfspace, harness, oracles
-from .errors import BudgetExceededError, CrosspeaksError, VerificationError
+from . import bounds, codes, family as family_mod, geometry, halfspace, harness, oracles
+from .errors import BudgetExceededError, CrosspeaksError, VerificationError, require_int
 from .exactmath import simplex_volume
 
 # pinned outputs of deterministic constructions (drift detectors)
@@ -164,7 +164,7 @@ def check_codes_greedy(ctx: _Context) -> str:
         code = codes.gv_greedy(q, length, dist)
         _require(code.size == size,
                  f"greedy ({q},{length},{dist}) size {code.size} != pinned {size}")
-        _require(code.size >= codes.gv_floor(q, length, dist),
+        _require(code.size >= bounds.gv_floor(q, length, dist),
                  f"greedy ({q},{length},{dist}) under its size floor")
         again = codes.gv_greedy(q, length, dist)
         _require(np.array_equal(code.words, again.words),
@@ -181,7 +181,7 @@ def check_codes_greedy(ctx: _Context) -> str:
 def check_codes_complement(ctx: _Context) -> str:
     for n in (3, 4):
         length = 1 << (n - 1)
-        base = codes.gv_greedy(2, length, family_mod.inner_seed_distance(n))
+        base = codes.gv_greedy(2, length, bounds.inner_seed_distance(n))
         ext = codes.complement_extend(base)
         _require(ext.min_distance == 2 * codes.min_distance_exhaustive(base.words),
                  f"complement extension at n={n} did not double distance")
@@ -306,29 +306,29 @@ def check_simulation_match(ctx: _Context) -> str:
 
 
 # ---------------------------------------------------------------------------
-# harness
+# bounds and games
 
 def check_bounds_regressions(ctx: _Context) -> str:
-    c1 = harness.choose_parameters(1024, Fraction(1, 8))
-    c2 = harness.choose_parameters(1024, Fraction(1, 128))
+    c1 = bounds.choose_parameters(1024, Fraction(1, 8))
+    c2 = bounds.choose_parameters(1024, Fraction(1, 128))
     _require((c1.n, c1.k) == (64, 16), f"split(1024, 1/8) gave {(c1.n, c1.k)}")
     _require((c2.n, c2.k) == (256, 4), f"split(1024, 1/128) gave {(c2.n, c2.k)}")
     for (d, eps, delta), (value, regime) in QUERY_FLOORS.items():
-        qb = harness.query_lower_bound(d, eps, delta)
+        qb = bounds.query_lower_bound(d, eps, delta)
         _require((qb.q_floor, qb.regime) == (value, regime),
                  f"query floor at d={d} drifted to {qb.q_floor} ({qb.regime})")
     _require(QUERY_FLOORS[(1024, Fraction(1, 8), Fraction(1, 2))][0] >= 1 << 50,
              "d=1024 query floor fell under 2^50")
     ratios = []
     for e in range(6, 15):
-        qb = harness.query_lower_bound(1 << e, Fraction(1, 8))
+        qb = bounds.query_lower_bound(1 << e, Fraction(1, 8))
         ratios.append(math.log2(qb.q_floor) / qb.asymptotic_log2)
     _require(all(0.25 <= r <= 4 for r in ratios),
              f"log2(q)/sqrt(d/L) left [1/4, 4]: {ratios}")
-    q_all = harness.query_lower_bound(64, Fraction(1, 8), Fraction(0)).q_floor
-    q_half = harness.query_lower_bound(64, Fraction(1, 8), Fraction(1, 2)).q_floor
+    q_all = bounds.query_lower_bound(64, Fraction(1, 8), Fraction(0)).q_floor
+    q_half = bounds.query_lower_bound(64, Fraction(1, 8), Fraction(1, 2)).q_floor
     _require(q_all >= q_half, "query floor not monotone in delta")
-    _require(harness.query_lower_bound(64, Fraction(1, 8), family_size=1).q_floor == 0,
+    _require(bounds.query_lower_bound(64, Fraction(1, 8), family_size=1).q_floor == 0,
              "singleton family needs no queries")
     return (f"splits pinned, query floors pinned, grid ratio in "
             f"[{min(ratios):.2f}, {max(ratios):.2f}]")
@@ -367,7 +367,7 @@ def check_game_monotone_and_bound(ctx: _Context) -> str:
                                  trials=400, seed=ctx.seed + 1)
         stats = harness.run_game(cfg, learner)
         rates.append(stats.success_rate)
-        bound = harness.success_upper_bound(fam.n, fam.k, q, fam.size, eps)
+        bound = bounds.success_upper_bound(fam.n, fam.k, q, fam.size, eps)
         sigma = math.sqrt(max(stats.success_rate * (1 - stats.success_rate),
                               1.0 / cfg.trials) / cfg.trials)
         _require(stats.success_rate <= float(bound) + 5 * sigma,
@@ -440,6 +440,7 @@ def run_verification(fam: family_mod.ProductFamily | None = None,
     """Run every check against fam (default: freshly built (3,4) family).
     Stops at the first failure; the failing result ends the list.  An
     exceeded budget is no failed check: BudgetExceededError propagates."""
+    seed = require_int(seed, "seed", 0)
     ctx = _Context(fam, seed)
     results: list[CheckResult] = []
     for name, fn in CHECKS:

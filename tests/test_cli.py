@@ -68,7 +68,7 @@ def test_member_dimension_mismatch(capsys, manifest_32):
     code, _, stderr = run(capsys, "member", "--manifest", manifest_32,
                           "--body-index", "0", "--point", "0,0,0")
     assert code == 2
-    assert "dimension" in stderr
+    assert "point has dimension 3, expected 6" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crosspeaks import codes
+from crosspeaks.bounds import gv_floor
 from crosspeaks.codes import (certified_code, complement_extend, format_code,
-                              gv_floor, gv_greedy, min_distance_exhaustive,
-                              parse_code)
+                              gv_greedy, min_distance_exhaustive, parse_code)
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
 from crosspeaks.exactmath import binomial_ball_size
@@ -36,19 +36,6 @@ def test_v_q_matches_comb_sum():
     for q, n, r in itertools.product((2, 3, 16), (1, 4, 8), range(9)):
         want = sum(math.comb(n, i) * (q - 1) ** i for i in range(min(r, n) + 1))
         assert binomial_ball_size(q, n, r) == want
-
-
-def test_gv_floor_examples():
-    assert gv_floor(2, 4, 2) == math.ceil(16 / 5)  # = 4
-    assert gv_floor(2, 8, 4) == math.ceil(256 / binomial_ball_size(2, 8, 3))
-    assert gv_floor(16, 4, 2) == math.ceil(16 ** 4 / binomial_ball_size(16, 4, 1))
-
-
-def test_gv_floor_refuses_distance_below_one():
-    # the ball of radius -1 is empty: the floor would divide by zero
-    for min_dist in (0, -1):
-        with pytest.raises(ParameterError):
-            gv_floor(2, 4, min_dist)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crosspeaks import codes, exactmath, family as family_mod, geometry, halfspace, harness
-from crosspeaks import oracles
+from crosspeaks import bounds, codes, exactmath, family as family_mod, geometry, halfspace
+from crosspeaks import harness, oracles, verify
 from crosspeaks.errors import ParameterError, require_addressable, require_int
 
 
@@ -46,18 +46,35 @@ def _random_entry(label):
 ENTRY_POINTS = {
     "OracleSession.random_batch count": (
         lambda fam, v: harness.OracleSession(fam.body(3), 5, _rng()).random_batch(v), 3),
-    "choose_parameters d": (lambda fam, v: harness.choose_parameters(v, Fraction(1, 8)), 64),
+    "choose_parameters d": (lambda fam, v: bounds.choose_parameters(v, Fraction(1, 8)), 64),
+    "success_upper_bound n": (
+        lambda fam, v: bounds.success_upper_bound(v, 2, 1, 256, Fraction(1, 64)), 3,
+        (-1, "need n >= 1, got -1")),
+    "success_upper_bound k": (
+        lambda fam, v: bounds.success_upper_bound(3, v, 1, 256, Fraction(1, 64)), 2,
+        (0, "need k >= 1, got 0")),
     "success_upper_bound q": (
-        lambda fam, v: harness.success_upper_bound(3, 2, v, 100, Fraction(1, 1000)), 1),
+        lambda fam, v: bounds.success_upper_bound(3, 2, v, 100, Fraction(1, 1000)), 1),
     "success_upper_bound family_size": (
-        lambda fam, v: harness.success_upper_bound(3, 2, 1, v, Fraction(1, 1000)), 100),
+        lambda fam, v: bounds.success_upper_bound(3, 2, 1, v, Fraction(1, 1000)), 100),
+    "separation_floor n": (lambda fam, v: bounds.separation_floor(v, 2), 3,
+                           (0, "need n >= 1, got 0")),
+    "separation_floor k": (lambda fam, v: bounds.separation_floor(3, v), 2,
+                           (0, "need k >= 1, got 0")),
+    "separation_holds n": (lambda fam, v: bounds.separation_holds(v, 2, Fraction(1, 64)), 3,
+                           (0, "need n >= 1, got 0")),
+    "separation_holds k": (lambda fam, v: bounds.separation_holds(3, v, Fraction(1, 64)), 2,
+                           (0, "need k >= 1, got 0")),
+    "answer_space_size n": (lambda fam, v: bounds.answer_space_size(v, 2), 3),
+    "answer_space_size k": (lambda fam, v: bounds.answer_space_size(3, v), 2),
+    "inner_seed_distance n": (lambda fam, v: bounds.inner_seed_distance(v), 3),
     "binomial_ball_size q": (lambda fam, v: exactmath.binomial_ball_size(v, 5, 2), 3),
     "binomial_ball_size n": (lambda fam, v: exactmath.binomial_ball_size(2, v, 2), 5),
     "binomial_ball_size r": (lambda fam, v: exactmath.binomial_ball_size(2, 5, v), 2),
     "exp_neg_bounds terms": (lambda fam, v: exactmath.exp_neg_bounds(Fraction(1, 3), v), 8),
-    "gv_floor q": (lambda fam, v: codes.gv_floor(v, 8, 3), 2),
-    "gv_floor length": (lambda fam, v: codes.gv_floor(2, v, 3), 8),
-    "gv_floor min_dist": (lambda fam, v: codes.gv_floor(2, 8, v), 3),
+    "gv_floor q": (lambda fam, v: bounds.gv_floor(v, 8, 3), 2),
+    "gv_floor length": (lambda fam, v: bounds.gv_floor(2, v, 3), 8),
+    "gv_floor min_dist": (lambda fam, v: bounds.gv_floor(2, 8, v), 3),
     "certified_code q": (
         lambda fam, v: codes.certified_code(v, 3, [[0, 0, 1], [1, 1, 0]]).words, 2),
     "certified_code length": (
@@ -110,6 +127,9 @@ ENTRY_POINTS = {
     "corollary_explore pair index": (
         lambda fam, v: halfspace.corollary_explore(fam, [(v, 1)], 1, 1000, 0).rows, 3,
         (256, "pair index 256 out of range [0, 256)")),
+    "corollary_explore seed": (
+        lambda fam, v: halfspace.corollary_explore(fam, [(3, 1)], 1, 1000, v).rows, 3,
+        (-1, "need seed >= 0, got -1")),
     "noise_floor samples": (lambda fam, v: halfspace.noise_floor(v, 10), 1000),
     "noise_floor directions": (lambda fam, v: halfspace.noise_floor(1000, v), 10),
     "direction_set random_count": (lambda fam, v: halfspace.direction_set(3, 2, v, _rng()), 2),
@@ -117,6 +137,9 @@ ENTRY_POINTS = {
         lambda fam, v: halfspace.halfspace_discrepancy(fam.body(3), fam.body(5), v, 1000, 1), 1),
     "halfspace_discrepancy samples": (
         lambda fam, v: halfspace.halfspace_discrepancy(fam.body(3), fam.body(5), 1, v, 1), 1000),
+    "halfspace_discrepancy seed": (
+        lambda fam, v: halfspace.halfspace_discrepancy(fam.body(3), fam.body(5), 1, 1000, v), 1,
+        (-1, "need seed >= 0, got -1")),
 }
 
 
@@ -157,6 +180,14 @@ def test_require_int_messages():
     assert require_addressable(np.int64(4), 3, "labels") == 4
     with pytest.raises(ParameterError, match=r"^need labels count >= 0, got -1$"):
         require_addressable(-1, 3, "labels")
+
+
+def test_run_verification_refuses_a_bad_seed_before_any_check(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", (("none", lambda ctx: pytest.fail("ran a check")),))
+    for seed, message in ((-1, "need seed >= 0, got -1"),
+                          (1.5, "seed must be an integer, not 1.5")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            verify.run_verification(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +243,10 @@ def test_label_text_refuses_an_integral_float():
 
 def test_choose_parameters_and_query_bound_take_numpy_ints():
     d = np.int64(64)
-    assert harness.choose_parameters(d, 1 / 8) == harness.choose_parameters(64, 1 / 8)
-    assert harness.query_lower_bound(d, Fraction(1, 8)) == harness.query_lower_bound(
+    assert bounds.choose_parameters(d, 1 / 8) == bounds.choose_parameters(64, 1 / 8)
+    assert bounds.query_lower_bound(d, Fraction(1, 8)) == bounds.query_lower_bound(
         64, Fraction(1, 8))
-    assert harness.query_lower_bound(d, Fraction(1, 8)).q_floor == 194
+    assert bounds.query_lower_bound(d, Fraction(1, 8)).q_floor == 194
 
 
 def test_gv_greedy_takes_a_numpy_alphabet_size():

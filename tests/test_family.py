@@ -17,21 +17,21 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from crosspeaks import codes, exactmath
+from crosspeaks import codes
+from crosspeaks.bounds import inner_seed_distance
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
-from crosspeaks.exactmath import compare_exp_neg, exp_neg_bounds
+from crosspeaks.exactmath import compare_exp_neg
 from crosspeaks.family import (ProductBody, ProductFamily, _pair_threshold,
                                build_inner_family,
                                build_product_family, certify_cardinality,
                                certify_equal_volumes, certify_separation,
                                exact_distance,
                                format_manifest, inner_family_from_code,
-                               inner_seed_distance, outer_distance_floor,
+                               outer_distance_floor,
                                intersection_volume, intersection_volume_inner,
                                parse_manifest, product_family_from_parts,
                                read_manifest, scan_separation,
-                               separation_floor, separation_holds,
                                write_manifest)
 from crosspeaks.geometry import (InnerBody, body_from_mask, classify_batch,
                                  core_label_value, inner_volume,
@@ -213,41 +213,6 @@ def test_construction_code_distances():
     assert [outer_distance_floor(k) for k in range(1, 6)] == [1, 1, 2, 2, 3]
     for n in (2, 3, 4):  # complement extension doubles the seed distance
         assert build_inner_family(n).code.min_distance == 2 * inner_seed_distance(n)
-
-
-def test_separation_floor_brackets():
-    lo, hi = separation_floor(3, 1)
-    assert lo < hi
-    assert float(lo) < 1 - math.exp(-1 / 48) < float(hi) + 1e-15
-    assert F(1, 20) > hi  # the worst (3,1) pair clears the floor
-    lo4, hi4 = separation_floor(3, 4)
-    assert F(39, 400) > hi4
-
-
-def test_separation_holds_decision():
-    assert separation_holds(3, 4, F(1, 32))
-    assert not separation_holds(3, 4, F(1, 16))
-    assert separation_holds(3, 2, F(1, 64))
-
-
-def test_separation_holds_at_a_near_floor_epsilon():
-    # 2 eps = 1 - hi sits closer to the floor than 256 terms can tell
-    _, hi = exp_neg_bounds(F(1, 12), 400)
-    assert separation_holds(3, 4, (1 - hi) / 2)
-
-
-def test_separation_holds_far_from_the_floor_takes_one_bracket(monkeypatch):
-    # deciding against a rational far from e^-x must not need precision
-    # 10^-4000: the first bracket already excludes it
-    calls = []
-
-    def counted(x, terms=32):
-        calls.append(terms)
-        return exp_neg_bounds(x, terms)
-
-    monkeypatch.setattr(exactmath, "exp_neg_bounds", counted)
-    assert separation_holds(3, 4, F(1, 10**4000))
-    assert calls == [32]
 
 
 def test_pair_threshold_matches_decimal():

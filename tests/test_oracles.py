@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
 from crosspeaks import geometry, oracles, verify
+from crosspeaks.bounds import answer_space_size
 from crosspeaks.errors import ParameterError, VerificationError
 from crosspeaks.family import ProductBody
 from crosspeaks.geometry import (InnerBody, bare_body, body_from_mask,
                                  classify_batch, core_label_value, full_body,
                                  label_text, sample_inner_batch,
                                  sample_region_label_rows)
-from crosspeaks.oracles import (Transcript, answer_space_size,
-                                continuous_membership, continuous_random_batch,
-                                discrete_membership, discrete_random,
-                                discrete_random_batch, parse_transcript_log,
-                                simulate_batch)
+from crosspeaks.oracles import (Transcript, continuous_membership,
+                                continuous_random_batch, discrete_membership,
+                                discrete_random, discrete_random_batch,
+                                parse_transcript_log, simulate_batch)
 
 
 def _product(mask_per_factor, n=3):
