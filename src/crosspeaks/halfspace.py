@@ -13,11 +13,16 @@ diagonals (peaks live on those diagonals, so they are where the mass moves),
 and a batch of random unit vectors.
 
 All directions are scored by one kernel, `ks_statistics`, on the (D,
-samples) projections of both bodies: one argsort of each direction's merged
-samples, a running count of a-samples that makes na*nb*|F_a - F_b| an exact
+samples) projections of both bodies: one sort of each direction's merged
+samples, a running count of b-samples that makes na*nb*|F_a - F_b| an exact
 integer, and ties settled by reading that gap only at the last position of
 each run of equal values.  The rows go through in blocks of about 2^15
-merged samples, so the working arrays stay in cache.
+merged samples, so the working arrays stay in cache.  A block whose samples
+all lie strictly inside (-2, 2) is sorted in place as int64 keys: the
+order-preserving bit pattern of each value shifted left one bit, with the
+sample's side (0 for a, 1 for b) in the low bit.  Any other block, one
+holding +-2 or beyond or an infinity, is argsorted and its values gathered
+back.
 
 Sample streams are keyed by (run seed, body description), not by argument
 position: swapping the two bodies swaps identical streams, so the estimate
@@ -64,11 +69,16 @@ def ks_statistics(a_rows, b_rows) -> np.ndarray:
     """Two-sample Kolmogorov-Smirnov statistic sup_t |F_a(t) - F_b(t)| of
     every row pair of (D, na) and (D, nb) samples, as D floats.
 
-    Each merged row is argsorted once.  With ca and cb the a- and b-samples
-    at or below a position, ca*nb - cb*na is na*nb*(F_a - F_b) as an exact
-    integer; only the last position of each run of equal values is a point
-    of both CDFs.  The float |ca/na - cb/nb| is formed only where a row
-    reaches its integer maximum, and the largest of those is returned.
+    Each merged row is sorted once.  A block of rows whose samples all lie
+    strictly inside (-2, 2) is sorted in place as packed int64 keys (see
+    _packed_sort); a block holding any value at or beyond +-2, infinities
+    included, is argsorted and gathered instead.  Both give each sorted
+    position's side and whether the next value equals it.  With ca and cb
+    the a- and b-samples at or below a position, cb*na - ca*nb is
+    na*nb*(F_b - F_a) as an exact integer; only the last position of each
+    run of equal values is a point of both CDFs.  The float |ca/na - cb/nb|
+    is formed only where a row reaches its integer maximum, and the largest
+    of those is returned.
     """
     a_rows = _samples(a_rows, 2, "a_rows")
     b_rows = _samples(b_rows, 2, "b_rows")
@@ -76,25 +86,56 @@ def ks_statistics(a_rows, b_rows) -> np.ndarray:
         raise ParameterError(f"{len(a_rows)} rows of a against {len(b_rows)} of b")
     na, nb = a_rows.shape[1], b_rows.shape[1]
     width = na + nb
-    rank_gap = np.arange(1, width + 1) * na   # (ca + cb) * na along a row
+    rank_gap = np.arange(1, width + 1) * nb   # (ca + cb) * nb along a row
     out = np.empty(len(a_rows))
     step = max(1, _BLOCK_ELEMENTS // width)
     for start in range(0, len(out), step):
         merged = np.concatenate((a_rows[start:start + step],
                                  b_rows[start:start + step]), axis=1)
-        order = np.argsort(merged, axis=1)
-        values = np.take_along_axis(merged, order, axis=1)
-        count_a = np.cumsum(order < na, axis=1)
-        gap = count_a * width
+        if -2.0 < merged.min() and merged.max() < 2.0:
+            side, tied = _packed_sort(merged, na)
+        else:
+            side, tied = _argsort(merged, na)
+        count_b = np.cumsum(side, axis=1)
+        gap = count_b * width
         gap -= rank_gap
         np.abs(gap, out=gap)
-        np.copyto(gap[:, :-1], -1, where=values[:, :-1] == values[:, 1:])
-        rows, cols = np.nonzero(gap == gap.max(axis=1, keepdims=True))
-        ca = count_a[rows, cols]
-        diffs = np.abs(ca / na - (cols + 1 - ca) / nb)
+        np.copyto(gap[:, :-1], -1, where=tied)
+        peaks = gap == gap.max(axis=1, keepdims=True)
+        rows, cols = np.divmod(np.flatnonzero(peaks), width)   # 2-D nonzero is slower
+        cb = count_b[rows, cols]
+        diffs = np.abs((cols + 1 - cb) / na - cb / nb)
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))
         out[start:start + step] = np.maximum.reduceat(diffs, firsts)
     return out
+
+
+def _packed_sort(merged: np.ndarray, na: int) -> tuple[np.ndarray, np.ndarray]:
+    """(side, tied) of a block whose samples all lie in (-2, 2), from one
+    sort of int64 keys made in merged's own memory, which it overwrites:
+    side is 1 where the sorted position holds a
+    b-sample, tied is True where the next position holds an equal value.
+
+    Adding 0.0 turns -0.0 into +0.0; flipping the low 63 bits of a negative
+    float's int64 view then orders the keys as the values, and equal keys are
+    equal values.  Below 2 in magnitude a key needs only 62 bits, so key << 1
+    has room for the side in the low bit."""
+    merged += 0.0
+    keys = merged.view(np.int64)
+    keys ^= (keys >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+    keys <<= 1
+    keys[:, na:] |= 1
+    keys.sort(axis=1)
+    side = keys & 1
+    keys >>= 1
+    return side, keys[:, :-1] == keys[:, 1:]
+
+
+def _argsort(merged: np.ndarray, na: int) -> tuple[np.ndarray, np.ndarray]:
+    """(side, tied) as _packed_sort, for any block, by argsort and gather."""
+    order = np.argsort(merged, axis=1)
+    values = np.take_along_axis(merged, order, axis=1)
+    return order >= na, values[:, :-1] == values[:, 1:]
 
 
 def ks_statistic(a, b) -> float:
@@ -117,7 +158,8 @@ def direction_set(n: int, k: int, random_count: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, list[str]]:
     """(D, n*k) matrix of unit probe directions and their labels: all d
     axes, all k * 2^n per-factor orthant diagonals, then random_count
-    uniform unit vectors."""
+    uniform unit vectors.  n >= 2, as for every inner body, and k >= 1."""
+    n, k = require_int(n, "n", 2), require_int(k, "k", 1)
     random_count = require_int(random_count, "random_count", 0)
     d, orthants = n * k, 1 << n
     structured = d + k * orthants

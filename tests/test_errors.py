@@ -132,6 +132,10 @@ ENTRY_POINTS = {
         (-1, "need seed >= 0, got -1")),
     "noise_floor samples": (lambda fam, v: halfspace.noise_floor(v, 10), 1000),
     "noise_floor directions": (lambda fam, v: halfspace.noise_floor(1000, v), 10),
+    "direction_set n": (lambda fam, v: halfspace.direction_set(v, 2, 3, _rng()), 3,
+                        (1, "need n >= 2, got 1")),
+    "direction_set k": (lambda fam, v: halfspace.direction_set(3, v, 3, _rng()), 2,
+                        (0, "need k >= 1, got 0")),
     "direction_set random_count": (lambda fam, v: halfspace.direction_set(3, 2, v, _rng()), 2),
     "halfspace_discrepancy dirs": (
         lambda fam, v: halfspace.halfspace_discrepancy(fam.body(3), fam.body(5), v, 1000, 1), 1),
