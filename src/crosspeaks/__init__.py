@@ -27,10 +27,9 @@ _EXPORTS = {
                "certify_separation", "exact_distance", "format_manifest",
                "intersection_volume", "parse_manifest", "read_manifest",
                "write_manifest"),
-    "geometry": ("GeometryParams", "InnerBody", "OrthantSign", "bare_body",
-                 "body_from_mask", "classify_point", "full_body", "inner_volume",
-                 "label_text", "make_geometry", "membership_inner",
-                 "membership_q_oracle", "sample_inner_batch"),
+    "geometry": ("GeometryParams", "InnerBody", "bare_body", "classify_point",
+                 "full_body", "inner_volume", "label_text", "make_geometry",
+                 "membership_inner", "membership_q_oracle", "sample_inner_batch"),
     "halfspace": ("CorollaryReport", "DiscrepancyEstimate", "corollary_explore",
                   "direction_set", "halfspace_discrepancy", "ks_statistic",
                   "noise_floor"),

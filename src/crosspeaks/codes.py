@@ -16,7 +16,8 @@ free word v adds code XOR v and marks the bitmap XOR-shifted by v, so it
 takes log2 F + 1 passes over the bitmap; other alphabets scan it window by
 window.  A closed code's pairwise differences are its nonzero words, so
 certified_code reads its minimum distance off the least nonzero weight in
-O(F length) and scans all F(F-1)/2 pairs only for other codes.
+O(F length), records the code as closed (Code.xor_closed, which the family's
+code bound reads), and scans all F(F-1)/2 pairs only for other codes.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ class Code:
     length: int
     words: np.ndarray
     min_distance: int
+    xor_closed: bool  # the words are their own span under symbol-wise XOR
 
     @property
     def size(self) -> int:
@@ -146,9 +148,11 @@ def certified_code(q: int, length: int, words) -> Code:
     q, length = require_int(q, "alphabet size", 2), require_int(length, "length")
     words = _word_matrix(q, length, words)
     dmin = closure_distance(q, words)
-    if dmin is None:
+    closed = dmin is not None
+    if not closed:
         dmin = min_distance_exhaustive(words)
-    return Code(alphabet_size=q, length=length, words=words, min_distance=dmin)
+    return Code(alphabet_size=q, length=length, words=words, min_distance=dmin,
+                xor_closed=closed)
 
 
 def _ball_shifts(q: int, length: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,19 +293,32 @@ def format_code(code: Code) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(line: str) -> tuple[int, int, int]:
-    try:
-        parts = dict(p.split("=", 1) for p in line.split())
-        return int(parts["q"]), int(parts["len"]), int(parts["dmin"])
-    except (ValueError, KeyError) as exc:
-        raise ParameterError(f"malformed code header {line!r}") from exc
+def header_fields(line: str, keys: tuple[str, ...], what: str) -> list[int]:
+    """The integer values of a 'key=value ...' header line, in the order of
+    keys; ParameterError unless it names each key exactly once and nothing
+    else."""
+    fields = {}
+    for part in line.split():
+        key, _, value = part.partition("=")
+        if key not in keys or key in fields:
+            problem = "repeats" if key in fields else "has an unknown field"
+            raise ParameterError(f"{what} header {line!r} {problem} {part!r}")
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise ParameterError(f"{what} header {line!r} has a non-integer field "
+                                 f"{part!r}") from None
+    missing = [key for key in keys if key not in fields]
+    if missing:
+        raise ParameterError(f"{what} header {line!r} lacks {', '.join(missing)}")
+    return [fields[key] for key in keys]
 
 
 def parse_code(text: str) -> Code:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParameterError("empty code text")
-    q, length, dmin = _parse_header(lines[0])
+    q, length, dmin = header_fields(lines[0], ("q", "len", "dmin"), "code")
     words = []
     for ln in lines[1:]:
         ln = ln.strip()

@@ -358,8 +358,7 @@ def _separation_by_code_bound(family: ProductFamily) -> SeparationReport | None:
     condition fails or no witness exists."""
     n, k, outer = family.n, family.k, family.outer
     d = outer.min_distance
-    if (d < outer_distance_floor(k)
-            or codes_mod.closure_distance(outer.alphabet_size, outer.words) is None):
+    if d < outer_distance_floor(k) or not outer.xor_closed:
         return None
     masks = family.inner.masks
     shared = np.bitwise_count(masks[:, None] & masks)  # q x q peaks shared
@@ -489,14 +488,8 @@ def parse_manifest(text: str) -> ProductFamily:
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ParameterError("empty manifest")
-    try:
-        head = dict(p.split("=", 1) for p in lines[0].split())
-        n = int(head["n"])
-        k = int(head["k"])
-        inner_size = int(head["inner_size"])
-        outer_size = int(head["outer_size"])
-    except (ValueError, KeyError) as exc:
-        raise ParameterError(f"malformed manifest header {lines[0]!r}") from exc
+    n, k, inner_size, outer_size = codes_mod.header_fields(
+        lines[0], ("n", "k", "inner_size", "outer_size"), "manifest")
     if len(lines) != 1 + outer_size + 1 + inner_size:
         raise ParameterError(
             f"manifest should hold {outer_size} outer words and a code block of "

@@ -12,7 +12,8 @@ A body is the core plus any subset of the 2^n peaks.  Orthants are encoded
 as n-bit integers: bit i of the index is 1 iff s_i = +1.  Region labels
 are plain integers on every path, scalar and batch: a value below 2^n is
 the orthant index of a peak, 2^n is the core and 2^n + 1 is outside;
-label_text gives the 'C' / 'P<hex>' / 'O' transcript form.
+label_text gives the 'C' / 'P<hex>' / 'O' transcript form and parse_label
+reads it back.
 
 Construction constants are exact rationals.  The scalar predicates
 (classify_point, membership_inner, membership_q_oracle) pass Fraction
@@ -46,23 +47,6 @@ def index_to_signs(n: int, index: int) -> tuple[int, ...]:
     return tuple(1 if (index >> i) & 1 else -1 for i in range(n))
 
 
-@dataclass(frozen=True)
-class OrthantSign:
-    """One of the 2^n orthants, held as (dimension, encoded index)."""
-
-    n: int
-    index: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", require_int(self.n, "n", 1))
-        object.__setattr__(self, "index",
-                           require_int(self.index, "orthant index", 0, 1 << self.n))
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return index_to_signs(self.n, self.index)
-
-
 # integer region labels, used by every path: values < 2^n are peak orthant
 # indices, 2^n is the core, 2^n + 1 is outside.
 def core_label_value(n: int) -> int:
@@ -82,6 +66,22 @@ def label_text(n: int, value: int) -> str:
     if value == outside_label_value(n):
         return "O"
     return "P" + format(value, "x")
+
+
+def parse_label(n: int, text: str) -> int:
+    """Inverse of label_text: 'C', 'O' or 'P<hex orthant index below 2^n>'."""
+    if text == "C":
+        return core_label_value(n)
+    if text == "O":
+        return outside_label_value(n)
+    if text.startswith("P"):
+        try:
+            index = int(text[1:], 16)
+        except ValueError:
+            index = -1
+        if 0 <= index < core_label_value(n):
+            return index
+    raise ParameterError(f"bad region label {text!r} for n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +113,11 @@ def make_geometry(n: int) -> GeometryParams:
     )
 
 
-def peak_vertices(n: int, orthant: OrthantSign) -> list[list[Fraction]]:
-    """The n+1 vertices of the peak simplex in the given orthant:
-    the facet vertices s_i e_i plus the apex s/(n-1)."""
-    s = orthant.signs
+def peak_vertices(n: int, index: int) -> list[list[Fraction]]:
+    """The n+1 vertices of the peak simplex in orthant `index`: the facet
+    vertices s_i e_i plus the apex s/(n-1)."""
+    n = require_int(n, "n", 2)   # the apex s/(n-1) needs n >= 2
+    s = index_to_signs(n, index)
     verts = []
     for i in range(n):
         v = [Fraction(0)] * n
@@ -162,10 +163,6 @@ class InnerBody:
         """Serialized form: n=<int>;peaks=<hex of 2^n bits, orthant 0 = LSB>."""
         width = max(1, (1 << self.n) // 4)
         return f"n={self.n};peaks={self.mask:0{width}x}"
-
-
-def body_from_mask(n: int, mask: int) -> InnerBody:
-    return InnerBody(n, mask)
 
 
 def bare_body(n: int) -> InnerBody:

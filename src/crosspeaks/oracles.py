@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ParameterError, require_addressable, require_int
 from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,
-                       region_points, sample_inner_batch,
+                       parse_label, region_points, sample_inner_batch,
                        sample_region_label_rows, sample_region_labels)
 
 
@@ -67,18 +67,24 @@ class Transcript:
         return len(self.entries)
 
     def record_random(self, labels) -> None:
-        labels = tuple(require_int(v, "label", 0, (1 << self.n) + 1) for v in labels)
-        if not labels:
-            raise ParameterError("a random draw needs at least one label")
-        self.entries.append(("R", labels))
+        """One random draw: the one-row case of record_random_rows."""
+        self.record_random_rows([tuple(labels)])
 
-    def record_random_rows(self, rows: np.ndarray) -> None:
-        """One random-draw entry per row of a (count, k >= 1) label matrix."""
-        top = core_label_value(self.n)
-        if (rows.ndim != 2 or not rows.shape[1] or rows.dtype.kind not in "iu"
-                or rows.size and (rows.min() < 0 or rows.max() > top)):
-            raise ParameterError(f"label rows must be a (count, k >= 1) integer "
-                                 f"array in [0, {top}], got a {rows.dtype} {rows.shape}")
+    def record_random_rows(self, rows) -> None:
+        """One random-draw entry per row of a (count, k >= 1) label matrix.
+        Unless every label is an integer in [0, 2^n], the first one that is
+        not is refused with require_int's message."""
+        try:
+            rows = np.asarray(rows)
+        except ValueError as exc:  # ragged rows, or a label that is a sequence
+            raise ParameterError("label rows do not form a (count, k) array") from exc
+        if rows.ndim != 2 or not rows.shape[1]:
+            raise ParameterError(f"label rows must be a (count, k >= 1) array, "
+                                 f"got shape {rows.shape}")
+        top = core_label_value(self.n) + 1
+        if rows.dtype.kind not in "iu" or rows.size and (rows.min() < 0 or rows.max() >= top):
+            for label in rows.flat:  # bools, floats and strings fail, as do labels >= top
+                require_int(label, "label", 0, top)
         self.entries.extend(("R", tuple(row)) for row in rows.tolist())
 
     def record_membership(self, indices, answers) -> None:
@@ -103,20 +109,6 @@ class Transcript:
         return "\n".join(lines)
 
 
-def _parse_draw_label(n: int, token: str) -> int:
-    """A random-draw label token: 'C' or 'P<hex index below 2^n>'."""
-    if token == "C":
-        return core_label_value(n)
-    if token.startswith("P"):
-        try:
-            index = int(token[1:], 16)
-        except ValueError:
-            index = -1
-        if 0 <= index < core_label_value(n):
-            return index
-    raise ParameterError(f"bad random-draw label {token!r} for n={n}")
-
-
 def parse_transcript_log(n: int, text: str) -> Transcript:
     """Inverse of Transcript.to_log for n-dimensional factors (n >= 2)."""
     n = require_int(n, "n", 2)
@@ -126,8 +118,7 @@ def parse_transcript_log(n: int, text: str) -> Transcript:
         if not line:
             continue
         if line.startswith("R "):
-            t.record_random(_parse_draw_label(n, token.strip())
-                            for token in line[2:].split(","))
+            t.record_random(parse_label(n, token.strip()) for token in line[2:].split(","))
         elif line.startswith("M "):
             try:
                 left, right = line[2:].split("->")

@@ -80,7 +80,7 @@ def check_geometry_identities(ctx: _Context) -> str:
                  f"total peak volume identity fails at n={n}")
         orthants = range(1 << n) if n <= 4 else (0, (1 << n) - 1, 1)
         for index in orthants:
-            vertices = geometry.peak_vertices(n, geometry.OrthantSign(n, index))
+            vertices = geometry.peak_vertices(n, index)
             _require(simplex_volume(vertices) == g.peak_volume,
                      f"determinant oracle disagrees at n={n}, orthant={index}")
         full = geometry.inner_volume(geometry.full_body(n))
@@ -97,7 +97,7 @@ def check_membership_equivalence(ctx: _Context) -> str:
     for n in (2, 3):
         for _ in range(6):
             mask = int(rng.integers(1 << (1 << n)))
-            body = geometry.body_from_mask(n, mask)
+            body = geometry.InnerBody(n, mask)
             coords = rng.integers(-3 * scale // 2, 3 * scale // 2 + 1,
                                   size=(points, n)).astype(np.int64)
             member = geometry.membership_scaled_batch(body, coords, scale)
@@ -117,7 +117,7 @@ def check_convexity(ctx: _Context) -> str:
     n = 3
     combos = 0
     for mask in (0x00, 0x2D, 0xFF):
-        body = geometry.body_from_mask(n, mask)
+        body = geometry.InnerBody(n, mask)
         coords = rng.integers(-9 * scale // 8, 9 * scale // 8 + 1,
                               size=(60_000, n)).astype(np.int64)
         inside = coords[geometry.membership_scaled_batch(body, coords, scale)]
@@ -137,7 +137,7 @@ def check_sampler_regions(ctx: _Context) -> str:
     rng = ctx.rng(3)
     n, samples = 3, 100_000
     for mask in (0x00, 0x0F, 0xFF):
-        body = geometry.body_from_mask(n, mask)
+        body = geometry.InnerBody(n, mask)
         pts, labels = geometry.sample_inner_batch(body, samples, rng)
         misplaced = int(np.sum(geometry.classify_batch(n, pts) != labels))
         _require(misplaced == 0,
@@ -258,7 +258,7 @@ def _require_exact_label_law(bodies, u: np.ndarray) -> None:
 
 def check_oracle_branching(ctx: _Context) -> str:
     r = geometry.core_weight(3)
-    bodies = tuple(geometry.body_from_mask(3, m) for m in (0xFF, 0x2D, 0x00))
+    bodies = tuple(geometry.InnerBody(3, m) for m in (0xFF, 0x2D, 0x00))
     axes = [np.arange(r + b.peak_count) for b in bodies]
     for body, axis in zip(bodies, axes):
         _require_exact_label_law((body,), axis[:, None])

@@ -19,7 +19,7 @@ from crosspeaks.codes import (complement_extend, gv_floor, gv_greedy,
 from crosspeaks.exactmath import simplex_volume
 from crosspeaks.family import (build_product_family, certify_cardinality,
                                certify_separation)
-from crosspeaks.geometry import (OrthantSign, bare_body, body_from_mask,
+from crosspeaks.geometry import (InnerBody, bare_body,
                                  make_geometry, membership_scaled_batch,
                                  peak_vertices, q_membership_scaled_batch,
                                  region_expectations, sample_inner_batch,
@@ -47,7 +47,7 @@ def test_criterion_1_exact_peak_geometry():
         g = make_geometry(n)
         assert (1 << n) * g.peak_volume == g.core_volume / (n - 1)
         for index in range(1 << n):
-            oracle = simplex_volume(peak_vertices(n, OrthantSign(n, index)))
+            oracle = simplex_volume(peak_vertices(n, index))
             assert oracle == g.peak_volume
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -67,7 +67,7 @@ def test_criterion_2_membership_equivalence():
         quota = 3400 * (pos + 1)  # spread the 10^4 combos over all three n
         for body_round in range(50):
             mask = int(rng.integers(1 << orthants))
-            body = body_from_mask(n, mask)
+            body = InnerBody(n, mask)
             missing = [i for i in range(orthants) if not body.has_peak(i)]
             pts = rng.integers(lo, hi, size=(100_000, n)).astype(np.int64)
             mine = membership_scaled_batch(body, pts, scale)
@@ -96,7 +96,7 @@ def test_criterion_3_sampler_fidelity():
     count = 1_000_000
     rng = np.random.default_rng(SEED + 3)
     for mask in (0x00, 0x0F, 0xFF):
-        body = body_from_mask(3, mask)
+        body = InnerBody(3, mask)
         _, labels = sample_inner_batch(body, count, rng)
         values, probs = region_expectations(body)
         counts = np.array([(labels == v).sum() for v in values])

@@ -98,6 +98,27 @@ def test_sample_labels_format(capsys, manifest_32):
             assert tok == "C" or (tok.startswith("P") and len(tok) == 2)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("n=3 k=2 ", "n=3 k=5 k=2 "),
+    ("outer_size=256", "outer_size=256 foo=1"),
+    (" outer_size=256", ""),
+    ("dmin=2", "dmin=2 q=2"),
+    ("dmin=2", "dmin=2 foo=1"),
+    (" dmin=2", ""),
+], ids=["manifest-repeated", "manifest-unknown", "manifest-missing",
+        "code-repeated", "code-unknown", "code-missing"])
+def test_sample_refuses_a_header_key_repeated_unknown_or_missing(capsys, tmp_path, old, new):
+    # the manifest header and its inner code block's header share one reader,
+    # which takes each key exactly once and no other
+    text = FAM32.read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.manifest"
+    path.write_text(text.replace(old, new))
+    code, stdout, stderr = run(capsys, "sample", "--manifest", str(path), "--body-index", "3")
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("parameter error: ") and " header " in stderr
+
+
 def test_sample_deterministic(capsys, manifest_32):
     runs = []
     for _ in range(2):

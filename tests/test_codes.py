@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import operator
+import re
 import time
 
 import numpy as np
@@ -304,7 +305,14 @@ def test_closure_certificate_matches_pair_scan(span):
     with pytest.MonkeyPatch.context() as patch:
         # a closed code never reaches the pair scan: a zero budget cannot bite
         patch.setattr(codes, "DEFAULT_PAIR_BUDGET", 0)
-        assert certified_code(1 << m, length, words).min_distance == want
+        code = certified_code(1 << m, length, words)
+    assert code.min_distance == want and code.xor_closed
+
+
+def _scanned_distance(q, length, words):
+    code = certified_code(q, length, words)
+    assert not code.xor_closed
+    return code.min_distance
 
 
 @settings(deadline=None)
@@ -315,16 +323,16 @@ def test_non_closed_codes_fall_back_to_pair_scan(span, data):
     assume(len(words) >= 4)
     i = data.draw(st.integers(0, len(words) - 1), label="index")
     dropped = words[:i] + words[i + 1:]  # 2^r - 1 words: not a power of two
-    assert certified_code(q, length, dropped).min_distance == min_distance_exhaustive(dropped)
+    assert _scanned_distance(q, length, dropped) == min_distance_exhaustive(dropped)
     outside = [w for w in itertools.product(range(q), repeat=length) if w not in words]
     assume(outside)
     swapped = list(words)
     swapped[i] = data.draw(st.sampled_from(outside), label="outsider")
     # still 2^r distinct words, but of GF(2) rank r + 1
-    assert certified_code(q, length, swapped).min_distance == min_distance_exhaustive(swapped)
+    assert _scanned_distance(q, length, swapped) == min_distance_exhaustive(swapped)
     shift = swapped[i]  # a coset of the span: 2^r words of rank r + 1, no zero word
     coset = [tuple(a ^ b for a, b in zip(w, shift)) for w in words]
-    assert certified_code(q, length, coset).min_distance == min_distance_exhaustive(coset)
+    assert _scanned_distance(q, length, coset) == min_distance_exhaustive(coset)
 
 
 @settings(deadline=None)
@@ -398,6 +406,17 @@ def test_parse_rejects_corrupt_dmin():
     text = format_code(gv_greedy(2, 4, 2)).replace("dmin=2", "dmin=3")
     with pytest.raises(VerificationError):
         parse_code(text)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("q=2 len=4 dmin=2 q=2", "repeats 'q=2'"),
+    ("q=2 len=4 dmin=2 foo=1", "has an unknown field 'foo=1'"),
+    ("q=2 len=4", "lacks dmin"),
+    ("q=2 len=four dmin=2", "has a non-integer field 'len=four'"),
+])
+def test_parse_takes_each_header_key_once(header, message):
+    with pytest.raises(ParameterError, match=re.escape(f"code header {header!r} {message}")):
+        parse_code(header + "\n0000\n1111\n")
 
 
 def test_parse_rejects_malformed():

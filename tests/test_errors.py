@@ -87,9 +87,10 @@ ENTRY_POINTS = {
         lambda fam, v: geometry.q_membership_scaled_batch(v, [], np.zeros((1, 3), int), 1), 3),
     "index_to_signs index": (lambda fam, v: geometry.index_to_signs(3, v), 5,
                              (8, "orthant index 8 out of range [0, 8)")),
-    "OrthantSign n": (lambda fam, v: geometry.OrthantSign(v, 1).signs, 3),
-    "OrthantSign index": (lambda fam, v: geometry.OrthantSign(3, v).signs, 5,
-                          (-1, "orthant index -1 out of range [0, 8)")),
+    "peak_vertices n": (lambda fam, v: geometry.peak_vertices(v, 1), 3,
+                        (1, "need n >= 2, got 1")),
+    "peak_vertices index": (lambda fam, v: geometry.peak_vertices(3, v), 5,
+                            (-1, "orthant index -1 out of range [0, 8)")),
     "make_geometry n": (lambda fam, v: geometry.make_geometry(v), 3),
     "InnerBody n": (lambda fam, v: geometry.InnerBody(v, 0b1011).text(), 3),
     "InnerBody mask": (lambda fam, v: geometry.InnerBody(3, v).text(), 0b1011),

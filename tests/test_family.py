@@ -10,6 +10,7 @@ import decimal
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from crosspeaks.bounds import inner_seed_distance
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
 from crosspeaks.exactmath import compare_exp_neg
-from crosspeaks.family import (ProductBody, ProductFamily, _pair_threshold,
+from crosspeaks.family import (InnerFamily, ProductBody, ProductFamily, _pair_threshold,
                                build_inner_family,
                                build_product_family, certify_cardinality,
                                certify_equal_volumes, certify_separation,
@@ -33,7 +34,7 @@ from crosspeaks.family import (ProductBody, ProductFamily, _pair_threshold,
                                parse_manifest, product_family_from_parts,
                                read_manifest, scan_separation,
                                write_manifest)
-from crosspeaks.geometry import (InnerBody, body_from_mask, classify_batch,
+from crosspeaks.geometry import (InnerBody, classify_batch,
                                  core_label_value, inner_volume,
                                  make_geometry, sample_inner_batch)
 from crosspeaks.codes import certified_code, gv_greedy
@@ -176,7 +177,7 @@ def test_exact_distance_matches_volume_reference(n, k, data):
     # the integer form must equal (max vol - intersection) / max vol computed
     # from the Fraction volumes, also when the two volumes differ
     mask = st.integers(0, (1 << (1 << n)) - 1)
-    a, b = (ProductBody(tuple(body_from_mask(n, data.draw(mask)) for _ in range(k)))
+    a, b = (ProductBody(tuple(InnerBody(n, data.draw(mask)) for _ in range(k)))
             for _ in range(2))
     big = max(a.volume(), b.volume())
     expected = (big - intersection_volume(a, b)) / big
@@ -404,6 +405,28 @@ def test_certify_separation_pair_budget(family_32, monkeypatch):
     monkeypatch.setattr(codes, "DEFAULT_PAIR_BUDGET", 3)
     with pytest.raises(VerificationError):
         certify_separation(bad)
+
+
+def test_certify_separation_refuses_a_shared_peak_overflow():
+    # two n = 4 bodies sharing 7 > 3*2^4/8 = 6 peaks, too close for an inner
+    # family: the code bound gives up on 8 s* > 3 * 2^n and the pair scan names
+    # the pair
+    masks = (0x00FF, 0x017F)
+    code = certified_code(2, 16, [[m >> i & 1 for i in range(16)] for m in masks])
+    inner = InnerFamily(4, code, tuple(InnerBody(4, m) for m in masks))
+    family = product_family_from_parts(inner, certified_code(2, 2, [(0, 0), (1, 1)]))
+    assert family.outer.xor_closed
+    with pytest.raises(VerificationError, match=re.escape(
+            "pair (0, 1) shares 7 peaks in a differing factor, over 3*2^n/8")):
+        certify_separation(family)
+
+
+def test_code_bound_reads_closure_off_the_code(family_32, monkeypatch):
+    # certified_code decides XOR closure once and the Code records it
+    monkeypatch.setattr(codes, "closure_distance",
+                        lambda q, words: pytest.fail("closure decided twice"))
+    assert family_32.outer.xor_closed
+    assert certify_separation(family_32).method == "code-bound"
 
 
 def test_verification_failures_name_the_seed():

@@ -7,15 +7,14 @@ import pytest
 
 from crosspeaks.errors import BudgetExceededError, ParameterError
 from crosspeaks.exactmath import simplex_volume
-from crosspeaks.geometry import (OrthantSign, bare_body,
-                                 body_from_mask, classify_batch,
+from crosspeaks.geometry import (InnerBody, bare_body, classify_batch,
                                  classify_point, classify_scaled_batch,
                                  core_label_value, core_weight, full_body,
                                  index_to_signs,
                                  inner_volume, label_text, make_geometry,
                                  membership_inner,
                                  membership_q_oracle, membership_scaled_batch,
-                                 orthant_signs, outside_label_value,
+                                 orthant_signs, outside_label_value, parse_label,
                                  peak_vertices, q_halfspace_normals,
                                  q_membership_scaled_batch, region_expectations,
                                  region_labels_of_draws, region_points,
@@ -62,7 +61,7 @@ def test_peak_volume_determinant_oracle():
     for n in (2, 3, 4):
         g = make_geometry(n)
         for index in range(1 << n):
-            vertices = peak_vertices(n, OrthantSign(n, index))
+            vertices = peak_vertices(n, index)
             assert simplex_volume(vertices) == g.peak_volume
 
 
@@ -86,7 +85,7 @@ def test_orthant_roundtrip():
 
 def test_orthant_bad_values():
     with pytest.raises(ParameterError):
-        OrthantSign(3, 8)
+        peak_vertices(3, 8)
     with pytest.raises(ParameterError):
         index_to_signs(3, -1)
 
@@ -174,13 +173,23 @@ def test_label_text_refuses_values_outside_the_labels():
             label_text(3, value)
 
 
+def test_parse_label_inverts_label_text():
+    for n in (2, 3, 4):
+        for value in range(outside_label_value(n) + 1):
+            assert parse_label(n, label_text(n, value)) == value
+    # P8 would be the core's value and P-1 no orthant at n = 3
+    for text in ("P8", "P-1", "P", "Px", "X", "c", ""):
+        with pytest.raises(ParameterError, match="^bad region label "):
+            parse_label(3, text)
+
+
 # ---------------------------------------------------------------------------
 # membership and the facet-oracle cross-check
 
 def test_membership_literals():
     x = (F(1, 2), F(2, 5), F(3, 10))
     assert membership_inner(full_body(3), x)
-    assert not membership_inner(body_from_mask(3, 0x7F), x)  # peak 7 missing
+    assert not membership_inner(InnerBody(3, 0x7F), x)  # peak 7 missing
     assert membership_inner(bare_body(3), (F(0), F(0), F(0)))
 
 
@@ -214,7 +223,7 @@ def test_membership_agrees_with_q_oracle(rng):
         for _ in range(8):
             mask = int(rng.integers(1 << (1 << n))) if n < 5 else int(
                 rng.integers(1 << 30))
-            body = body_from_mask(n, mask & ((1 << (1 << n)) - 1))
+            body = InnerBody(n, mask & ((1 << (1 << n)) - 1))
             missing = [i for i in range(1 << n) if not body.has_peak(i)]
             coords = rng.integers(-scale - scale // 4, scale + scale // 4,
                                   size=(2000, n)).astype(np.int64)
@@ -230,7 +239,7 @@ def test_q_oracle_dimension_cap():
 
 def test_convex_combinations_stay_inside(rng):
     scale = 1 << 10
-    body = body_from_mask(3, 0x55)
+    body = InnerBody(3, 0x55)
     coords = rng.integers(-scale, scale + 1, size=(8000, 3)).astype(np.int64)
     members = coords[membership_scaled_batch(body, coords, scale)]
     assert len(members) >= 1000
@@ -246,13 +255,13 @@ def test_convex_combinations_stay_inside(rng):
 def test_inner_volume_examples():
     assert inner_volume(bare_body(3)) == F(4, 3)
     assert inner_volume(full_body(3)) == 2
-    assert inner_volume(body_from_mask(3, 0x0F)) == F(5, 3)
+    assert inner_volume(InnerBody(3, 0x0F)) == F(5, 3)
 
 
 def test_inner_volume_monotone():
     prev = None
     for count in range(9):
-        body = body_from_mask(3, (1 << count) - 1)
+        body = InnerBody(3, (1 << count) - 1)
         vol = inner_volume(body)
         if prev is not None:
             assert vol > prev
@@ -260,25 +269,25 @@ def test_inner_volume_monotone():
 
 
 def test_body_text_roundtrip():
-    body = body_from_mask(3, 0x0F)
+    body = InnerBody(3, 0x0F)
     assert body.text() == "n=3;peaks=0f"
     for body in (body, full_body(4), bare_body(2)):
         n, mask = body.text().split(";")
-        assert body_from_mask(int(n[2:]), int(mask[6:], 16)) == body
+        assert InnerBody(int(n[2:]), int(mask[6:], 16)) == body
 
 
 def test_body_peak_queries():
-    body = body_from_mask(3, 0b00001010)
+    body = InnerBody(3, 0b00001010)
     assert body.peak_count == 2
     assert body.has_peak(1) and body.has_peak(3)
     assert not body.has_peak(0)
     with pytest.raises(ParameterError):
-        body_from_mask(3, 1 << 8)
+        InnerBody(3, 1 << 8)
 
 
 def test_body_peaks_built_once_read_only():
-    for body in (body_from_mask(3, 0b10001010), full_body(2), bare_body(4),
-                 body_from_mask(5, 0x8000_0001)):
+    for body in (InnerBody(3, 0b10001010), full_body(2), bare_body(4),
+                 InnerBody(5, 0x8000_0001)):
         peaks = body.peaks
         assert body.peaks is peaks
         assert peaks.dtype == np.int64
@@ -305,7 +314,7 @@ def test_shared_sign_tables_read_only():
 # sampling
 
 def test_sample_single_reports_its_region(rng):
-    body = body_from_mask(3, 0x0F)
+    body = InnerBody(3, 0x0F)
     for _ in range(200):
         (x,), (lab,) = sample_inner_batch(body, 1, rng)
         assert classify_point(3, [float(c) for c in x]) == lab
@@ -313,7 +322,7 @@ def test_sample_single_reports_its_region(rng):
 
 
 def test_sample_batch_classifies_back(rng):
-    body = body_from_mask(3, 0xA5)
+    body = InnerBody(3, 0xA5)
     pts, labels = sample_inner_batch(body, 20_000, rng)
     assert np.array_equal(classify_batch(3, pts), labels)
     assert np.isin(labels, [core_label_value(3), 0, 2, 5, 7]).all()
@@ -321,7 +330,7 @@ def test_sample_batch_classifies_back(rng):
 
 def test_sample_region_frequencies(rng):
     # 4-peak body at n=3: each present peak carries exactly 1/20 of the mass
-    body = body_from_mask(3, 0x0F)
+    body = InnerBody(3, 0x0F)
     _, labels = sample_inner_batch(body, 200_000, rng)
     values, probs = region_expectations(body)
     assert probs[0] == F(4, 5)
@@ -347,7 +356,7 @@ def test_sample_full_body_core_share(rng):
 
 
 def test_sampling_is_reproducible():
-    body = body_from_mask(3, 0x3C)
+    body = InnerBody(3, 0x3C)
     a, la = sample_inner_batch(body, 500, np.random.default_rng(123))
     b, lb = sample_inner_batch(body, 500, np.random.default_rng(123))
     assert np.array_equal(a, b) and np.array_equal(la, lb)
@@ -358,9 +367,9 @@ def test_sampler_pinned_bytes():
     # orthant's peak points in its own call: the single peak draw of
     # region_points must reproduce them byte for byte
     pins = [
-        (body_from_mask(3, 0b10110101), 1,
+        (InnerBody(3, 0b10110101), 1,
          "85f6901a6056af1cb2e2e6d7f414d5a08504e570611fb376411eead2738b387f"),
-        (body_from_mask(4, 0x5A3C), 2,
+        (InnerBody(4, 0x5A3C), 2,
          "3f8e16f1e6f22d967c93e00d5e4a3e42bda1fc50b869dd2eb92220282ebe21a8"),
         (full_body(10), 3,
          "78d6da6d4918a3dfdcaf4b9f123c1de83c5a1d7f07478cee8d475d26149d9e25"),
@@ -371,7 +380,7 @@ def test_sampler_pinned_bytes():
 
 
 def test_label_rows_columns_follow_their_bodies(rng):
-    bodies = (full_body(3), bare_body(3), body_from_mask(3, 0x81))
+    bodies = (full_body(3), bare_body(3), InnerBody(3, 0x81))
     rows = sample_region_label_rows(bodies, 4000, rng)
     assert rows.shape == (4000, 3) and rows.dtype == np.int64
     assert set(np.unique(rows[:, 0])) == set(range(9))
@@ -385,7 +394,7 @@ def test_label_rows_columns_follow_their_bodies(rng):
 def test_label_map_reproduces_the_sampler(masks):
     # two generators from one seed: the sampler's, and one whose draw the test
     # repeats and feeds to the map by hand
-    bodies = tuple(body_from_mask(3, m) for m in masks)
+    bodies = tuple(InnerBody(3, m) for m in masks)
     sampler_rng, map_rng = np.random.default_rng(11), np.random.default_rng(11)
     rows = sample_region_label_rows(bodies, 3000, sampler_rng)
     counts = [b.peak_count for b in bodies]

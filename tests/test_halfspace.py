@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from crosspeaks import halfspace
 from crosspeaks.errors import BudgetExceededError, ParameterError
 from crosspeaks.family import ProductBody
-from crosspeaks.geometry import body_from_mask, full_body, index_to_signs
+from crosspeaks.geometry import InnerBody, full_body, index_to_signs
 from crosspeaks.halfspace import (COROLLARY_CSV_COLUMNS, corollary_explore,
                                   direction_set, halfspace_discrepancy,
                                   ks_statistic, ks_statistics, noise_floor)
 
 
 def _product(masks, n=3):
-    return ProductBody(tuple(body_from_mask(n, m) for m in masks))
+    return ProductBody(tuple(InnerBody(n, m) for m in masks))
 
 
 # ---------------------------------------------------------------------------

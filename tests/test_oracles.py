@@ -12,7 +12,7 @@ from crosspeaks import geometry, oracles, verify
 from crosspeaks.bounds import answer_space_size
 from crosspeaks.errors import ParameterError, VerificationError
 from crosspeaks.family import ProductBody
-from crosspeaks.geometry import (InnerBody, bare_body, body_from_mask,
+from crosspeaks.geometry import (InnerBody, bare_body,
                                  classify_batch, core_label_value, full_body,
                                  label_text, sample_inner_batch,
                                  sample_region_label_rows)
@@ -23,7 +23,7 @@ from crosspeaks.oracles import (Transcript, continuous_membership,
 
 
 def _product(mask_per_factor, n=3):
-    return ProductBody(tuple(body_from_mask(n, m) for m in mask_per_factor))
+    return ProductBody(tuple(InnerBody(n, m) for m in mask_per_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def test_discrete_frequencies_full_factor(rng):
 
 def test_discrete_frequencies_four_peaks(rng):
     # 4-peak body: core 4/5, each present peak exactly 1/20
-    body = ProductBody((body_from_mask(3, 0x0F),))
+    body = ProductBody((InnerBody(3, 0x0F),))
     draws = discrete_random_batch(body, 200_000, rng)[:, 0]
     count = len(draws)
     for index in range(4):
@@ -313,6 +313,25 @@ def test_transcript_refuses_entries_its_log_cannot_replay(record):
         record(t)
     assert t.entries == [("R", (8, 1))]
     assert parse_transcript_log(3, t.to_log()).entries == t.entries
+
+
+def test_random_draws_meet_one_label_gate_for_one_row_or_many():
+    # record_random is the one-row case of record_random_rows: both refuse
+    # the first bad label with require_int's message, and bools are no labels
+    t = Transcript(3)
+    for record in (t.record_random, lambda row: t.record_random_rows([row])):
+        with pytest.raises(ParameterError, match=r"^label 9 out of range \[0, 9\)$"):
+            record((8, 9))
+        with pytest.raises(ParameterError, match="^label must be an integer, not "):
+            record((True, False))
+        with pytest.raises(ParameterError, match="^label must be an integer, not "):
+            record((1, 2.0))
+        with pytest.raises(ParameterError, match=r"^label rows do not form a \(count, k\)"):
+            record(((1, 2), 3))
+    # 'O' is outside, which label_text writes and no random draw can be
+    with pytest.raises(ParameterError, match=r"^label 9 out of range \[0, 9\)$"):
+        parse_transcript_log(3, "R C,O")
+    assert t.entries == []
 
 
 @settings(deadline=None)
