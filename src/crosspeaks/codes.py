@@ -22,6 +22,7 @@ code bound reads), and scans all F(F-1)/2 pairs only for other codes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ DEFAULT_PAIR_BUDGET = 50_000_000
 _WINDOW = 1 << 12  # bitmap words searched at a time for the next free word
 _FLIP_CHUNK = 1 << 20  # bitmap words one XOR-shift pass updates at a time
 _PAIR_BLOCK = 1 << 16  # word pairs the exhaustive distance scan compares at a time
+# numbers as str() spells them (no plus, space, underscore or leading zero)
+_INT = re.compile("0|-?[1-9][0-9]*")
+_WORDS = re.compile("(?:0|[1-9][0-9]*)(?:[,\n](?:0|[1-9][0-9]*))*")
 
 
 def _word_matrix(q: int, length: int, words) -> np.ndarray:
@@ -303,34 +307,36 @@ def header_fields(line: str, keys: tuple[str, ...], what: str) -> list[int]:
         if key not in keys or key in fields:
             problem = "repeats" if key in fields else "has an unknown field"
             raise ParameterError(f"{what} header {line!r} {problem} {part!r}")
-        try:
-            fields[key] = int(value)
-        except ValueError:
-            raise ParameterError(f"{what} header {line!r} has a non-integer field "
-                                 f"{part!r}") from None
+        if not _INT.fullmatch(value):
+            raise ParameterError(f"{what} header {line!r} has a non-integer field {part!r}")
+        fields[key] = int(value)
     missing = [key for key in keys if key not in fields]
     if missing:
         raise ParameterError(f"{what} header {line!r} lacks {', '.join(missing)}")
     return [fields[key] for key in keys]
 
 
+def parse_words(lines, what: str) -> list[tuple[int, ...]]:
+    """Words written one per line as comma-separated decimal symbols, as
+    format_code writes them; any other line is a ParameterError naming what."""
+    if not _WORDS.fullmatch("\n".join(lines)):
+        bad = next((ln for ln in lines if not _WORDS.fullmatch(ln)), "")
+        raise ParameterError(f"malformed {what} {bad!r}")
+    return [tuple(map(int, ln.split(","))) for ln in lines]
+
+
 def parse_code(text: str) -> Code:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParameterError("empty code text")
     q, length, dmin = header_fields(lines[0], ("q", "len", "dmin"), "code")
-    words = []
-    for ln in lines[1:]:
-        ln = ln.strip()
-        if q == 2:
+    if q != 2:
+        words = parse_words(lines[1:], "q-ary word")
+    else:
+        for ln in lines[1:]:
             if len(ln) != length or any(c not in "01" for c in ln):
                 raise ParameterError(f"malformed binary word {ln!r}")
-            words.append(tuple(int(c) for c in ln))
-        else:
-            try:
-                words.append(tuple(int(s) for s in ln.split(",")))
-            except ValueError as exc:
-                raise ParameterError(f"malformed q-ary word {ln!r}") from exc
+        words = [tuple(map(int, ln)) for ln in lines[1:]]
     code = certified_code(q, length, words)
     if code.size >= 2 and code.min_distance != dmin:
         raise VerificationError(

@@ -127,11 +127,8 @@ class ProductBody:
     factors: tuple[InnerBody, ...]
 
     def __post_init__(self) -> None:
-        if not self.factors:
-            raise ParameterError("a product body needs at least one factor")
-        n = self.factors[0].n
-        if any(f.n != n for f in self.factors):
-            raise ParameterError("all factors must share the same dimension")
+        if len({f.n for f in self.factors}) != 1:
+            raise ParameterError("a product body needs one or more factors, all of one dimension")
 
     @property
     def n(self) -> int:
@@ -202,10 +199,8 @@ class ProductFamily:
 
     def matching_indices(self, care, want) -> np.ndarray:
         """Indices of the bodies whose factor j has exactly the peaks of
-        want[j] among those of care[j], for every j.  The per-factor pairs
-        are packed like the masks, so one test per 64-bit word covers
-        64 / 2^n factors.  care and want must be k masks below 2^(2^n), with
-        want inside care."""
+        want[j] among those of care[j], for every j.  care and want must be
+        k masks below 2^(2^n), with want inside care."""
         width = 1 << self.n
         if len(care) != self.k or len(want) != self.k:
             raise ParameterError(f"need one (care, want) pair per factor, k={self.k}")
@@ -216,16 +211,21 @@ class ProductFamily:
                 raise ParameterError(f"factor {j}: want {w} is no {width}-bit subset of care {c}")
             care_bits |= c << j * width
             want_bits |= w << j * width
+        return self._matching(care_bits, want_bits)
+
+    def _matching(self, care_bits: int, want_bits: int) -> np.ndarray:
+        """matching_indices on pins packed like the masks, factor j's at bit
+        j 2^n, so one test per 64-bit word covers 64 / 2^n factors; the
+        caller checked that want_bits lies inside care_bits < 2^(k 2^n)."""
         if not care_bits:
             return np.arange(self.size)
-        words = self._mask_words
-        alive = np.ones(self.size, dtype=bool)
+        words, alive = self._mask_words, None
         for i in range(words.shape[1]):
-            word_care = (care_bits >> 64 * i) & _WORD
+            word_care = care_bits >> 64 * i & _WORD
             if word_care:
-                word_want = (want_bits >> 64 * i) & _WORD
-                alive &= (words[:, i] & np.uint64(word_care)) == np.uint64(word_want)
-        return np.flatnonzero(alive)
+                hit = words[:, i] & word_care == want_bits >> 64 * i & _WORD
+                alive = hit if alive is None else alive & hit
+        return alive.nonzero()[0]
 
 
 def product_family_from_parts(inner: InnerFamily, outer: Code) -> ProductFamily:
@@ -494,12 +494,7 @@ def parse_manifest(text: str) -> ProductFamily:
         raise ParameterError(
             f"manifest should hold {outer_size} outer words and a code block of "
             f"{inner_size} words; found {len(lines) - 1} content lines")
-    outer_words = []
-    for ln in lines[1:1 + outer_size]:
-        try:
-            outer_words.append(tuple(int(s) for s in ln.split(",")))
-        except ValueError as exc:
-            raise ParameterError(f"malformed outer word {ln!r}") from exc
+    outer_words = codes_mod.parse_words(lines[1:1 + outer_size], "outer word")
     inner = inner_family_from_code(
         n, codes_mod.parse_code("\n".join(lines[1 + outer_size:])))
     outer = certified_code(inner.size, k, outer_words)

@@ -24,6 +24,11 @@ whole budget in one OracleSession.random_batch call, a single row draw that
 consumes the oracle stream query by query; a q-row draw is therefore a
 prefix of a (q+1)-row draw, and two runs that differ only in the query
 budget see identical hidden bodies and oracle draw prefixes.
+
+Past those streams a trial costs little: its oracle labels are one take
+from the hidden factors' cached draw tables (InnerBody.draws), and its
+consistent set one packed test of the transcript's pins, checked once when
+recorded, against the family's mask words (consistent_indices).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .bounds import separation_holds, success_upper_bound
 from .bounds import choose_parameters, query_lower_bound
 from .errors import BudgetExceededError, ParameterError, VerificationError, require_int
 from .family import ProductBody, ProductFamily
-from .geometry import core_label_value, sample_region_label_rows
+from .geometry import sample_region_label_rows
 from .oracles import Transcript, discrete_membership
 
 # caps and budgets, read at call time
@@ -89,34 +94,34 @@ class OracleSession:
 
 def consistent_indices(transcript: Transcript, family: ProductFamily) -> np.ndarray:
     """Indices of family bodies consistent with every transcript answer:
-    observed peaks present, membership bits matching.  Each factor's pins
-    fold into one (care, want) bit pair, so each factor is tested once.  A
-    transcript of another factor dimension, or an entry that is not k wide,
-    is a ParameterError; the transcript checked each label and index when it
-    was recorded."""
+    observed peaks present, membership bits matching.  The pins fold into
+    two ints packed like the family's masks, factor j's at bit j 2^n, which
+    one packed test matches.  A transcript of another factor dimension, or
+    an entry that is not k wide, is a ParameterError; the transcript checked
+    each label and index when it was recorded."""
     k = family.k
     n = transcript.n
     if n != family.n:
         raise ParameterError(f"transcript has n={n}, family has n={family.n}")
-    core = core_label_value(n)
-    present = [0] * k           # per factor: peaks some answer says are present
-    absent = [0] * k            # per factor: peaks some answer says are absent
+    width = 1 << n
+    shifts = range(0, k * width, width)
+    present = absent = 0        # peaks some answer says are present, or absent
     for e in transcript.entries:
         if len(e[1]) != k:
             raise ParameterError(f"transcript entry is {len(e[1])} wide, family has k={k}")
         if e[0] == "R":
-            for j, label in enumerate(e[1]):
-                if label < core:
-                    present[j] |= 1 << label
+            for shift, label in zip(shifts, e[1]):
+                if label < width:   # the core label 2^n pins no peak
+                    present |= 1 << shift + label
         else:
-            for j, (idx, ans) in enumerate(zip(e[1], e[2])):
+            for shift, idx, ans in zip(shifts, e[1], e[2]):
                 if ans:
-                    present[j] |= 1 << idx
+                    present |= 1 << shift + idx
                 else:
-                    absent[j] |= 1 << idx
-    if any(p & a for p, a in zip(present, absent)):
+                    absent |= 1 << shift + idx
+    if present & absent:
         return np.empty(0, dtype=np.intp)   # contradictory answers admit no body
-    return family.matching_indices([p | a for p, a in zip(present, absent)], present)
+    return family._matching(present | absent, present)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +269,11 @@ def run_game(config: GameConfig, learner) -> GameStats:
     1 - e^(-k/(16n-8)) > 1 - e^(-k/(16n)) apart, and GameConfig keeps
     2*epsilon below that floor: no wrong index is within epsilon.
     """
-    family = config.family
+    family, size = config.family, config.family.size
     successes = violations = 0
     for t in range(config.trials):
         hidden_seq = np.random.SeedSequence(config.seed, spawn_key=(t, 0))
-        hidden_index = int(np.random.default_rng(hidden_seq).integers(family.size))
+        hidden_index = int(np.random.default_rng(hidden_seq).integers(size))
         session = OracleSession(family.body(hidden_index), config.query_budget,
                                 _TrialStream(config.seed, t, 1))
         try:
@@ -276,7 +281,7 @@ def run_game(config: GameConfig, learner) -> GameStats:
         except BudgetExceededError:
             violations += 1
             continue
-        if require_int(hypothesis, "hypothesis", 0, family.size) == hidden_index:
+        if require_int(hypothesis, "hypothesis", 0, size) == hidden_index:
             successes += 1
     return GameStats(trials=config.trials, successes=successes, budget_violations=violations)
 

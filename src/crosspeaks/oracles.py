@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codes import parse_words
 from .errors import ParameterError, require_addressable, require_int
 from .family import ProductBody
 from .geometry import (core_label_value, label_text, membership_inner,
@@ -122,7 +123,7 @@ def parse_transcript_log(n: int, text: str) -> Transcript:
         elif line.startswith("M "):
             try:
                 left, right = line[2:].split("->")
-                idx = tuple(int(s) for s in left.strip().split(","))
+                (idx,) = parse_words([left.strip()], "membership indices")
                 ans = tuple({"true": True, "false": False}[s.strip()]
                             for s in right.strip().split(","))
             except (ValueError, KeyError) as exc:
@@ -176,7 +177,8 @@ def discrete_random_batch(body: ProductBody, count: int,
 def discrete_membership(body: ProductBody, indices: tuple[int, ...]) -> tuple[bool, ...]:
     """Peak-presence bit per factor for the queried orthant indices, one
     index per factor; any iterable of indices is read once."""
-    indices = tuple(require_int(i, "peak index", 0, 1 << body.n) for i in indices)
+    top = 1 << body.n
+    indices = tuple(require_int(i, "peak index", 0, top) for i in indices)
     if len(indices) != body.k:
         raise ParameterError(f"query has {len(indices)} indices, body has {body.k} factors")
     return tuple(f.has_peak(i) for i, f in zip(indices, body.factors))

@@ -262,7 +262,7 @@ def check_oracle_branching(ctx: _Context) -> str:
     axes = [np.arange(r + b.peak_count) for b in bodies]
     for body, axis in zip(bodies, axes):
         _require_exact_label_law((body,), axis[:, None])
-    # unequal peak counts: the offsets into the concatenated peak table; on the
+    # unequal peak counts: the offsets into the concatenated draw tables; on the
     # full grid of draws each column sees each of its values equally often
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bodies))
     _require_exact_label_law(bodies, grid)

@@ -365,6 +365,15 @@ def test_verify_rejects_non_integer_code_symbol(capsys, tmp_path):
     assert "malformed q-ary word" in stderr
 
 
+def test_verify_rejects_a_manifest_spelled_unlike_its_writer(capsys, manifest_32, tmp_path):
+    path = tmp_path / "respelled.manifest"
+    text = pathlib.Path(manifest_32).read_text()
+    path.write_text(text.replace("n=3 k=2", "n=+3 k=0_2"))
+    code, _, stderr = run(capsys, "verify", "--manifest", str(path))
+    assert code == 2
+    assert "non-integer field 'n=+3'" in stderr
+
+
 def test_bad_body_index_is_parameter_error(capsys, manifest_32):
     code, _, stderr = run(capsys, "sample", "--manifest", manifest_32,
                           "--body-index", "600")

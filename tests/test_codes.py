@@ -413,6 +413,12 @@ def test_parse_rejects_corrupt_dmin():
     ("q=2 len=4 dmin=2 foo=1", "has an unknown field 'foo=1'"),
     ("q=2 len=4", "lacks dmin"),
     ("q=2 len=four dmin=2", "has a non-integer field 'len=four'"),
+    # only the spelling str() writes, where int() read these
+    ("q=+2 len=4 dmin=2", "has a non-integer field 'q=+2'"),
+    ("q=2 len=0_4 dmin=2", "has a non-integer field 'len=0_4'"),
+    ("q=2 len=04 dmin=2", "has a non-integer field 'len=04'"),
+    ("q=2 len=4 dmin=\uff12", "has a non-integer field 'dmin=\uff12'"),
+    ("q=2 len=4 dmin=-0", "has a non-integer field 'dmin=-0'"),
 ])
 def test_parse_takes_each_header_key_once(header, message):
     with pytest.raises(ParameterError, match=re.escape(f"code header {header!r} {message}")):
@@ -428,3 +434,8 @@ def test_parse_rejects_malformed():
         parse_code("q=2 len=4 dmin=2\n00x0\n1111\n")
     with pytest.raises(ParameterError):
         parse_code("q=3 len=4 dmin=4\n0,0,0,0\n0,1,x,0\n")
+    # only the spelling format_code writes, where int() read these symbols
+    for word in ("0,+1,1,1", "0,1_0,1,1", "0,01,1,1", "0, 1,1,1", "0,1,,1", "0,1,1,1,",
+                 "0,-1,1,1", "0,\u0661,1,1"):
+        with pytest.raises(ParameterError, match="malformed q-ary word"):
+            parse_code(f"q=3 len=4 dmin=4\n0,0,0,0\n{word}\n")

@@ -526,6 +526,13 @@ def test_manifest_rejects_corruption(family_32):
         parse_manifest(text.replace("outer_size=256", "outer_size=255"))
     with pytest.raises(ParameterError):
         parse_manifest(text.replace("n=3 k=2", "x=3 k=2"))
+    # int() spellings the writer never emits, in the header and an outer word
+    for old, bad in (("n=3 k=2", "n=+3 k=0_2"), ("outer_size=256", "outer_size=0256"),
+                     ("\n0,1\n", "\n0,0_1\n"), ("\n0,1\n", "\n0,+1\n"),
+                     ("\n0,1\n", "\n0, 1\n")):
+        assert old in text
+        with pytest.raises(ParameterError):
+            parse_manifest(text.replace(old, bad, 1))
     # a well-formed inner code block over three symbols
     with pytest.raises(ParameterError, match="binary"):
         parse_manifest("n=2 k=1 inner_size=2 outer_size=2\n0\n1\n"

@@ -181,6 +181,12 @@ def test_parse_label_inverts_label_text():
     for text in ("P8", "P-1", "P", "Px", "X", "c", ""):
         with pytest.raises(ParameterError, match="^bad region label "):
             parse_label(3, text)
+    # only label_text's spelling: lowercase hex, no prefix, sign, space,
+    # underscore or leading zero
+    assert parse_label(4, "Pa") == 10
+    for text in ("PA", "P0xa", "P+a", "P0_a", "P0a", "P a", "Pa "):
+        with pytest.raises(ParameterError, match="^bad region label "):
+            parse_label(4, text)
 
 
 # ---------------------------------------------------------------------------

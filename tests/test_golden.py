@@ -1,4 +1,5 @@
-"""The README's commands rerun through cli.main must print byte for byte what
+"""The README's commands, and seeded fam34 games at q = 0, at q = 1 and with
+the random learner, rerun through cli.main must print byte for byte what
 tests/golden holds, and write files with the digests in its SHA256SUMS.
 
 tests/golden/commands.txt lists one command per line, the file holding its

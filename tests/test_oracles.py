@@ -246,7 +246,11 @@ def test_answer_validation():
                  "M 0 -> true,false",
                  "M 99,0 -> true,true",  # indices are orthants below 2^n
                  "M 8,0 -> true,true",
-                 "M -1,0 -> true,true"):
+                 "M -1,0 -> true,true",
+                 # only the spellings to_log writes, where int() read these
+                 "R P0x7,P+3,P0_1", "R P0x7", "R P+3", "R P0_1", "R P07", "R P 3",
+                 "R P\u0667", "M +1,2 -> true,true", "M 0_1,2 -> true,true",
+                 "M 01,2 -> true,true", "M 1, 2 -> true,true", "M \u0661,2 -> true,true"):
         with pytest.raises(ParameterError):
             parse_transcript_log(3, line)
     with pytest.raises(ParameterError):
@@ -279,6 +283,7 @@ def test_transcript_parse_errors():
     for n in (-1, 1):   # factors need n >= 2, as InnerBody does
         with pytest.raises(ParameterError):
             parse_transcript_log(n, "R C")
+
 
 
 def test_identical_seeds_identical_transcripts():
@@ -359,14 +364,14 @@ def test_every_recorded_transcript_replays(n, calls):
 def test_oracle_branching_fails_on_an_offset_off_by_one(monkeypatch):
     ctx = verify._Context(None, verify.DEFAULT_SEED)
     assert "7680-row product grid" in verify.check_oracle_branching(ctx)
-    peak_table = geometry._peak_table
+    draws = geometry.InnerBody.draws.func
 
-    def shifted(bodies):
-        # every body after the first reads its peaks from one slot early
-        table, shift = peak_table(bodies)
-        return table, shift - (np.arange(len(shift)) > 0)
+    def shifted(body):
+        # the peaks start one slot late: draw R reads the core, the last peak is lost
+        table = draws(body)
+        return np.concatenate((table[:1], table[:-1]))
 
-    monkeypatch.setattr(geometry, "_peak_table", shifted)
+    monkeypatch.setattr(geometry.InnerBody, "draws", property(shifted))
     with pytest.raises(VerificationError, match="label map law"):
         verify.check_oracle_branching(ctx)
 
