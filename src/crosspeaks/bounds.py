@@ -67,8 +67,13 @@ def separation_floor(n: int, k: int) -> tuple[Fraction, Fraction]:
 def separation_holds(n: int, k: int, epsilon: Fraction) -> bool:
     """Exact decision of 2*epsilon < 1 - e^(-k/(16n))."""
     n, k = require_int(n, "n", 1), require_int(k, "k", 1)
+    return _separation_decision(n, k, Fraction(epsilon))
+
+
+@functools.lru_cache(maxsize=256)   # every GameConfig and game bound asks the same few
+def _separation_decision(n: int, k: int, epsilon: Fraction) -> bool:
     # equivalent to e^(-k/(16n)) < 1 - 2 eps
-    return compare_exp_neg(Fraction(k, 16 * n), 1 - 2 * Fraction(epsilon)) < 0
+    return compare_exp_neg(Fraction(k, 16 * n), 1 - 2 * epsilon) < 0
 
 
 def answer_space_size(n: int, k: int) -> int:

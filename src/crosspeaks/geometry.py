@@ -151,8 +151,13 @@ class InnerBody:
 
     @functools.cached_property
     def peaks(self) -> np.ndarray:
-        """The peak orthants in increasing order, built once and read-only."""
-        peaks = np.array([i for i in range(1 << self.n) if self.mask >> i & 1], dtype=np.int64)
+        """The peak orthants in increasing order, built once and read-only
+        from the set bits of the mask's little-endian bytes, in O(2^n) time
+        (a shift of the whole mask per orthant would take O(4^n))."""
+        size = max(1, (1 << self.n) // 8)
+        bits = np.unpackbits(np.frombuffer(self.mask.to_bytes(size, "little"), dtype=np.uint8),
+                             bitorder="little")
+        peaks = np.flatnonzero(bits).astype(np.int64, copy=False)
         peaks.flags.writeable = False
         return peaks
 
@@ -203,6 +208,7 @@ def classify_point(n: int, x) -> int:
     to the region (all regions closed).  A zero coordinate with T > 1 forces
     "outside" since then min_i t_i = 0.
     """
+    n = require_int(n, "n", 1)
     x = list(x)
     if len(x) != n:
         raise ParameterError(f"point has dimension {len(x)}, expected {n}")
@@ -280,18 +286,24 @@ def _orthant_indices(points: np.ndarray) -> np.ndarray:
 def _classify_rows(n: int, points: np.ndarray, one) -> np.ndarray:
     """classify_point over the rows of `points`, with `one` the unit (1.0 for
     float points, the scale for integer-scaled points)."""
-    n = require_int(n, "n")
+    n = require_int(n, "n", 1)
     if points.ndim != 2 or points.shape[1] != n:
         raise ParameterError("points must be a (count, n) array")
     if n >= 63:
         raise ParameterError(f"labels up to 2^n + 1 must fit int64: n={n} is over 62")
     t = np.abs(points)
-    total = t.sum(axis=1)
+    total = t.sum(axis=1)   # its association order decides float ties
+    # min_i t_i as a running minimum over the n columns, about twice as fast
+    # as a reduction along the short row axis; np.minimum rounds nothing and
+    # propagates NaN
+    least = t[:, 0].copy()
+    for i in range(1, n):
+        np.minimum(least, t[:, i], out=least)
     in_core = total <= one
-    in_peak = ~in_core & (total <= one + t.min(axis=1))
+    in_peak = ~in_core & (total <= one + least)
     labels = np.full(len(points), outside_label_value(n), dtype=np.int64)
     labels[in_core] = core_label_value(n)
-    labels[in_peak] = _orthant_indices(points)[in_peak]
+    labels[in_peak] = _orthant_indices(points[in_peak])   # only peak rows need one
     return labels
 
 

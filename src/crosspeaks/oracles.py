@@ -111,21 +111,22 @@ class Transcript:
 
 
 def parse_transcript_log(n: int, text: str) -> Transcript:
-    """Inverse of Transcript.to_log for n-dimensional factors (n >= 2)."""
+    """Inverse of Transcript.to_log for n-dimensional factors (n >= 2).
+    Only the spacing to_log writes is read: no blank around a label, an
+    index or an answer, and exactly ' -> ' between indices and answers;
+    empty lines are skipped."""
     n = require_int(n, "n", 2)
     t = Transcript(n)
     for line in text.splitlines():
-        line = line.strip()
         if not line:
             continue
         if line.startswith("R "):
-            t.record_random(parse_label(n, token.strip()) for token in line[2:].split(","))
+            t.record_random(parse_label(n, token) for token in line[2:].split(","))
         elif line.startswith("M "):
             try:
-                left, right = line[2:].split("->")
-                (idx,) = parse_words([left.strip()], "membership indices")
-                ans = tuple({"true": True, "false": False}[s.strip()]
-                            for s in right.strip().split(","))
+                left, right = line[2:].split(" -> ")
+                (idx,) = parse_words([left], "membership indices")
+                ans = tuple({"true": True, "false": False}[s] for s in right.split(","))
             except (ValueError, KeyError) as exc:
                 raise ParameterError(f"malformed membership line {line!r}") from exc
             t.record_membership(idx, ans)

@@ -168,7 +168,12 @@ def test_separation_holds_far_from_the_floor_takes_one_bracket(monkeypatch):
         return exp_neg_bounds(x, terms)
 
     monkeypatch.setattr(exactmath, "exp_neg_bounds", counted)
+    misses = bounds._separation_decision.cache_info().misses
     assert separation_holds(3, 4, F(1, 10**4000))
+    assert calls == [32]
+    assert bounds._separation_decision.cache_info().misses == misses + 1   # decided, not recalled
+    # the decision is kept per (n, k, epsilon): asking again takes no bracket
+    assert separation_holds(np.int64(3), 4, F(1, 10**4000))
     assert calls == [32]
 
 

@@ -96,7 +96,10 @@ ENTRY_POINTS = {
     "InnerBody mask": (lambda fam, v: geometry.InnerBody(3, v).text(), 0b1011),
     "label_text value": (lambda fam, v: geometry.label_text(3, v), 5,
                          (10, "label 10 out of range [0, 10)")),
-    "classify_batch n": (lambda fam, v: geometry.classify_batch(v, np.full((2, 3), 0.25)), 3),
+    "classify_batch n": (lambda fam, v: geometry.classify_batch(v, np.full((2, 3), 0.25)), 3,
+                         (0, "need n >= 1, got 0")),
+    "classify_point n": (lambda fam, v: geometry.classify_point(v, [0.25] * 3), 3,
+                         (0, "need n >= 1, got 0")),
     "sample_region_label_rows count": (
         lambda fam, v: geometry.sample_region_label_rows(fam.body(3).factors, v, _rng()), 3),
     "sample_region_labels count": (

@@ -115,20 +115,52 @@ def test_classify_boundary_ties():
     assert apex == 0b111  # alpha * centroid, the top of the (+,+,+) peak
 
 
-def test_classify_matches_batch(rng):
-    n = 3
-    pts = rng.uniform(-1.3, 1.3, size=(300, n))
+def _boundary_rows(n, scale):
+    """Integer rows X of exact region boundaries for x = X / scale, scale a
+    power of two (so X / scale is exact in float and in any summation order),
+    each in every orthant: T = 1, T = 1 + min (the peak's far face, an exact
+    tie for n >= 2), one step past it, and a zero coordinate with T > 1."""
+    least = scale // (2 * n)
+    core = [scale - (n - 1)] + [1] * (n - 1)
+    tie = [scale - (n - 2) * least] + [least] * (n - 1)
+    past = [tie[0] + 1] + tie[1:]
+    zero = [scale + 1] + [0] * (n - 1)
+    rows = [[s * c for s, c in zip(index_to_signs(n, index), row)]
+            for index in range(1 << n) for row in (core, tie, past, zero)]
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_classify_matches_batch(rng, n):
+    specials = [[-0.0] * n, [np.inf] * n, [-np.inf] + [0.5] * (n - 1),
+                [np.nan] * n, [0.5] * (n - 1) + [np.nan], [2.0] * (n - 1) + [-0.0],
+                [np.inf] * (n - 1) + [-np.inf]]
+    pts = np.concatenate([rng.uniform(-1.3, 1.3, size=(300, n)),
+                          _boundary_rows(n, 1 << 12) / (1 << 12), specials])
     labels = classify_batch(n, pts)
     for row, lab in zip(pts, labels):
         assert classify_point(n, [float(c) for c in row]) == lab
 
 
-def test_classify_scaled_matches_exact(rng):
-    n, scale = 3, 1 << 12
-    coords = rng.integers(-scale - scale // 2, scale + scale // 2, size=(400, n))
-    labels = classify_scaled_batch(n, coords.astype(np.int64), scale)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_classify_scaled_matches_exact(rng, n):
+    scale = 1 << 12
+    coords = np.concatenate([
+        rng.integers(-scale - scale // 2, scale + scale // 2, size=(400, n)),
+        _boundary_rows(n, scale)])
+    labels = classify_scaled_batch(n, coords, scale)
     for row, lab in zip(coords, labels):
         assert classify_point(n, [F(int(c), scale) for c in row]) == lab
+
+
+def test_boundary_rows_hit_every_region():
+    # the rows above are ties, not near misses: core, peak and outside each
+    # appear exactly where the construction puts them
+    n, scale = 3, 1 << 12
+    labels = classify_scaled_batch(n, _boundary_rows(n, scale), scale).reshape(-1, 4)
+    assert (labels[:, 0] == core_label_value(n)).all()
+    assert labels[:, 1].tolist() == list(range(1 << n))
+    assert (labels[:, 2:] == outside_label_value(n)).all()
 
 
 def test_scaled_kernels_refuse_overflowing_input():
@@ -292,8 +324,9 @@ def test_body_peak_queries():
 
 
 def test_body_peaks_built_once_read_only():
+    mask10 = int.from_bytes(np.random.default_rng(10).bytes(128), "little")
     for body in (InnerBody(3, 0b10001010), full_body(2), bare_body(4),
-                 InnerBody(5, 0x8000_0001)):
+                 InnerBody(5, 0x8000_0001), InnerBody(10, mask10)):
         peaks = body.peaks
         assert body.peaks is peaks
         assert peaks.dtype == np.int64

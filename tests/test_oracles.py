@@ -250,7 +250,9 @@ def test_answer_validation():
                  # only the spellings to_log writes, where int() read these
                  "R P0x7,P+3,P0_1", "R P0x7", "R P+3", "R P0_1", "R P07", "R P 3",
                  "R P\u0667", "M +1,2 -> true,true", "M 0_1,2 -> true,true",
-                 "M 01,2 -> true,true", "M 1, 2 -> true,true", "M \u0661,2 -> true,true"):
+                 "M 01,2 -> true,true", "M 1, 2 -> true,true", "M \u0661,2 -> true,true",
+                 # only the spacing to_log writes, where .strip() read these
+                 "R C, P1", "M 0,1 -> true, false", "R  C ,P2", "M 0,1 ->true,false"):
         with pytest.raises(ParameterError):
             parse_transcript_log(3, line)
     with pytest.raises(ParameterError):
