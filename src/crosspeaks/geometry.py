@@ -20,6 +20,16 @@ Construction constants are exact rationals.  The scalar predicates
 inputs through untouched, so membership on rational points is exact; the
 batch variants work either on float arrays or on integer-scaled points
 (x = X / scale), where every comparison is exact integer arithmetic.
+
+Every batch kernel (region_points and the samplers built on it, the
+classifier behind classify_batch, classify_scaled_batch and
+membership_scaled_batch, and q_membership_scaled_batch) walks its rows in
+blocks of _BLOCK_ELEMENTS values, 256 KB of float64 or int64.  A batch
+therefore holds its output, a few count-long label or row-index vectors
+and one block's temporaries, which stay in cache: 200 000 points of
+full_body(10) peak at 20 MB under tracemalloc for a 16 MB output, and
+classifying them adds 2 MB.  The block size changes no output bit and no
+draw.
 """
 
 from __future__ import annotations
@@ -36,6 +46,10 @@ from .errors import ParameterError, require_addressable, require_int
 
 # membership_q_oracle enumerates n * 2^(n-1) halfspaces; cap the blowup.
 MAX_Q_ORACLE_DIM = 12
+
+# values per block of a batch kernel's rows (256 KB of float64 or int64):
+# each kernel's working set is its output plus one block, which stays in cache
+_BLOCK_ELEMENTS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +299,36 @@ def _orthant_indices(points: np.ndarray) -> np.ndarray:
 
 def _classify_rows(n: int, points: np.ndarray, one) -> np.ndarray:
     """classify_point over the rows of `points`, with `one` the unit (1.0 for
-    float points, the scale for integer-scaled points)."""
+    float points, the scale for integer-scaled points), one block of rows at
+    a time."""
     n = require_int(n, "n", 1)
     if points.ndim != 2 or points.shape[1] != n:
         raise ParameterError("points must be a (count, n) array")
     if n >= 63:
         raise ParameterError(f"labels up to 2^n + 1 must fit int64: n={n} is over 62")
-    t = np.abs(points)
-    total = t.sum(axis=1)   # its association order decides float ties
-    # min_i t_i as a running minimum over the n columns, about twice as fast
-    # as a reduction along the short row axis; np.minimum rounds nothing and
-    # propagates NaN
-    least = t[:, 0].copy()
-    for i in range(1, n):
-        np.minimum(least, t[:, i], out=least)
-    in_core = total <= one
-    in_peak = ~in_core & (total <= one + least)
-    labels = np.full(len(points), outside_label_value(n), dtype=np.int64)
-    labels[in_core] = core_label_value(n)
-    labels[in_peak] = _orthant_indices(points[in_peak])   # only peak rows need one
+    labels = np.empty(len(points), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    # |x| goes into one C-ordered buffer, so each row sums alike in any
+    # block and from any input layout
+    buffer = np.empty((min(step, len(points)), n), dtype=points.dtype)
+    for start in range(0, len(points), step):
+        block = points[start:start + step]
+        t = np.abs(block, out=buffer[:len(block)])
+        total = t.sum(axis=1)   # its association order decides float ties
+        # min_i t_i as a running minimum over the n columns, about twice as
+        # fast as a reduction along the short row axis; np.minimum rounds
+        # nothing and propagates NaN
+        least = t[:, 0].copy()
+        for i in range(1, n):
+            np.minimum(least, t[:, i], out=least)
+        least += one
+        in_core = total <= one
+        in_peak = total <= least
+        in_peak &= ~in_core
+        out = labels[start:start + step]
+        out.fill(outside_label_value(n))
+        out[in_core] = core_label_value(n)
+        out[in_peak] = _orthant_indices(block[in_peak])   # only peak rows need one
     return labels
 
 
@@ -341,16 +366,22 @@ def membership_scaled_batch(body: InnerBody, ipoints: np.ndarray, scale: int) ->
 
 
 def q_membership_scaled_batch(n: int, missing, ipoints: np.ndarray, scale: int) -> np.ndarray:
-    """Exact vectorized halfspace-oracle membership on integer-scaled points."""
+    """Exact vectorized halfspace-oracle membership on integer-scaled points:
+    every a . X <= scale over the q_halfspace_normals and the signs of each
+    missing peak, one block of rows (and its (rows, halfspaces) products) at
+    a time."""
     n = require_int(n, "n")
     if n > MAX_Q_ORACLE_DIM:
         raise ParameterError(f"halfspace oracle capped at n <= {MAX_Q_ORACLE_DIM}")
     ipoints = _scaled_points(n, ipoints, scale)
-    normals = q_halfspace_normals(n).astype(np.int64)
-    member = (ipoints @ normals.T <= scale).all(axis=1)
     rows = [index_to_signs(n, index) for index in missing]
-    if rows:
-        member &= (ipoints @ np.array(rows, dtype=np.int64).T <= scale).all(axis=1)
+    normals = np.concatenate((q_halfspace_normals(n),
+                              np.array(rows, dtype=np.int8).reshape(-1, n))).T.astype(np.int64)
+    member = np.empty(len(ipoints), dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // normals.shape[1])
+    for start in range(0, len(ipoints), step):
+        products = ipoints[start:start + step] @ normals
+        (products <= scale).all(axis=1, out=member[start:start + step])
     return member
 
 
@@ -413,15 +444,8 @@ def _simplex_weights(count: int, n: int, rng: np.random.Generator) -> np.ndarray
     """(count, n+1) rows of uniform barycentric weights: n+1 unit-rate
     exponentials, normalized."""
     e = rng.standard_exponential((count, n + 1))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _core_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points of O_n: a uniform point of the standard simplex (the
-    first n normalized exponentials) with independent uniform signs."""
-    w = _simplex_weights(count, n, rng)
-    signs = rng.integers(0, 2, size=(count, n)) * 2 - 1
-    return w[:, :n] * signs
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 @functools.lru_cache(maxsize=16)
@@ -433,13 +457,30 @@ def orthant_signs(n: int) -> np.ndarray:
     return signs
 
 
+def _set_signs(block: np.ndarray, positive: np.ndarray) -> None:
+    """Multiply a float64 block, in place, by 2 * positive - 1 for int64
+    bits `positive`, which it overwrites: XOR-ing the sign bit through an
+    int64 view rounds nothing and flips -0.0 as the product would."""
+    positive ^= 1
+    positive <<= 63
+    bits = block.view(np.int64)
+    bits ^= positive
+
+
 def region_points(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Uniform points of the labeled regions: (count,) integer labels ->
-    (count, n) float64 points.  Core rows are drawn first, then the peak rows
-    in orthant order (row order within an orthant).  A peak point has
-    uniform barycentric weights over the n facet vertices s_i e_i and the
-    apex s/(n-1) of its orthant s.  Non-empty labels of a non-integer dtype,
-    bool included, are a ParameterError."""
+    (count, n) float64 points.  A core point is a uniform point of the
+    standard simplex (the first n of n+1 normalized exponentials) with
+    independent uniform signs.  A peak point has uniform barycentric weights
+    over the n facet vertices s_i e_i and the apex s/(n-1) of its orthant s.
+
+    The draws come in a fixed order, the seed contract: the exponentials of
+    every core row, then the sign bits of every core row (int64 integers),
+    then the exponentials of the peak rows in orthant order (row order
+    within an orthant).  Each stage walks its rows in blocks, and drawn
+    block by block they consume the generator exactly as one call would.
+    Non-empty labels of a non-integer dtype, bool included, are a
+    ParameterError."""
     labels = np.asarray(labels)
     core = core_label_value(n)
     if labels.ndim != 1 or len(labels) and (
@@ -447,18 +488,33 @@ def region_points(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.nd
         raise ParameterError("labels must be a (count,) integer array of peak orthant "
                              "indices or the core")
     points = np.empty((len(labels), n), dtype=np.float64)
-    core_rows = labels == core
-    n_core = int(core_rows.sum())
-    if n_core:
-        points[core_rows] = _core_points(n, n_core, rng)
-    peak_rows = np.flatnonzero(~core_rows)
+    step = max(1, _BLOCK_ELEMENTS // (n + 1))
+    core_rows = np.flatnonzero(labels == core)
+    # the core points are made packed in the first rows, then each packed
+    # row i moves up to core_rows[i] >= i, the top block first, so no move
+    # overwrites a row still to be moved
+    packed = points[:len(core_rows)]
+    for start in range(0, len(packed), step):
+        block = packed[start:start + step]
+        block[...] = _simplex_weights(len(block), n, rng)[:, :n]
+    for start in range(0, len(packed), step):
+        block = packed[start:start + step]
+        _set_signs(block, rng.integers(0, 2, size=block.shape))
+    for start in reversed(range(0, len(packed), step)):
+        points[core_rows[start:start + step]] = packed[start:start + step].copy()
+    peak_rows = np.flatnonzero(labels != core)
     if len(peak_rows):
         # narrowest dtype: a stable sort of 8- or 16-bit keys is a radix sort
         keys = labels[peak_rows].astype(np.min_scalar_type(core))
-        rows = peak_rows[np.argsort(keys, kind="stable")]
+        peak_rows = peak_rows[np.argsort(keys, kind="stable")]
+    shifts = np.arange(n, dtype=np.int64)
+    for start in range(0, len(peak_rows), step):
+        rows = peak_rows[start:start + step]
         w = _simplex_weights(len(rows), n, rng)
-        signs = orthant_signs(n).take(labels[rows], axis=0)
-        points[rows] = signs * (w[:, :n] + w[:, n:] / (n - 1))
+        block = w[:, :n]
+        block += w[:, n:] / (n - 1)
+        _set_signs(block, labels[rows, None].astype(np.int64) >> shifts & 1)
+        points[rows] = block
     return points
 
 

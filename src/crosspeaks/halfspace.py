@@ -17,10 +17,11 @@ samples) projections of both bodies: one sort of each direction's merged
 samples, a running count of b-samples that makes na*nb*|F_a - F_b| an exact
 integer, and ties settled by reading that gap only at the last position of
 each run of equal values.  The rows go through in blocks of about 2^15
-merged samples, so the working arrays stay in cache.  A block whose samples
-all lie strictly inside (-2, 2) is sorted in place as int64 keys: the
-order-preserving bit pattern of each value shifted left one bit, with the
-sample's side (0 for a, 1 for b) in the low bit.  Any other block, one
+merged samples (geometry's block size), so the working arrays stay in
+cache; each block's min and max also refuse NaN samples.  A block whose
+samples all lie strictly inside (-2, 2) is sorted in place as int64 keys:
+the order-preserving bit pattern of each value shifted left one bit, with
+the sample's side (0 for a, 1 for b) in the low bit.  Any other block, one
 holding +-2 or beyond or an infinity, is argsorted and its values gathered
 back.
 
@@ -43,15 +44,11 @@ import numpy as np
 from .bounds import separation_holds
 from .errors import ParameterError, VerificationError, require_addressable, require_int
 from .family import ProductBody, ProductFamily, exact_distance
-from .geometry import orthant_signs
+from .geometry import _BLOCK_ELEMENTS, orthant_signs
 from .oracles import continuous_random_batch
 
 MIN_SAMPLES = 1000
 NOISE_FLOOR_P_FAIL = 1e-3  # chance two same-law samples exceed noise_floor
-
-
-# merged samples per block of rows: the kernel's working arrays stay in cache
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def _samples(x, ndim: int, what: str) -> np.ndarray:
@@ -60,8 +57,6 @@ def _samples(x, ndim: int, what: str) -> np.ndarray:
         raise ParameterError(f"{what} must be {ndim}-D, got shape {x.shape}")
     if x.shape[-1] == 0:
         raise ParameterError(f"{what} needs non-empty samples")
-    if np.isnan(x).any():
-        raise ParameterError(f"{what} holds NaN samples")
     return x
 
 
@@ -69,14 +64,14 @@ def ks_statistics(a_rows, b_rows) -> np.ndarray:
     """Two-sample Kolmogorov-Smirnov statistic sup_t |F_a(t) - F_b(t)| of
     every row pair of (D, na) and (D, nb) samples, as D floats.
 
-    Each merged row is sorted once.  A block of rows whose samples all lie
-    strictly inside (-2, 2) is sorted in place as packed int64 keys (see
-    _packed_sort); a block holding any value at or beyond +-2, infinities
-    included, is argsorted and gathered instead.  Both give each sorted
-    position's side and whether the next value equals it.  With ca and cb
-    the a- and b-samples at or below a position, cb*na - ca*nb is
-    na*nb*(F_b - F_a) as an exact integer; only the last position of each
-    run of equal values is a point of both CDFs.  The float |ca/na - cb/nb|
+    Each merged row is sorted once; a NaN sample is a ParameterError.  A
+    block of rows whose samples all lie strictly inside (-2, 2) is sorted in
+    place as packed int64 keys (see _packed_sort); a block holding any value
+    at or beyond +-2, infinities included, is argsorted and gathered
+    instead.  Both give each sorted position's side and whether the next
+    value equals it.  With ca and cb the a- and b-samples at or below a
+    position, cb*na - ca*nb is na*nb*(F_b - F_a) as an exact integer; only
+    the last position of each run of equal values is a point of both CDFs.  The float |ca/na - cb/nb|
     is formed only where a row reaches its integer maximum, and the largest
     of those is returned.
     """
@@ -92,7 +87,10 @@ def ks_statistics(a_rows, b_rows) -> np.ndarray:
     for start in range(0, len(out), step):
         merged = np.concatenate((a_rows[start:start + step],
                                  b_rows[start:start + step]), axis=1)
-        if -2.0 < merged.min() and merged.max() < 2.0:
+        low, high = merged.min(), merged.max()
+        if np.isnan(low):   # min and max propagate NaN
+            raise ParameterError("samples hold NaN")
+        if -2.0 < low and high < 2.0:
             side, tied = _packed_sort(merged, na)
         else:
             side, tied = _argsort(merged, na)

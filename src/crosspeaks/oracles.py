@@ -20,8 +20,9 @@ A discrete random answer carries everything needed to regenerate a
 continuous sample: conditioned on the label, the point is uniform on that
 region, so simulate_batch(n, labels) has exactly the distribution of
 continuous_random_batch on the same body.  Both turn labels into points
-through one function, geometry.region_points: continuous_random_batch via
-sample_inner_batch, the simulator factor by factor.  Every body answers a
+through one function, geometry.region_points (continuous_random_batch via
+sample_inner_batch), factor by factor, each factor's points copied into its
+columns of one (count, k*n) array.  Every body answers a
 random query with one of (2^n + 1)^k possible label tuples (2^n peaks or
 core, per factor), which is the fan-out (bounds.answer_space_size) that
 bounds what q queries can distinguish.
@@ -140,9 +141,13 @@ def parse_transcript_log(n: int, text: str) -> Transcript:
 
 def continuous_random_batch(body: ProductBody, count: int,
                             rng: np.random.Generator) -> np.ndarray:
-    """(count, k*n) uniform points of the product body, factor by factor."""
-    cols = [sample_inner_batch(f, count, rng)[0] for f in body.factors]
-    return np.concatenate(cols, axis=1)
+    """(count, k*n) uniform points of the product body, factor by factor:
+    each factor's sample_inner_batch draw is copied into its columns."""
+    n = body.n
+    points = np.empty((require_addressable(count, body.k * n, "points"), body.k * n))
+    for j, f in enumerate(body.factors):
+        points[:, j * n:(j + 1) * n] = sample_inner_batch(f, count, rng)[0]
+    return points
 
 
 def continuous_membership(body: ProductBody, x) -> bool:
@@ -196,5 +201,7 @@ def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.n
     if labels.ndim != 2:
         raise ParameterError(
             f"labels must be a (count, k) array, got shape {labels.shape}")
-    cols = [region_points(n, col, rng) for col in labels.T]
-    return np.concatenate(cols, axis=1) if cols else np.empty((len(labels), 0))
+    points = np.empty((len(labels), labels.shape[1] * n))
+    for j, col in enumerate(labels.T):
+        points[:, j * n:(j + 1) * n] = region_points(n, col, rng)
+    return points

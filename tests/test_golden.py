@@ -1,7 +1,8 @@
 """The README's commands, seeded fam34 games at q = 0, at q = 1 and with the
-random learner, and `bounds` at d = 64 and d = 4096, rerun through cli.main
-must print byte for byte what tests/golden holds, and write files with the
-digests in its SHA256SUMS.
+random learner, `bounds` at d = 64 and d = 4096, and a fam34 halfspace gap
+at 20 000 samples, whose sampler and KS kernel cross many block
+boundaries, rerun through cli.main must print byte for byte what
+tests/golden holds, and write files with the digests in its SHA256SUMS.
 
 tests/golden/commands.txt lists one command per line, the file holding its
 stdout first; the commands run in order in one directory, so later ones

@@ -50,6 +50,11 @@ def test_ks_statistic_rejects_nan():
         ks_statistic([1.0, 2.0], [0.5, math.nan])
     with pytest.raises(ParameterError, match="NaN"):
         ks_statistics([[1.0], [2.0]], [[0.0], [math.nan]])
+    # on the a side, in a block of rows past the first
+    a_rows = np.zeros((3000, 20))
+    a_rows[2500, 7] = math.nan
+    with pytest.raises(ParameterError, match="NaN"):
+        ks_statistics(a_rows, np.ones((3000, 20)))
 
 
 def test_ks_statistic_rejects_misshaped_input():
