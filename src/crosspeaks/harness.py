@@ -16,19 +16,25 @@ Randomness: every run derives independent per-trial streams from the master
 seed.  Stream i of trial t (0 hidden draw, 1 oracle, 2 learner) is
 SeedSequence(seed, spawn_key=(t, i)), the same sequence as the i-th child of
 SeedSequence(seed, spawn_key=(t,)).spawn(3), so trial outcomes are
-order-independent and reproducible.  The hidden-draw stream is built for
-every trial; the oracle and learner streams, SeedSequence included, are
-built on their first draw, so a q = 0 or census trial, or a learner that
-never draws, does not pay for them.  The random-policy learner takes its
-whole budget in one OracleSession.random_batch call, a single row draw that
-consumes the oracle stream query by query; a q-row draw is therefore a
-prefix of a (q+1)-row draw, and two runs that differ only in the query
-budget see identical hidden bodies and oracle draw prefixes.
+order-independent and reproducible.  No SeedSequence is built per trial:
+run_game derives the streams' PCG64 states (what generate_state(4,
+np.uint64) returns) for a block of trials at once, numpy's hash run on
+columns of trials (trialseeds.stream_states), and seeds each Generator
+from its row.  The hidden-draw Generator is built for every trial; the
+oracle and learner Generators are built on their first draw, so a q = 0 or
+census trial, or a learner that never draws, does not pay for them.  The
+random-policy learner takes its whole budget in one
+OracleSession.random_batch call, a single row draw that consumes the oracle
+stream query by query; a q-row draw is therefore a prefix of a (q+1)-row
+draw, and two runs that differ only in the query budget see identical
+hidden bodies and oracle draw prefixes.
 
 Past those streams a trial costs little: its oracle labels are one take
 from the hidden factors' cached draw tables (InnerBody.draws), and its
 consistent set one packed test of the transcript's pins, checked once when
-recorded, against the family's mask words (consistent_indices).
+recorded, against the family's mask words (consistent_indices).  A census
+probe's indices are checked once, by discrete_membership, which records
+the probe on the session's transcript.
 """
 
 from __future__ import annotations
@@ -86,10 +92,7 @@ class OracleSession:
 
     def membership(self, indices) -> tuple[bool, ...]:
         self._spend()
-        indices = tuple(indices)    # read once: the oracle and the transcript both take it
-        answers = discrete_membership(self._body, indices)
-        self.transcript.record_membership(indices, answers)
-        return answers
+        return discrete_membership(self._body, indices, self.transcript)
 
 
 def consistent_indices(transcript: Transcript, family: ProductFamily) -> np.ndarray:
@@ -230,26 +233,29 @@ class GameStats:
         return 1.96 * math.sqrt(p * (1 - p) / self.trials)
 
 
-class _TrialStream:
-    """Stream i of game trial t: a Generator on SeedSequence(seed,
-    spawn_key=(t, i)), the i-th child of SeedSequence(seed,
-    spawn_key=(t,)).spawn(3).  Neither is built until the first attribute
-    lookup, so a trial that never draws from the stream never pays for it;
-    every lookup is forwarded to the Generator, so sessions and learners
-    draw from it as from one."""
+_STATE_BLOCK = 1 << 10  # trials whose stream states run_game derives in one pass: 96 KiB
 
-    __slots__ = ("_seed", "_key", "_rng")
 
-    def __init__(self, seed: int, t: int, i: int):
-        self._seed = seed
-        self._key = (t, i)
-        self._rng = None
-
-    def __getattr__(self, name):
-        if self._rng is None:
-            self._rng = np.random.default_rng(
-                np.random.SeedSequence(self._seed, spawn_key=self._key))
-        return getattr(self._rng, name)
+def _play_block(config: GameConfig, learner, start: int, stop: int) -> tuple[int, int]:
+    """(successes, budget violations) of trials start..stop-1.  Their stream
+    states are derived here and die with the call, unless the learner keeps
+    a stream, so a game holds one block of them at a time."""
+    from .trialseeds import TrialSeed, TrialStream, stream_states, trial_rng
+    family, size, seed = config.family, config.family.size, config.seed
+    successes = violations = 0
+    for t, rows in enumerate(stream_states(seed, start, stop), start):
+        hidden_index = int(trial_rng(TrialSeed(seed, t, 0, rows[0])).integers(size))
+        session = OracleSession(family.body(hidden_index), config.query_budget,
+                                TrialStream(TrialSeed(seed, t, 1, rows[1])))
+        try:
+            hypothesis = learner.play(session, family,
+                                      TrialStream(TrialSeed(seed, t, 2, rows[2])))
+        except BudgetExceededError:
+            violations += 1
+            continue
+        if require_int(hypothesis, "hypothesis", 0, size) == hidden_index:
+            successes += 1
+    return successes, violations
 
 
 def run_game(config: GameConfig, learner) -> GameStats:
@@ -269,20 +275,11 @@ def run_game(config: GameConfig, learner) -> GameStats:
     1 - e^(-k/(16n-8)) > 1 - e^(-k/(16n)) apart, and GameConfig keeps
     2*epsilon below that floor: no wrong index is within epsilon.
     """
-    family, size = config.family, config.family.size
     successes = violations = 0
-    for t in range(config.trials):
-        hidden_seq = np.random.SeedSequence(config.seed, spawn_key=(t, 0))
-        hidden_index = int(np.random.default_rng(hidden_seq).integers(size))
-        session = OracleSession(family.body(hidden_index), config.query_budget,
-                                _TrialStream(config.seed, t, 1))
-        try:
-            hypothesis = learner.play(session, family, _TrialStream(config.seed, t, 2))
-        except BudgetExceededError:
-            violations += 1
-            continue
-        if require_int(hypothesis, "hypothesis", 0, size) == hidden_index:
-            successes += 1
+    for start in range(0, config.trials, _STATE_BLOCK):
+        block = _play_block(config, learner, start, min(start + _STATE_BLOCK, config.trials))
+        successes += block[0]
+        violations += block[1]
     return GameStats(trials=config.trials, successes=successes, budget_violations=violations)
 
 

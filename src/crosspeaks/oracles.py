@@ -180,14 +180,22 @@ def discrete_random_batch(body: ProductBody, count: int,
     return out
 
 
-def discrete_membership(body: ProductBody, indices: tuple[int, ...]) -> tuple[bool, ...]:
+def discrete_membership(body: ProductBody, indices: tuple[int, ...],
+                        transcript: Transcript | None = None) -> tuple[bool, ...]:
     """Peak-presence bit per factor for the queried orthant indices, one
-    index per factor; any iterable of indices is read once."""
+    index per factor; any iterable of indices is read once.  Given a
+    transcript of the body's n, the probe is also recorded on it, its
+    indices checked here only, not again by record_membership."""
     top = 1 << body.n
     indices = tuple(require_int(i, "peak index", 0, top) for i in indices)
     if len(indices) != body.k:
         raise ParameterError(f"query has {len(indices)} indices, body has {body.k} factors")
-    return tuple(f.has_peak(i) for i, f in zip(indices, body.factors))
+    answers = tuple(f.has_peak(i) for i, f in zip(indices, body.factors))
+    if transcript is not None:
+        if transcript.n != body.n:
+            raise ParameterError(f"transcript has n={transcript.n}, body has n={body.n}")
+        transcript.entries.append(("M", indices, answers))
+    return answers
 
 
 def simulate_batch(n: int, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -218,6 +218,33 @@ def test_session_membership_refuses_float_indices(family_32):
     assert session.membership((np.int64(1), 2)) == session.membership((1, 2))
 
 
+def test_session_membership_checks_each_index_once(family_32, monkeypatch):
+    checked = []
+
+    def counting(value, what, *bounds, _real=oracles.require_int):
+        checked.append(what)
+        return _real(value, what, *bounds)
+    session = harness.OracleSession(family_32.body(3), 4, _rng())
+    monkeypatch.setattr(oracles, "require_int", counting)
+    answers = session.membership((np.int64(1), 2))
+    assert checked == ["peak index"] * 2
+    assert session.transcript.entries == [("M", (1, 2), answers)]
+    assert all(type(i) is int for i in session.transcript.entries[0][1])
+    for indices, message in (((1, 8), "peak index 8 out of range [0, 8)"),
+                             ((1,), "query has 1 indices, body has 2 factors"),
+                             ((), "query has 0 indices, body has 2 factors")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            session.membership(indices)
+    assert len(session.transcript.entries) == 1
+
+
+def test_membership_refuses_a_transcript_of_another_n(family_32):
+    transcript = oracles.Transcript(4)
+    with pytest.raises(ParameterError, match="transcript has n=4, body has n=3"):
+        oracles.discrete_membership(family_32.body(3), (1, 2), transcript)
+    assert transcript.entries == []
+
+
 def test_transcript_refuses_float_labels():
     transcript = oracles.Transcript(3)
     with pytest.raises(ParameterError, match="label"):

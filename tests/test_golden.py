@@ -1,8 +1,10 @@
-"""The README's commands, seeded fam34 games at q = 0, at q = 1 and with the
-random learner, `bounds` at d = 64 and d = 4096, and a fam34 halfspace gap
-at 20 000 samples, whose sampler and KS kernel cross many block
-boundaries, rerun through cli.main must print byte for byte what
-tests/golden holds, and write files with the digests in its SHA256SUMS.
+"""The README's commands, seeded fam34 games at q = 0, at q = 1, with the
+random learner and at q = 5 with the seed 2^128 + 1 (five entropy words,
+so run_game's trial-seed hash runs past numpy's pool of four), `bounds` at
+d = 64 and d = 4096, and a fam34 halfspace gap at 20 000 samples, whose
+sampler and KS kernel cross many block boundaries, rerun through cli.main
+must print byte for byte what tests/golden holds, and write files with the
+digests in its SHA256SUMS.
 
 tests/golden/commands.txt lists one command per line, the file holding its
 stdout first; the commands run in order in one directory, so later ones

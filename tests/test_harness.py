@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosspeaks import harness
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
 from crosspeaks.codes import certified_code
@@ -19,6 +22,7 @@ from crosspeaks.harness import (MAX_LABELS_PER_TRIAL, MAX_TRIALS, GameConfig, Ga
                                 RESULTS_CSV_COLUMNS, consistent_indices,
                                 game_result_row, run_game, write_results_csv)
 from crosspeaks.oracles import Transcript, parse_transcript_log
+from crosspeaks.trialseeds import stream_states
 
 F = Fraction
 SEED = 20260816
@@ -405,6 +409,61 @@ def test_trial_seed_sequences_match_spawned_children():
             assert np.array_equal(c.generate_state(4), b.generate_state(4))
 
 
+def _reference_trial(family, seed, t, q):
+    """Trial t's hidden index, oracle labels and first learner draw, each
+    from a default_rng on its SeedSequence(seed, spawn_key=(t, i))."""
+    hidden = int(np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(t, 0))).integers(family.size))
+    session = OracleSession(family.body(hidden), q, np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(t, 1))))
+    learner = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 2)))
+    return hidden, session.random_batch(q).tolist(), int(learner.integers(1 << 62))
+
+
+class _StreamReader:
+    """Draws the whole budget and one learner value, names index 0."""
+
+    def __init__(self):
+        self.seen = []
+
+    def play(self, session, family, rng):
+        labels = session.random_batch(session.remaining).tolist()
+        self.seen.append((labels, int(rng.integers(1 << 62))))
+        return 0
+
+
+@pytest.mark.parametrize("block", (1, 7, 1 << 10))
+def test_run_game_streams_match_default_rng_across_blocks(family_32, monkeypatch, block):
+    # 20 trials cross the patched blocks' boundaries at 7 and 14
+    monkeypatch.setattr(harness, "_STATE_BLOCK", block)
+    seed = 2**64 + 5
+    config = GameConfig(family=family_32, query_budget=3, epsilon=F(1, 64),
+                        trials=20, seed=seed)
+    reader = _StreamReader()
+    stats = run_game(config, reader)
+    want = [_reference_trial(family_32, seed, t, 3) for t in range(config.trials)]
+    assert reader.seen == [(labels, draw) for _, labels, draw in want]
+    assert stats.successes == [hidden for hidden, _, _ in want].count(0)
+
+
+def test_run_game_holds_one_block_of_stream_states(family_32, monkeypatch):
+    # 16 blocks of states would take 16 x 256 x 96 bytes (384 KiB); the game
+    # derives one block at a time, about 60 KiB at its peak here
+    block = 256
+    monkeypatch.setattr(harness, "_STATE_BLOCK", block)
+    config = GameConfig(family=family_32, query_budget=0, epsilon=F(1, 64),
+                        trials=16 * block, seed=2**128 + 1)
+    learner = MLConsistencyLearner("random")
+    run_game(replace(config, trials=1), learner)    # the family's cached tables
+    tracemalloc.start()
+    try:
+        run_game(config, learner)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * block * stream_states(0, 0, 1).nbytes
+
+
 # (successes, exact identifications) over 300 trials at seed 2024, recorded
 # from the per-query game loop before the learner drew its budget in one call
 GAME_PINS = {
@@ -482,17 +541,19 @@ def test_random_guess_learner_pinned(request, name):
 ], ids=["ml-q0", "census", "ml-random-q5", "random-guess"])
 def test_run_game_builds_only_the_streams_a_trial_draws_from(
         family_32, monkeypatch, learner, q, per_trial):
-    calls = {"default_rng": 0, "SeedSequence": 0}
-    for name in calls:
-        def counting(*args, _name=name, _real=getattr(np.random, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.random, name, counting)
+    # every stream is one PCG64 bit generator, whatever derives its state
+    builds = 0
+    real = np.random.PCG64
+
+    def counting(*args, **kwargs):
+        nonlocal builds
+        builds += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.random, "PCG64", counting)
     config = GameConfig(family=family_32, query_budget=q, epsilon=F(1, 64),
                         trials=40, seed=SEED)
     run_game(config, learner)
-    assert calls == {"default_rng": per_trial * config.trials,
-                     "SeedSequence": per_trial * config.trials}
+    assert builds == per_trial * config.trials
 
 
 class _Namer:
