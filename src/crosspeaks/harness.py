@@ -19,22 +19,33 @@ SeedSequence(seed, spawn_key=(t,)).spawn(3), so trial outcomes are
 order-independent and reproducible.  No SeedSequence is built per trial:
 run_game derives the streams' PCG64 states (what generate_state(4,
 np.uint64) returns) for a block of trials at once, numpy's hash run on
-columns of trials (trialseeds.stream_states), and seeds each Generator
-from its row.  The hidden-draw Generator is built for every trial; the
-oracle and learner Generators are built on their first draw, so a q = 0 or
-census trial, or a learner that never draws, does not pay for them.  The
-random-policy learner takes its whole budget in one
-OracleSession.random_batch call, a single row draw that consumes the oracle
-stream query by query; a q-row draw is therefore a prefix of a (q+1)-row
-draw, and two runs that differ only in the query budget see identical
-hidden bodies and oracle draw prefixes.
+columns of trials (trialseeds.stream_states).  The random-policy learner
+takes its whole budget in one OracleSession.random_batch call, a single row
+draw that consumes the oracle stream query by query; a q-row draw is
+therefore a prefix of a (q+1)-row draw, and two runs that differ only in
+the query budget see identical hidden bodies and oracle draw prefixes.
 
-Past those streams a trial costs little: its oracle labels are one take
-from the hidden factors' cached draw tables (InnerBody.draws), and its
-consistent set one packed test of the transcript's pins, checked once when
-recorded, against the family's mask words (consistent_indices).  A census
-probe's indices are checked once, by discrete_membership, which records
-the probe on the session's transcript.
+The built-in learners, MLConsistencyLearner and RandomGuessLearner matched
+by exact type, are played as arrays (_ArrayGame): trialseeds'
+bounded_integer_blocks runs PCG64 and numpy's bounded-integer draw on a
+block's stream states at once, bit for bit what each trial's Generator
+would draw, and the outcomes are read off those draws with no Generator,
+session or transcript.  A random-policy trial's labels are a take from the
+hidden factors' cached draw tables (InnerBody.draws), its pins are packed
+like the family's mask words, and it succeeds iff no lower index holds them
+all; a census trial succeeds iff its hidden index is the lowest of its
+class under the probed orthants, a table built once per game.  Where a
+draw meets a rejection in Lemire's method, numpy draws again and the
+kernel does not follow it, so that trial is replayed trial by trial.
+
+Every other learner, a subclass or a wrapper of a built-in one included,
+is played trial by trial (_play_block): the hidden-draw Generator is built
+from its state row for every trial, the oracle and learner Generators on
+their first draw.  Past those streams a trial costs little: its oracle
+labels are one take from the draw tables, its consistent set one packed
+test of the transcript's pins against the mask words (consistent_indices),
+and a census probe's indices are checked once, by discrete_membership,
+which records the probe on the session's transcript.
 """
 
 from __future__ import annotations
@@ -258,6 +269,145 @@ def _play_block(config: GameConfig, learner, start: int, stop: int) -> tuple[int
     return successes, violations
 
 
+# draws, or index tests, one array pass of a game holds: 64 KiB of int64, so
+# its arrays stay under glibc's 128 KiB mmap threshold (larger passes left the
+# game's peak RSS about 0.8 MB higher, and ran no faster)
+_BLOCK_VALUES = 1 << 13
+
+
+class _ArrayGame:
+    """A built-in learner's trials played as arrays, a block at a time, with
+    the outcomes _play_block gets trial by trial.  Each stream's draws come
+    from trialseeds.bounded_integer_blocks for all of a block's trials at
+    once: the hidden index from stream 0, then
+
+      random  the q k region draws from stream 1, read as present pins
+              through the hidden factors' InnerBody.draws tables; the
+              learner names the lowest consistent index, so the trial
+              succeeds iff no lower index has every pin
+      census  nothing more: the probes pin the first min(q, 2^n) orthants
+              of every factor, so the trial succeeds iff the hidden index
+              is the first of its class under _mask_words & care, a table
+              built once per game
+      guess   one draw of [0, F) from stream 2, the RandomGuessLearner's
+
+    A trial whose draws met a Lemire rejection is replayed by _play_block."""
+
+    def __init__(self, config: GameConfig, learner, policy: str):
+        self.config, self.learner, self.policy = config, learner, policy
+        family, q = config.family, config.query_budget
+        width = 1 << family.n
+        per = 64 // width       # factors per mask word
+        if policy == "census":
+            care = (1 << min(q, width)) - 1
+            care = np.array([sum(care << s * width for s in range(min(per, family.k - w)))
+                             for w in range(0, family.k, per)], dtype=np.uint64)
+            keys = family._mask_words & care
+            order = np.lexsort(keys.T)      # stable: a class's lowest index leads its run
+            keys = keys[order]
+            lead = np.ones(family.size, dtype=bool)
+            lead[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+            self.first = np.zeros(family.size, dtype=bool)
+            self.first[order[lead]] = True
+        elif policy == "random" and q:
+            tables = np.stack([b.draws for b in family.inner.bodies])
+            self.draw_count = tables.shape[1]
+            self.pins = np.where(tables < width, 1 << tables, 0).astype(np.uint64).ravel()
+            self.shifts = (np.arange(family.k) % per * width).astype(np.uint64)
+            self.word_starts = np.arange(0, family.k, per)
+
+    @classmethod
+    def for_learner(cls, config: GameConfig, learner):
+        """The array game of a built-in learner, matched by exact type so that
+        a subclass or a wrapper is played trial by trial, or None."""
+        if config.family.size > 1 << 32:    # past the draw kernel's reach
+            return None
+        if type(learner) is RandomGuessLearner:
+            return cls(config, learner, "guess")
+        if type(learner) is MLConsistencyLearner:
+            return cls(config, learner, "random" if learner.policy == "random" else "census")
+        return None
+
+    def play(self, start: int, stop: int) -> tuple[int, int]:
+        """(successes, budget violations) of trials start..stop-1."""
+        success, violations = self.outcomes(start, stop)
+        return int(np.count_nonzero(success)), violations
+
+    def outcomes(self, start: int, stop: int) -> tuple[np.ndarray, int]:
+        """(whether each of trials start..stop-1 succeeds, budget violations
+        among them), a rejected trial's from its _play_block replay."""
+        from .trialseeds import bounded_integers, stream_states
+        config, size = self.config, self.config.family.size
+        states = stream_states(config.seed, start, stop)
+        hidden, rejected = bounded_integers(states[:, 0], size, 1)
+        hidden = hidden[:, 0]
+        if self.policy == "guess":
+            guess, missed = bounded_integers(states[:, 2], size, 1)
+            success = guess[:, 0] == hidden
+            rejected |= missed
+        elif self.policy == "census":
+            success = self.first[hidden]
+        elif config.query_budget == 0:
+            success = hidden == 0       # no pins: every index is consistent
+        else:
+            success = self._random(states[:, 1], hidden, rejected)
+        violations = 0
+        for t in np.flatnonzero(rejected).tolist():
+            replay = _play_block(config, self.learner, start + t, start + t + 1)
+            success[t] = replay[0]
+            violations += replay[1]
+        return success, violations
+
+    def _random(self, states, hidden, rejected):
+        """Success of each random-policy trial: its q k draws read as
+        present pins packed like _mask_words, then no lower index holding
+        them all.  Whole trials go through in passes of about _BLOCK_VALUES
+        draws; a longer trial goes through alone, in column blocks."""
+        from .trialseeds import bounded_integer_blocks
+        family = self.config.family
+        k, labels = family.k, self.config.query_budget * family.k
+        if labels <= _BLOCK_VALUES:
+            trials, width = max(1, _BLOCK_VALUES // labels), labels + labels % 2
+        else:
+            trials, width = 1, max(2, _BLOCK_VALUES // k & ~1) * k
+        success = np.empty(len(hidden), dtype=bool)
+        outer = family.outer.words
+        for a in range(0, len(hidden), trials):
+            b = min(a + trials, len(hidden))
+            offsets = outer[hidden[a:b]].astype(np.intp)[:, None, :] * self.draw_count
+            present = np.zeros((b - a, k), dtype=np.uint64)
+            for u in bounded_integer_blocks(states[a:b], self.draw_count, labels, width,
+                                            rejected[a:b]):
+                u = u.reshape(b - a, -1, k)
+                u += offsets
+                present |= np.bitwise_or.reduce(self.pins.take(u), axis=1)
+            present <<= self.shifts
+            present = np.bitwise_or.reduceat(present, self.word_starts, axis=1)
+            success[a:b] = self._none_below(present, hidden[a:b])
+        return success
+
+    def _none_below(self, present, hidden):
+        """Per row, whether no index below hidden[r] has every pin of
+        present[r]: the indices are tested in ascending runs on the rows
+        still undecided, about _BLOCK_VALUES tests a run."""
+        words = self.config.family._mask_words
+        clear = np.ones(len(hidden), dtype=bool)
+        live = np.flatnonzero(hidden)
+        low = 0
+        while live.size:
+            high = min(low + max(1, _BLOCK_VALUES // live.size), int(hidden[live].max()))
+            pins, below = present[live], hidden[live]
+            hit = np.arange(low, high) < below[:, None]
+            for w in range(words.shape[1]):
+                pw = pins[:, w:w + 1]
+                hit &= words[low:high, w] & pw == pw
+            found = hit.any(axis=1)
+            clear[live[found]] = False
+            live = live[~found & (below > high)]
+            low = high
+        return clear
+
+
 def run_game(config: GameConfig, learner) -> GameStats:
     """Play config.trials independent rounds of hide-and-identify.
 
@@ -265,6 +415,13 @@ def run_game(config: GameConfig, learner) -> GameStats:
     oracle session, and succeeds iff the family index it names is the hidden
     one; an index outside [0, F) is a ParameterError.  A learner that
     overdraws its budget forfeits the trial; this is counted separately.
+
+    Trials are played in blocks of _STATE_BLOCK, whose stream states are
+    derived together.  A built-in learner, matched by its exact type, is
+    played as arrays (_ArrayGame) on a family of at most 2^32 bodies; every
+    other learner, and any trial whose draws met a Lemire rejection, is
+    played trial by trial through Generators and an OracleSession
+    (_play_block).  Both give each trial the same outcome.
 
     Scoring by identity is scoring by epsilon-distance.  On a factor where two
     members differ, their inner bodies are at least 2^n/4 apart as peak masks
@@ -275,9 +432,11 @@ def run_game(config: GameConfig, learner) -> GameStats:
     1 - e^(-k/(16n-8)) > 1 - e^(-k/(16n)) apart, and GameConfig keeps
     2*epsilon below that floor: no wrong index is within epsilon.
     """
+    game = _ArrayGame.for_learner(config, learner)
     successes = violations = 0
     for start in range(0, config.trials, _STATE_BLOCK):
-        block = _play_block(config, learner, start, min(start + _STATE_BLOCK, config.trials))
+        stop = min(start + _STATE_BLOCK, config.trials)
+        block = game.play(start, stop) if game else _play_block(config, learner, start, stop)
         successes += block[0]
         violations += block[1]
     return GameStats(trials=config.trials, successes=successes, budget_violations=violations)

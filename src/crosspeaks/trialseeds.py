@@ -1,13 +1,25 @@
-"""The random streams of game trials, derived a block of trials at a time.
+"""The random streams of game trials, derived and drawn a block of trials at a time.
 
 Stream i of trial t (0 hidden draw, 1 oracle, 2 learner) is a Generator on
 SeedSequence(seed, spawn_key=(t, i)).  Building that SeedSequence costs far
 more than the trial's own work, and all it gives PCG64 is four uint64 words,
 generate_state(4, np.uint64).  Those words are a fixed hash of the seed, t
 and i (numpy's mix_entropy and generate_state in bit_generator.pyx), so
-stream_states runs the hash on a block of trials at once, and TrialSeed
-hands each row to PCG64 in place of the SeedSequence.  The draws are
-exactly default_rng(SeedSequence(seed, spawn_key=(t, i)))'s.
+stream_states runs the hash on a block of trials at once.
+
+Two consumers read those rows.  A trial played one at a time seeds PCG64
+from its row through TrialSeed, in place of the SeedSequence, and draws
+exactly what default_rng(SeedSequence(seed, spawn_key=(t, i))) would.  The
+built-in learners' trials never build a Generator: bounded_integer_blocks
+runs PCG64 itself on all of a block's rows at once, as uint64 array
+arithmetic (O'Neill's 128-bit LCG and XSL-RR output, seeded as
+pcg64_set_seed, each output split into 32-bit halves, low half first) and
+maps each half to [0, high) by numpy's bounded uint32 draw (Lemire's
+method).  Its draws are Generator.integers(0, high, size=count)'s, bit for
+bit, except in a row where some draw meets Lemire's rejection: numpy draws
+again there, and the kernel flags the row instead, for the caller to play
+that trial through a Generator.  high = 1 draws nothing, high = 2^32 takes
+the raw halves, and a high above 2^32 is refused.
 
 harness imports this module when a game starts, so importing harness does
 not load numpy.random.
@@ -113,6 +125,138 @@ class TrialSeed(ISpawnableSeedSequence):
         if self._seq is None:
             self._seq = np.random.SeedSequence(self._seed, spawn_key=self._key)
         return self._seq.spawn(n_children)
+
+
+# numpy's PCG64: a 128-bit LCG with this multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_jump_rows = np.empty((8, 0), dtype=np.uint64)   # grown by _jumps, never built at import
+
+
+def _jumps(count: int) -> np.ndarray:
+    """(8, count) read-only uint64 table whose column j - 1 holds A = M^j and
+    S = 1 + M + ... + M^(j-1) mod 2^128, M the LCG multiplier, as rows A_hi,
+    A_lo, A_lo's 32-bit halves (low, high), then the same four of S: the
+    state j steps past s is A s + S inc.  Built on first use and kept, grown
+    to the longest run asked for."""
+    global _jump_rows
+    if _jump_rows.shape[1] < count:
+        a, s, cols = 1, 0, []
+        for _ in range(count):
+            s += a
+            a = a * _PCG_MULT & (1 << 128) - 1
+            s &= (1 << 128) - 1
+            cols.append((a, s))
+        rows = []
+        for x in zip(*cols):
+            lo = [v & _MASK64 for v in x]
+            rows += [[v >> 64 for v in x], lo, [v & _MASK32 for v in lo], [v >> 32 for v in lo]]
+        _jump_rows = np.array(rows, dtype=np.uint64)
+        _jump_rows.flags.writeable = False
+    return _jump_rows[:, :count]
+
+
+def _mul128(a_hi, a_lo, a0, a1, b_hi, b_lo):
+    """(hi, lo) words of a b mod 2^128, for uint64 arrays of the words of a
+    and b and a0, a1 the 32-bit halves of a_lo: the high word of a_lo b_lo
+    comes from four 32-bit products, each of which fits a uint64.  Summed
+    in place, so a block holds four arrays of its size at a time."""
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    mid = a0 * b0
+    mid >>= 32
+    product = a0 * b1
+    hi = product >> 32
+    product &= _MASK32
+    mid += product
+    np.multiply(a1, b0, out=product)
+    mid += product & _MASK32
+    product >>= 32
+    hi += product
+    mid >>= 32
+    hi += mid
+    for x, y in ((a1, b1), (a_lo, b_hi), (a_hi, b_lo)):
+        np.multiply(x, y, out=product)
+        hi += product
+    np.multiply(a_lo, b_lo, out=product)
+    return hi, product
+
+
+def _advance(jumps, s_hi, s_lo, inc_hi, inc_lo):
+    """(hi, lo) of the LCG states 1..count steps past (s_hi, s_lo), one
+    column per step, for (rows, 1) state and increment words and jumps a
+    _jumps table of count columns."""
+    hi, lo = _mul128(*jumps[:4], s_hi, s_lo)
+    hi2, lo2 = _mul128(*jumps[4:], inc_hi, inc_lo)
+    lo += lo2
+    hi += hi2
+    hi += lo < lo2
+    return hi, lo
+
+
+def bounded_integer_blocks(states: np.ndarray, high: int, count: int, width: int,
+                           rejected: np.ndarray):
+    """Yield, in blocks of at most `width` columns, the (rows, count) int64
+    draws Generator(PCG64(seed)).integers(0, high, size=count) makes for
+    the seed sequence whose generate_state(4, np.uint64) is each row of the
+    (rows, 4) states, and set rejected[r] for every row r whose draws met a
+    Lemire rejection: there numpy draws again, so from that draw on the
+    row's block values are not numpy's.  1 <= high <= 2^32, width even.
+
+    PCG64 seeds as pcg64_set_seed: state 0, increment 2 (w2 2^64 + w3) + 1,
+    one LCG step, add w0 2^64 + w1, one more step; each output steps first
+    and returns the XSL-RR of the new state.  The state j steps on is
+    A_j s + S_j inc (_jumps), so a block's states come as one broadcast
+    over rows and steps.  Each output gives two 32-bit values, low half
+    first, and a draw of [0, high) takes one: numpy's bounded uint32 path
+    (Lemire's method: m = u high, the draw m >> 32, a rejection when the
+    low word of m is below 2^32 mod high).  high = 2^32 is the raw value by
+    the same formula, with no rejection; high = 1 draws nothing and yields
+    zeros."""
+    rows = len(states)
+    if not (1 <= high <= 1 << 32 and width >= 2 and width % 2 == 0):
+        raise ParameterError(f"need 1 <= high <= 2^32 and an even width, "
+                             f"not high={high}, width={width}")
+    if high == 1:
+        for at in range(0, count, width):
+            yield np.zeros((rows, min(width, count - at)), dtype=np.int64)
+        return
+    threshold = (1 << 32) % high
+    inc_hi = (states[:, 2:3] << 1) | (states[:, 3:4] >> 63)
+    inc_lo = (states[:, 3:4] << 1) | 1
+    y_lo = inc_lo + states[:, 1:2]
+    y_hi = inc_hi + states[:, 0:1] + (y_lo < inc_lo)
+    s_hi, s_lo = _advance(_jumps(1), y_hi, y_lo, inc_hi, inc_lo)
+    for at in range(0, count, width):
+        take = min(width, count - at)
+        hi, lo = _advance(_jumps((take + 1) // 2), s_hi, s_lo, inc_hi, inc_lo)
+        s_hi, s_lo = hi[:, -1:].copy(), lo[:, -1:].copy()
+        rot = hi >> 58
+        hi ^= lo
+        del lo
+        out = hi >> rot
+        np.subtract(64, rot, out=rot)
+        rot &= 63
+        hi <<= rot
+        out |= hi
+        del hi, rot
+        # each output's two 32-bit halves, low first, whatever the host's byte order
+        halves = out.astype("<u8", copy=False).view("<u4")[:, :take]
+        if threshold:
+            # the low word of m = u high is u high mod 2^32
+            rejected |= (np.multiply(halves, high, dtype=np.uint32) < threshold).any(axis=1)
+        m = halves.astype(np.uint64)
+        m *= high
+        m >>= 32
+        yield m.view(np.int64)
+
+
+def bounded_integers(states: np.ndarray, high: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """((rows, count) draws, (rows,) rejection mask) of bounded_integer_blocks
+    in one block: row r is numpy's integers(0, high, size=count) on that
+    row's seed sequence unless rejected[r]."""
+    rejected = np.zeros(len(states), dtype=bool)
+    blocks = list(bounded_integer_blocks(states, high, count, count + count % 2 or 2, rejected))
+    return (blocks[0] if blocks else np.zeros((len(states), 0), dtype=np.int64)), rejected
 
 
 def trial_rng(seed: TrialSeed) -> np.random.Generator:

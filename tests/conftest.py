@@ -13,6 +13,11 @@ def family_34():
 
 
 @pytest.fixture(scope="session")
+def family_28():
+    return build_product_family(2, 8)
+
+
+@pytest.fixture(scope="session")
 def family_32():
     return build_product_family(3, 2)
 

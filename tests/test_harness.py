@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosspeaks import harness
+from crosspeaks import harness, trialseeds
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
 from crosspeaks.codes import certified_code
@@ -534,14 +534,16 @@ def test_random_guess_learner_pinned(request, name):
 
 
 @pytest.mark.parametrize("learner, q, per_trial", [
-    (MLConsistencyLearner("random"), 0, 1),   # the hidden draw only
-    (MLConsistencyLearner("census"), 8, 1),   # membership draws nothing
-    (MLConsistencyLearner("random"), 5, 2),   # hidden draw and oracle stream
-    (RandomGuessLearner(), 5, 2),             # hidden draw and learner stream
-], ids=["ml-q0", "census", "ml-random-q5", "random-guess"])
+    (MLConsistencyLearner("random"), 0, 0),   # built-in learners play as arrays
+    (MLConsistencyLearner("census"), 8, 0),
+    (MLConsistencyLearner("random"), 5, 0),
+    (RandomGuessLearner(), 5, 0),
+    (_Recording(MLConsistencyLearner("random")), 5, 2),  # hidden draw and oracle stream
+], ids=["ml-q0", "census", "ml-random-q5", "random-guess", "wrapped-ml-random-q5"])
 def test_run_game_builds_only_the_streams_a_trial_draws_from(
         family_32, monkeypatch, learner, q, per_trial):
-    # every stream is one PCG64 bit generator, whatever derives its state
+    # every stream a trial plays trial by trial is one PCG64 bit generator,
+    # whatever derives its state; the array path builds none
     builds = 0
     real = np.random.PCG64
 
@@ -554,6 +556,150 @@ def test_run_game_builds_only_the_streams_a_trial_draws_from(
                         trials=40, seed=SEED)
     run_game(config, learner)
     assert builds == per_trial * config.trials
+
+
+# ---------------------------------------------------------------------------
+# built-in learners played as arrays
+
+class _Scorer:
+    """Plays the wrapped learner and records, trial by trial, whether it
+    named the hidden body; as a wrapper it is always played trial by trial."""
+
+    def __init__(self, learner):
+        self.learner = learner
+        self.won = []
+
+    def play(self, session, family, rng):
+        named = self.learner.play(session, family, rng)
+        self.won.append(family.body(named) == session._body)
+        return named
+
+
+def _learner(policy):
+    return RandomGuessLearner() if policy == "guess" else MLConsistencyLearner(policy)
+
+
+def _array_outcomes(config, learner):
+    """Trial by trial outcomes of the array path, block by block as run_game
+    plays them."""
+    game = harness._ArrayGame.for_learner(config, learner)
+    blocks = []
+    for start in range(0, config.trials, harness._STATE_BLOCK):
+        success, violations = game.outcomes(start, min(start + harness._STATE_BLOCK,
+                                                       config.trials))
+        assert violations == 0
+        blocks.append(success)
+    return np.concatenate(blocks).tolist()
+
+
+ARRAY_GAMES = ([("random", q) for q in (0, 1, 2, 5, 20)]
+               + [("census", q) for q in (0, 1, 7, 8, 9, 32)] + [("guess", 0)])
+
+
+@pytest.mark.parametrize("name", ["28", "32", "34"])
+@pytest.mark.parametrize("policy, q", ARRAY_GAMES)
+def test_array_path_matches_trial_by_trial_play(request, name, policy, q):
+    # 1 023 to 2 049 trials end a block early, on its edge, one past it, and
+    # one past the second
+    family = request.getfixturevalue(f"family_{name}")
+    config = GameConfig(family=family, query_budget=q, epsilon=F(1, 64), trials=2049,
+                        seed=2**64 + 5)
+    scorer = _Scorer(_learner(policy))
+    assert harness._play_block(config, scorer, 0, config.trials) == (sum(scorer.won), 0)
+    for trials in (1, 1023, 1024, 1025, 2049):
+        short = replace(config, trials=trials)
+        assert _array_outcomes(short, _learner(policy)) == scorer.won[:trials], trials
+        assert run_game(short, _learner(policy)) == GameStats(trials, sum(scorer.won[:trials]), 0)
+
+
+@pytest.mark.parametrize("family_name", ["34", "two-word"])
+@pytest.mark.parametrize("policy, q", [("random", 5), ("random", 20), ("random", 33),
+                                       ("census", 5)])
+def test_array_path_matches_across_small_passes(request, monkeypatch, family_name, policy, q):
+    # 64-value passes split a trial's draws into column blocks (q k > 64) or
+    # take a few trials at a time, and test a few indices a run; the
+    # two-word family's pins span two mask words
+    family = (_two_word_family() if family_name == "two-word"
+              else request.getfixturevalue(f"family_{family_name}"))
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", 64)
+    config = GameConfig(family=family, query_budget=q, epsilon=F(1, 64), trials=300, seed=SEED)
+    scorer = _Scorer(_learner(policy))
+    harness._play_block(config, scorer, 0, config.trials)
+    assert _array_outcomes(config, _learner(policy)) == scorer.won
+
+
+def test_array_path_matches_on_a_long_trial(family_32):
+    # q k = 65 542 draws a trial: two full column blocks and 6 more
+    config = GameConfig(family=family_32, query_budget=2**15 + 3, epsilon=F(1, 64),
+                        trials=3, seed=SEED)
+    scorer = _Scorer(MLConsistencyLearner("random"))
+    harness._play_block(config, scorer, 0, config.trials)
+    assert _array_outcomes(config, MLConsistencyLearner("random")) == scorer.won
+
+
+def test_long_trials_hold_one_pass_of_draws(family_34):
+    # q k = 2^20 draws a trial would take 8 MiB as int64, two trials 16 MiB;
+    # the game holds one pass of about 2^15 values and its temporaries
+    learner = MLConsistencyLearner("random")
+    config = GameConfig(family=family_34, query_budget=MAX_LABELS_PER_TRIAL // 4,
+                        epsilon=F(1, 64), trials=2, seed=SEED)
+    run_game(replace(config, trials=1), learner)    # the cached jump and draw tables
+    tracemalloc.start()
+    try:
+        run_game(config, learner)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * harness._BLOCK_VALUES * 8
+
+
+@pytest.mark.parametrize("policy, q", [("random", 5), ("random", 0), ("census", 8),
+                                       ("guess", 0)])
+def test_rejected_rows_are_replayed_trial_by_trial(family_34, monkeypatch, policy, q):
+    # every stream row of the chosen trials is flagged as if a draw had met a
+    # Lemire rejection: those trials, and only they, build PCG64 generators,
+    # and the game's outcome does not move
+    seed = 2**64 + 5
+    config = GameConfig(family=family_34, query_budget=q, epsilon=F(1, 64), trials=2049,
+                        seed=seed)
+    want = run_game(config, _learner(policy))
+    chosen = {0, 5, 1023, 1024, 2048}
+    flagged = np.array(sorted({int(stream_states(seed, t, t + 1)[0, i, 0])
+                               for t in chosen for i in range(3)}), dtype=np.uint64)
+    real_blocks, real_pcg = trialseeds.bounded_integer_blocks, np.random.PCG64
+
+    def flagging(states, high, count, width, rejected):
+        yield from real_blocks(states, high, count, width, rejected)
+        rejected |= np.isin(states[:, 0], flagged)
+
+    built = set()
+
+    def counting(seed_seq):
+        built.add(seed_seq._key[0])
+        return real_pcg(seed_seq)
+    monkeypatch.setattr(trialseeds, "bounded_integer_blocks", flagging)
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    assert run_game(config, _learner(policy)) == want
+    assert built == chosen
+
+
+class _Subclassed(MLConsistencyLearner):
+    pass
+
+
+@pytest.mark.parametrize("learner", [_Subclassed("random"),
+                                     _Recording(MLConsistencyLearner("random"))],
+                         ids=["subclass", "wrapper"])
+def test_subclasses_and_wrappers_play_trial_by_trial(family_32, monkeypatch, learner):
+    config = GameConfig(family=family_32, query_budget=5, epsilon=F(1, 64), trials=30,
+                        seed=SEED)
+    want = run_game(config, MLConsistencyLearner("random"))
+    assert harness._ArrayGame.for_learner(config, learner) is None
+
+    def refuse(*args):
+        raise AssertionError("played as arrays")
+    monkeypatch.setattr(harness._ArrayGame, "outcomes", refuse)
+    assert run_game(config, learner) == want
 
 
 class _Namer:

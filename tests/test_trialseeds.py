@@ -2,7 +2,9 @@
 hash, a block of trials at once: every row must be the state numpy's own
 SeedSequence(seed, spawn_key=(t, i)) generates, for seeds of 1 to 5 entropy
 words, and a Generator seeded from it must draw, spawn, copy and pickle as
-default_rng's."""
+default_rng's.  The draw kernel must give, for every row it does not flag,
+numpy's integers(0, high, size=count) on that row's stream, and flag exactly
+the rows where numpy met a rejection."""
 
 import copy
 import os
@@ -18,7 +20,8 @@ import crosspeaks
 from crosspeaks import harness
 from crosspeaks.errors import ParameterError
 from crosspeaks.harness import MAX_TRIALS
-from crosspeaks.trialseeds import TrialSeed, TrialStream, stream_states, trial_rng
+from crosspeaks.trialseeds import (TrialSeed, TrialStream, bounded_integer_blocks,
+                                   bounded_integers, stream_states, trial_rng)
 
 SEED = 20260816
 
@@ -94,3 +97,66 @@ def test_harness_import_leaves_numpy_random_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False"]
+
+
+# the draw kernel's cases: nothing drawn (1), no rejection possible (powers
+# of two), Lemire's rejections at their rarest (6, 20) and at their most
+# common (2^31 + 11, where about half the draws reject), the raw 32-bit
+# values (2^32)
+HIGHS = (1, 2, 6, 20, 256, 4096, 2**31 + 11, 2**32)
+
+
+def _numpy_draws(seed, t, i, high, count):
+    """default_rng's integers(0, high, size=count) on stream i of trial t,
+    and whether numpy drew again after a rejection: then it took more than
+    the count's 32-bit values, read off its bit generator's state."""
+    seq = np.random.SeedSequence(seed, spawn_key=(t, i))
+    rng = np.random.default_rng(seq)
+    draws = rng.integers(0, high, size=count)
+    taken = 0 if high == 1 else count
+    plain = np.random.PCG64(seq)
+    plain.advance((taken + 1) // 2)    # the outputs `taken` values use, low half first
+    state = rng.bit_generator.state
+    return draws, (state["state"] != plain.state["state"]
+                   or state["has_uint32"] != taken % 2)
+
+
+@pytest.mark.parametrize("seed", (0, 2**32 - 1, 2**64 + 5, 2**128 + 1))
+def test_bounded_integers_are_numpys_draws(seed):
+    # odd counts leave a high half unused; the trials cross a block boundary
+    block = harness._STATE_BLOCK
+    trials = range(block - 3, block + 3)
+    states = stream_states(seed, trials.start, trials.stop)
+    for i in range(3):
+        for high in HIGHS:
+            for count in (0, 1, 2, 3, 80):
+                draws, rejected = bounded_integers(states[:, i], high, count)
+                assert draws.shape == (len(trials), count) and draws.dtype == np.int64
+                for r, t in enumerate(trials):
+                    want, redrawn = _numpy_draws(seed, t, i, high, count)
+                    assert rejected[r] == redrawn, (i, high, count, t)
+                    if not redrawn:
+                        assert np.array_equal(draws[r], want), (i, high, count, t)
+                if (high, count) == (2**31 + 11, 1):
+                    assert 0 < rejected.sum() < len(trials)
+
+
+@pytest.mark.parametrize("width", (2, 6, 80))
+def test_bounded_integer_blocks_continue_where_the_last_stopped(width):
+    states = stream_states(SEED, 0, 5)[:, 1]
+    for high, count in ((20, 79), (20, 80), (20, 81), (2**31 + 11, 9)):
+        whole, want = bounded_integers(states, high, count)
+        rejected = np.zeros(len(states), dtype=bool)
+        blocks = list(bounded_integer_blocks(states, high, count, width, rejected))
+        assert [b.shape[1] for b in blocks] == [min(width, count - at)
+                                                for at in range(0, count, width)]
+        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+        assert np.array_equal(rejected, want)
+
+
+@pytest.mark.parametrize("high, width", [(0, 2), (2**32 + 1, 2), (20, 3), (20, 0)])
+def test_bounded_integer_blocks_refuse_what_they_cannot_match(high, width):
+    # a family of more than 2^32 bodies is played trial by trial instead
+    states = stream_states(SEED, 0, 2)[:, 0]
+    with pytest.raises(ParameterError):
+        list(bounded_integer_blocks(states, high, 4, width, np.zeros(2, dtype=bool)))
