@@ -39,13 +39,14 @@ draw meets a rejection in Lemire's method, numpy draws again and the
 kernel does not follow it, so that trial is replayed trial by trial.
 
 Every other learner, a subclass or a wrapper of a built-in one included,
-is played trial by trial (_play_block): the hidden-draw Generator is built
-from its state row for every trial, the oracle and learner Generators on
-their first draw.  Past those streams a trial costs little: its oracle
-labels are one take from the draw tables, its consistent set one packed
-test of the transcript's pins against the mask words (consistent_indices),
-and a census probe's indices are checked once, by discrete_membership,
-which records the probe on the session's transcript.
+is played trial by trial (_play_block): each trial's three Generators,
+hidden draw, oracle and learner, are built up front from its block's state
+rows, a PCG64 on a trialseeds.TrialSeed each.  Past those streams a trial
+costs little: its oracle labels are one take from the draw tables, its
+consistent set one packed test of the transcript's pins against the mask
+words (consistent_indices), and a census probe's indices are checked once,
+by discrete_membership, which records the probe on the session's
+transcript.
 """
 
 from __future__ import annotations
@@ -251,16 +252,17 @@ def _play_block(config: GameConfig, learner, start: int, stop: int) -> tuple[int
     """(successes, budget violations) of trials start..stop-1.  Their stream
     states are derived here and die with the call, unless the learner keeps
     a stream, so a game holds one block of them at a time."""
-    from .trialseeds import TrialSeed, TrialStream, stream_states, trial_rng
+    from .trialseeds import TrialSeed, stream_states
     family, size, seed = config.family, config.family.size, config.seed
     successes = violations = 0
     for t, rows in enumerate(stream_states(seed, start, stop), start):
-        hidden_index = int(trial_rng(TrialSeed(seed, t, 0, rows[0])).integers(size))
-        session = OracleSession(family.body(hidden_index), config.query_budget,
-                                TrialStream(TrialSeed(seed, t, 1, rows[1])))
+        hidden, oracle, own = [
+            np.random.Generator(np.random.PCG64(TrialSeed(seed, t, i, rows[i])))
+            for i in range(3)]
+        hidden_index = int(hidden.integers(size))
+        session = OracleSession(family.body(hidden_index), config.query_budget, oracle)
         try:
-            hypothesis = learner.play(session, family,
-                                      TrialStream(TrialSeed(seed, t, 2, rows[2])))
+            hypothesis = learner.play(session, family, own)
         except BudgetExceededError:
             violations += 1
             continue

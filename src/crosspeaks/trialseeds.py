@@ -7,9 +7,10 @@ generate_state(4, np.uint64).  Those words are a fixed hash of the seed, t
 and i (numpy's mix_entropy and generate_state in bit_generator.pyx), so
 stream_states runs the hash on a block of trials at once.
 
-Two consumers read those rows.  A trial played one at a time seeds PCG64
-from its row through TrialSeed, in place of the SeedSequence, and draws
-exactly what default_rng(SeedSequence(seed, spawn_key=(t, i))) would.  The
+Two consumers read those rows.  A trial played one at a time builds its
+three Generators up front from its block's rows, each a PCG64 on a
+TrialSeed in place of the SeedSequence, so each draws, spawns, deep copies
+and pickles as default_rng(SeedSequence(seed, spawn_key=(t, i))) would.  The
 built-in learners' trials never build a Generator: bounded_integer_blocks
 runs PCG64 itself on all of a block's rows at once, as uint64 array
 arithmetic (O'Neill's 128-bit LCG and XSL-RR output, seeded as
@@ -257,37 +258,3 @@ def bounded_integers(states: np.ndarray, high: int, count: int) -> tuple[np.ndar
     rejected = np.zeros(len(states), dtype=bool)
     blocks = list(bounded_integer_blocks(states, high, count, count + count % 2 or 2, rejected))
     return (blocks[0] if blocks else np.zeros((len(states), 0), dtype=np.int64)), rejected
-
-
-def trial_rng(seed: TrialSeed) -> np.random.Generator:
-    """default_rng(seed), without default_rng's type dispatch."""
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-class TrialStream:
-    """A trial's oracle or learner stream: a Generator on its TrialSeed, not
-    built until the first attribute lookup, so a trial that never draws
-    from the stream never pays for it.  Every other lookup is forwarded to
-    the Generator, so sessions and learners draw from it as from one.  A
-    copy, a deep copy or an unpickled stream draws what the original would
-    draw next."""
-
-    __slots__ = ("_seed", "_rng")
-
-    def __init__(self, seed: TrialSeed):
-        self._seed = seed
-        self._rng = None
-
-    def __getattr__(self, name):
-        if name.startswith("__"):   # protocol probes (copy's __deepcopy__) are not forwarded
-            raise AttributeError(name)
-        if self._rng is None:
-            self._rng = trial_rng(self._seed)
-        return getattr(self._rng, name)
-
-    def __reduce__(self):
-        position = None if self._rng is None else self._rng.bit_generator.state
-        return TrialStream, (self._seed,), position
-
-    def __setstate__(self, position):
-        self.bit_generator.state = position

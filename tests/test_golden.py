@@ -1,13 +1,9 @@
-"""The README's commands, seeded fam34 games at q = 0, at q = 1, with the
-random learner, at q = 5 with the seed 2^128 + 1 (five entropy words,
-so run_game's trial-seed hash runs past numpy's pool of four), at q = 20
-over 2 049 trials with the seed 2^32 (the array draw kernel across two
-block boundaries and a partial block) and with the random learner over
-1 025 trials with the seed 11, `bounds` at
-d = 64 and d = 4096, and a fam34 halfspace gap at 20 000 samples, whose
-sampler and KS kernel cross many block boundaries, rerun through cli.main
-must print byte for byte what tests/golden holds, and write files with the
-digests in its SHA256SUMS.
+"""The commands of tests/golden/commands.txt, the README's and seeded
+variants whose seeds, trial counts and sample counts reach past run_game's
+trial-seed hash pool and across the sampler's, KS kernel's and array draw
+kernel's block boundaries, rerun through cli.main must print byte for byte
+what tests/golden holds, and write files with the digests in its
+SHA256SUMS.
 
 tests/golden/commands.txt lists one command per line, the file holding its
 stdout first; the commands run in order in one directory, so later ones

@@ -538,12 +538,12 @@ def test_random_guess_learner_pinned(request, name):
     (MLConsistencyLearner("census"), 8, 0),
     (MLConsistencyLearner("random"), 5, 0),
     (RandomGuessLearner(), 5, 0),
-    (_Recording(MLConsistencyLearner("random")), 5, 2),  # hidden draw and oracle stream
+    (_Recording(MLConsistencyLearner("random")), 5, 3),  # hidden, oracle and learner
 ], ids=["ml-q0", "census", "ml-random-q5", "random-guess", "wrapped-ml-random-q5"])
-def test_run_game_builds_only_the_streams_a_trial_draws_from(
+def test_run_game_builds_streams_only_for_trials_played_one_at_a_time(
         family_32, monkeypatch, learner, q, per_trial):
-    # every stream a trial plays trial by trial is one PCG64 bit generator,
-    # whatever derives its state; the array path builds none
+    # a trial played one at a time builds its three streams up front, one
+    # PCG64 bit generator each; the array path builds none
     builds = 0
     real = np.random.PCG64
 

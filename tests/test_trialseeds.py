@@ -1,10 +1,10 @@
 """trialseeds derives game trials' PCG64 states by numpy's SeedSequence
 hash, a block of trials at once: every row must be the state numpy's own
 SeedSequence(seed, spawn_key=(t, i)) generates, for seeds of 1 to 5 entropy
-words, and a Generator seeded from it must draw, spawn, copy and pickle as
-default_rng's.  The draw kernel must give, for every row it does not flag,
-numpy's integers(0, high, size=count) on that row's stream, and flag exactly
-the rows where numpy met a rejection."""
+words, and a Generator seeded from it must draw, spawn, deep copy and
+pickle as default_rng's.  The draw kernel must give, for every row it does
+not flag, numpy's integers(0, high, size=count) on that row's stream, and
+flag exactly the rows where numpy met a rejection."""
 
 import copy
 import os
@@ -20,8 +20,8 @@ import crosspeaks
 from crosspeaks import harness
 from crosspeaks.errors import ParameterError
 from crosspeaks.harness import MAX_TRIALS
-from crosspeaks.trialseeds import (TrialSeed, TrialStream, bounded_integer_blocks,
-                                   bounded_integers, stream_states, trial_rng)
+from crosspeaks.trialseeds import (TrialSeed, bounded_integer_blocks, bounded_integers,
+                                   stream_states)
 
 SEED = 20260816
 
@@ -31,6 +31,12 @@ BIG_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1)
 
 def _numpy_state(seed, t, i):
     return np.random.SeedSequence(seed, spawn_key=(t, i)).generate_state(4, np.uint64)
+
+
+def _trial_generator(seed, t, i):
+    """Stream i of trial t as a trial played one at a time builds it."""
+    row = stream_states(seed, t, t + 1)[0, i]
+    return np.random.Generator(np.random.PCG64(TrialSeed(seed, t, i, row)))
 
 
 @pytest.mark.parametrize("seed", BIG_SEEDS)
@@ -50,8 +56,7 @@ def test_stream_states_are_numpys_seed_sequence_states(seed):
 @pytest.mark.parametrize("seed", BIG_SEEDS)
 def test_trial_generator_draws_and_spawns_as_default_rng(seed):
     t, i = 5, 1
-    row = stream_states(seed, t, t + 1)[0, i]
-    ours = trial_rng(TrialSeed(seed, t, i, row))
+    ours = _trial_generator(seed, t, i)
     real = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, i)))
     assert np.array_equal(ours.integers(1 << 62, size=8), real.integers(1 << 62, size=8))
     assert np.array_equal(ours.random(3), real.random(3))
@@ -70,17 +75,14 @@ def test_trial_seed_refuses_other_state_requests(n_words, dtype):
         seed.generate_state(4)  # numpy's default dtype is uint32
 
 
-@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
-                                    lambda s: pickle.loads(pickle.dumps(s))],
-                         ids=["copy", "deepcopy", "pickle"])
+# no copy.copy: numpy's shallow copy of a Generator shares its bit generator
+@pytest.mark.parametrize("copier", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                         ids=["deepcopy", "pickle"])
 def test_trial_stream_copies_draw_what_the_original_would(copier):
-    def stream():
-        return TrialStream(TrialSeed(
-            SEED, 3, 2, stream_states(SEED, 3, 4)[0, 2]))
-    original, twin = stream(), stream()
-    fresh = copier(original)            # nothing built yet
+    original, twin = _trial_generator(SEED, 3, 2), _trial_generator(SEED, 3, 2)
+    fresh = copier(original)            # before any draw
     assert np.array_equal(fresh.integers(1 << 62, size=4), twin.integers(1 << 62, size=4))
-    original.integers(1 << 62, size=4)  # built and advanced
+    original.integers(1 << 62, size=4)  # advanced
     later = copier(original)
     assert np.array_equal(later.integers(1 << 62, size=4), original.integers(1 << 62, size=4))
     twin.integers(1 << 62, size=4)      # the copy does not share the original's position
