@@ -185,17 +185,19 @@ class ProductFamily:
 
     @functools.cached_property
     def _mask_words(self) -> np.ndarray:
-        """(size, ceil(k 2^n / 64)) uint64 matrix, built once and read-only:
-        row i is body i's factor masks laid end to end, factor j's at bit
-        j 2^n, cut into 64-bit words.  2^n divides 64, so no factor straddles
-        two words."""
-        width = 1 << self.n
-        per = 64 // width
-        out = np.zeros((self.size, -(-self.k // per)), dtype=np.uint64)
-        for j in range(self.k):
-            out[:, j // per] |= self.inner.masks[self.outer.words[:, j]] << j % per * width
+        """Every body's factor masks packed by _pack, built once and read-only."""
+        out = self._pack(self.inner.masks[self.outer.words])
         out.flags.writeable = False
         return out
+
+    def _pack(self, masks: np.ndarray) -> np.ndarray:
+        """(..., k) uint64 factor peak masks as (..., ceil(k 2^n / 64)) uint64
+        words: a row's masks end to end, factor j's at bit j 2^n, cut into
+        64-bit words.  2^n divides 64, so no factor straddles two words."""
+        width = 1 << self.n
+        per = 64 // width       # factors per word
+        shifts = (np.arange(self.k) % per * width).astype(np.uint64)
+        return np.bitwise_or.reduceat(masks << shifts, np.arange(0, self.k, per), axis=-1)
 
     def matching_indices(self, care, want) -> np.ndarray:
         """Indices of the bodies whose factor j has exactly the peaks of

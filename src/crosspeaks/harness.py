@@ -32,7 +32,7 @@ block's stream states at once, bit for bit what each trial's Generator
 would draw, and the outcomes are read off those draws with no Generator,
 session or transcript.  A random-policy trial's labels are a take from the
 hidden factors' cached draw tables (InnerBody.draws), its pins are packed
-like the family's mask words, and it succeeds iff no lower index holds them
+by ProductFamily._pack, and it succeeds iff no lower index holds them
 all; a census trial succeeds iff its hidden index is the lowest of its
 class under the probed orthants, a table built once per game.  Where a
 draw meets a rejection in Lemire's method, numpy draws again and the
@@ -299,12 +299,9 @@ class _ArrayGame:
         self.config, self.learner, self.policy = config, learner, policy
         family, q = config.family, config.query_budget
         width = 1 << family.n
-        per = 64 // width       # factors per mask word
         if policy == "census":
-            care = (1 << min(q, width)) - 1
-            care = np.array([sum(care << s * width for s in range(min(per, family.k - w)))
-                             for w in range(0, family.k, per)], dtype=np.uint64)
-            keys = family._mask_words & care
+            keys = family._mask_words & family._pack(
+                np.full(family.k, (1 << min(q, width)) - 1, dtype=np.uint64))
             order = np.lexsort(keys.T)      # stable: a class's lowest index leads its run
             keys = keys[order]
             lead = np.ones(family.size, dtype=bool)
@@ -315,14 +312,12 @@ class _ArrayGame:
             tables = np.stack([b.draws for b in family.inner.bodies])
             self.draw_count = tables.shape[1]
             self.pins = np.where(tables < width, 1 << tables, 0).astype(np.uint64).ravel()
-            self.shifts = (np.arange(family.k) % per * width).astype(np.uint64)
-            self.word_starts = np.arange(0, family.k, per)
 
     @classmethod
     def for_learner(cls, config: GameConfig, learner):
         """The array game of a built-in learner, matched by exact type so that
         a subclass or a wrapper is played trial by trial, or None."""
-        if config.family.size > 1 << 32:    # past the draw kernel's reach
+        if not 2 <= config.family.size <= 1 << 32:     # outside the draw kernel's reach
             return None
         if type(learner) is RandomGuessLearner:
             return cls(config, learner, "guess")
@@ -330,22 +325,16 @@ class _ArrayGame:
             return cls(config, learner, "random" if learner.policy == "random" else "census")
         return None
 
-    def play(self, start: int, stop: int) -> tuple[int, int]:
-        """(successes, budget violations) of trials start..stop-1."""
-        success, violations = self.outcomes(start, stop)
-        return int(np.count_nonzero(success)), violations
-
-    def outcomes(self, start: int, stop: int) -> tuple[np.ndarray, int]:
-        """(whether each of trials start..stop-1 succeeds, budget violations
-        among them), a rejected trial's from its _play_block replay."""
+    def outcomes(self, start: int, stop: int) -> np.ndarray:
+        """Whether each of trials start..stop-1 succeeds, a rejected trial's
+        from its _play_block replay (a built-in learner never overdraws)."""
         from .trialseeds import bounded_integers, stream_states
         config, size = self.config, self.config.family.size
         states = stream_states(config.seed, start, stop)
-        hidden, rejected = bounded_integers(states[:, 0], size, 1)
-        hidden = hidden[:, 0]
+        hidden, rejected = bounded_integers(states[:, 0], size)
         if self.policy == "guess":
-            guess, missed = bounded_integers(states[:, 2], size, 1)
-            success = guess[:, 0] == hidden
+            guess, missed = bounded_integers(states[:, 2], size)
+            success = guess == hidden
             rejected |= missed
         elif self.policy == "census":
             success = self.first[hidden]
@@ -353,16 +342,13 @@ class _ArrayGame:
             success = hidden == 0       # no pins: every index is consistent
         else:
             success = self._random(states[:, 1], hidden, rejected)
-        violations = 0
         for t in np.flatnonzero(rejected).tolist():
-            replay = _play_block(config, self.learner, start + t, start + t + 1)
-            success[t] = replay[0]
-            violations += replay[1]
-        return success, violations
+            success[t] = _play_block(config, self.learner, start + t, start + t + 1)[0]
+        return success
 
     def _random(self, states, hidden, rejected):
         """Success of each random-policy trial: its q k draws read as
-        present pins packed like _mask_words, then no lower index holding
+        present pins packed by _pack, then no lower index holding
         them all.  Whole trials go through in passes of about _BLOCK_VALUES
         draws; a longer trial goes through alone, in column blocks."""
         from .trialseeds import bounded_integer_blocks
@@ -383,9 +369,7 @@ class _ArrayGame:
                 u = u.reshape(b - a, -1, k)
                 u += offsets
                 present |= np.bitwise_or.reduce(self.pins.take(u), axis=1)
-            present <<= self.shifts
-            present = np.bitwise_or.reduceat(present, self.word_starts, axis=1)
-            success[a:b] = self._none_below(present, hidden[a:b])
+            success[a:b] = self._none_below(family._pack(present), hidden[a:b])
         return success
 
     def _none_below(self, present, hidden):
@@ -420,7 +404,7 @@ def run_game(config: GameConfig, learner) -> GameStats:
 
     Trials are played in blocks of _STATE_BLOCK, whose stream states are
     derived together.  A built-in learner, matched by its exact type, is
-    played as arrays (_ArrayGame) on a family of at most 2^32 bodies; every
+    played as arrays (_ArrayGame) on a family of 2 to 2^32 bodies; every
     other learner, and any trial whose draws met a Lemire rejection, is
     played trial by trial through Generators and an OracleSession
     (_play_block).  Both give each trial the same outcome.
@@ -438,9 +422,10 @@ def run_game(config: GameConfig, learner) -> GameStats:
     successes = violations = 0
     for start in range(0, config.trials, _STATE_BLOCK):
         stop = min(start + _STATE_BLOCK, config.trials)
-        block = game.play(start, stop) if game else _play_block(config, learner, start, stop)
-        successes += block[0]
-        violations += block[1]
+        won, lost = ((np.count_nonzero(game.outcomes(start, stop)), 0) if game
+                     else _play_block(config, learner, start, stop))
+        successes += int(won)
+        violations += lost
     return GameStats(trials=config.trials, successes=successes, budget_violations=violations)
 
 

@@ -19,8 +19,8 @@ maps each half to [0, high) by numpy's bounded uint32 draw (Lemire's
 method).  Its draws are Generator.integers(0, high, size=count)'s, bit for
 bit, except in a row where some draw meets Lemire's rejection: numpy draws
 again there, and the kernel flags the row instead, for the caller to play
-that trial through a Generator.  high = 1 draws nothing, high = 2^32 takes
-the raw halves, and a high above 2^32 is refused.
+that trial through a Generator.  2 <= high <= 2^32, and high = 2^32 takes
+the raw halves; bounded_integers draws once a row.
 
 harness imports this module when a game starts, so importing harness does
 not load numpy.random.
@@ -201,7 +201,7 @@ def bounded_integer_blocks(states: np.ndarray, high: int, count: int, width: int
     the seed sequence whose generate_state(4, np.uint64) is each row of the
     (rows, 4) states, and set rejected[r] for every row r whose draws met a
     Lemire rejection: there numpy draws again, so from that draw on the
-    row's block values are not numpy's.  1 <= high <= 2^32, width even.
+    row's block values are not numpy's.  2 <= high <= 2^32, width even.
 
     PCG64 seeds as pcg64_set_seed: state 0, increment 2 (w2 2^64 + w3) + 1,
     one LCG step, add w0 2^64 + w1, one more step; each output steps first
@@ -211,16 +211,10 @@ def bounded_integer_blocks(states: np.ndarray, high: int, count: int, width: int
     first, and a draw of [0, high) takes one: numpy's bounded uint32 path
     (Lemire's method: m = u high, the draw m >> 32, a rejection when the
     low word of m is below 2^32 mod high).  high = 2^32 is the raw value by
-    the same formula, with no rejection; high = 1 draws nothing and yields
-    zeros."""
-    rows = len(states)
-    if not (1 <= high <= 1 << 32 and width >= 2 and width % 2 == 0):
-        raise ParameterError(f"need 1 <= high <= 2^32 and an even width, "
+    the same formula, with no rejection."""
+    if not (2 <= high <= 1 << 32 and width >= 2 and width % 2 == 0):
+        raise ParameterError(f"need 2 <= high <= 2^32 and an even width, "
                              f"not high={high}, width={width}")
-    if high == 1:
-        for at in range(0, count, width):
-            yield np.zeros((rows, min(width, count - at)), dtype=np.int64)
-        return
     threshold = (1 << 32) % high
     inc_hi = (states[:, 2:3] << 1) | (states[:, 3:4] >> 63)
     inc_lo = (states[:, 3:4] << 1) | 1
@@ -251,10 +245,10 @@ def bounded_integer_blocks(states: np.ndarray, high: int, count: int, width: int
         yield m.view(np.int64)
 
 
-def bounded_integers(states: np.ndarray, high: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """((rows, count) draws, (rows,) rejection mask) of bounded_integer_blocks
-    in one block: row r is numpy's integers(0, high, size=count) on that
-    row's seed sequence unless rejected[r]."""
+def bounded_integers(states: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """((rows,) draws, (rows,) rejection mask) of bounded_integer_blocks, one
+    draw a row: row r is numpy's integers(0, high) on that row's seed
+    sequence unless rejected[r]."""
     rejected = np.zeros(len(states), dtype=bool)
-    blocks = list(bounded_integer_blocks(states, high, count, count + count % 2 or 2, rejected))
-    return (blocks[0] if blocks else np.zeros((len(states), 0), dtype=np.int64)), rejected
+    (draws,) = bounded_integer_blocks(states, high, 1, 2, rejected)
+    return draws[:, 0], rejected

@@ -299,6 +299,29 @@ def _inner_family(n):
     return build_inner_family(n)
 
 
+def _cut(masks, width):
+    """The 64-bit words, least significant first, of masks laid end to end
+    as one Python int, mask j at bit j width: the cut _matching takes."""
+    bits = sum(int(m) << j * width for j, m in enumerate(masks))
+    return [bits >> 64 * i & (1 << 64) - 1 for i in range(-(-len(masks) * width // 64))]
+
+
+@pytest.mark.parametrize("n, k", [(2, 17), (3, 9), (4, 5)])
+def test_pack_cuts_the_layout_as_python_ints_do(n, k):
+    # each k leaves a partial last word; _mask_words is checked against
+    # each body's InnerBody.mask ints
+    inner, width = _inner_family(n), 1 << n
+    words = [tuple((s + j) % inner.size for j in range(k)) for s in range(inner.size)]
+    family = product_family_from_parts(inner, certified_code(inner.size, k, words))
+    masks = np.random.default_rng(n).integers(0, 1 << width, size=(3, 4, k)).astype(np.uint64)
+    packed = family._pack(masks)
+    assert packed.dtype == np.uint64
+    assert packed.tolist() == [[_cut(row, width) for row in block] for block in masks]
+    assert family._pack(masks[0, 0]).tolist() == _cut(masks[0, 0], width)
+    assert family._mask_words.tolist() == [
+        _cut([f.mask for f in family.body(i).factors], width) for i in range(family.size)]
+
+
 @settings(deadline=None)
 @given(n=st.sampled_from((2, 3)), k=st.integers(1, 4), data=st.data())
 def test_certify_separation_matches_brute_force(n, k, data):

@@ -13,7 +13,7 @@ regenerates them from fresh processes in an empty directory, with GOLDEN
 the path of tests/golden:
 
     while read -r name args; do crosspeaks $args > "$GOLDEN/$name"; done < "$GOLDEN/commands.txt"
-    sha256sum fam34.manifest results.csv > "$GOLDEN/SHA256SUMS"
+    sha256sum fam34.manifest results.csv fam32.manifest > "$GOLDEN/SHA256SUMS"
 """
 
 import hashlib

@@ -583,13 +583,8 @@ def _array_outcomes(config, learner):
     """Trial by trial outcomes of the array path, block by block as run_game
     plays them."""
     game = harness._ArrayGame.for_learner(config, learner)
-    blocks = []
-    for start in range(0, config.trials, harness._STATE_BLOCK):
-        success, violations = game.outcomes(start, min(start + harness._STATE_BLOCK,
-                                                       config.trials))
-        assert violations == 0
-        blocks.append(success)
-    return np.concatenate(blocks).tolist()
+    return np.concatenate([game.outcomes(start, min(start + harness._STATE_BLOCK, config.trials))
+                           for start in range(0, config.trials, harness._STATE_BLOCK)]).tolist()
 
 
 ARRAY_GAMES = ([("random", q) for q in (0, 1, 2, 5, 20)]
@@ -623,6 +618,17 @@ def test_array_path_matches_across_small_passes(request, monkeypatch, family_nam
               else request.getfixturevalue(f"family_{family_name}"))
     monkeypatch.setattr(harness, "_BLOCK_VALUES", 64)
     config = GameConfig(family=family, query_budget=q, epsilon=F(1, 64), trials=300, seed=SEED)
+    scorer = _Scorer(_learner(policy))
+    harness._play_block(config, scorer, 0, config.trials)
+    assert _array_outcomes(config, _learner(policy)) == scorer.won
+
+
+@pytest.mark.parametrize("policy, q", [("census", 0), ("census", 8), ("random", 1)])
+def test_array_path_matches_across_two_mask_words(policy, q):
+    # at the default pass sizes: the census's care words and a random
+    # trial's present pins, packed by the family, span both mask words
+    config = GameConfig(family=_two_word_family(), query_budget=q, epsilon=F(1, 64),
+                        trials=300, seed=SEED)
     scorer = _Scorer(_learner(policy))
     harness._play_block(config, scorer, 0, config.trials)
     assert _array_outcomes(config, _learner(policy)) == scorer.won
@@ -700,6 +706,17 @@ def test_subclasses_and_wrappers_play_trial_by_trial(family_32, monkeypatch, lea
         raise AssertionError("played as arrays")
     monkeypatch.setattr(harness._ArrayGame, "outcomes", refuse)
     assert run_game(config, learner) == want
+
+
+@pytest.mark.parametrize("policy", ["random", "census", "guess"])
+def test_one_body_family_plays_trial_by_trial(family_32, policy):
+    # a hand-built one-word code: the draw kernel takes 2 <= high, so a
+    # family of one body is played trial by trial, and every trial names it
+    outer = replace(family_32.outer, words=family_32.outer.words[:1])
+    config = GameConfig(family=product_family_from_parts(family_32.inner, outer),
+                        query_budget=5, epsilon=F(1, 64), trials=30, seed=SEED)
+    assert harness._ArrayGame.for_learner(config, _learner(policy)) is None
+    assert run_game(config, _learner(policy)) == GameStats(30, 30, 0)
 
 
 class _Namer:

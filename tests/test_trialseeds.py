@@ -3,8 +3,8 @@ hash, a block of trials at once: every row must be the state numpy's own
 SeedSequence(seed, spawn_key=(t, i)) generates, for seeds of 1 to 5 entropy
 words, and a Generator seeded from it must draw, spawn, deep copy and
 pickle as default_rng's.  The draw kernel must give, for every row it does
-not flag, numpy's integers(0, high, size=count) on that row's stream, and
-flag exactly the rows where numpy met a rejection."""
+not flag, numpy's integers(0, high, size=count) on that row's stream, for
+2 <= high <= 2^32, and flag exactly the rows where numpy met a rejection."""
 
 import copy
 import os
@@ -101,11 +101,10 @@ def test_harness_import_leaves_numpy_random_out():
     assert out.split() == ["False", "False"]
 
 
-# the draw kernel's cases: nothing drawn (1), no rejection possible (powers
-# of two), Lemire's rejections at their rarest (6, 20) and at their most
-# common (2^31 + 11, where about half the draws reject), the raw 32-bit
-# values (2^32)
-HIGHS = (1, 2, 6, 20, 256, 4096, 2**31 + 11, 2**32)
+# the draw kernel's cases: no rejection possible (powers of two), Lemire's
+# rejections at their rarest (6, 20) and at their most common (2^31 + 11,
+# where about half the draws reject), the raw 32-bit values (2^32)
+HIGHS = (2, 6, 20, 256, 4096, 2**31 + 11, 2**32)
 
 
 def _numpy_draws(seed, t, i, high, count):
@@ -115,12 +114,20 @@ def _numpy_draws(seed, t, i, high, count):
     seq = np.random.SeedSequence(seed, spawn_key=(t, i))
     rng = np.random.default_rng(seq)
     draws = rng.integers(0, high, size=count)
-    taken = 0 if high == 1 else count
     plain = np.random.PCG64(seq)
-    plain.advance((taken + 1) // 2)    # the outputs `taken` values use, low half first
+    plain.advance((count + 1) // 2)    # the outputs `count` values use, low half first
     state = rng.bit_generator.state
     return draws, (state["state"] != plain.state["state"]
-                   or state["has_uint32"] != taken % 2)
+                   or state["has_uint32"] != count % 2)
+
+
+def _one_block(states, high, count):
+    """bounded_integer_blocks' (rows, count) draws, taken in one block, and
+    its rejection mask."""
+    rejected = np.zeros(len(states), dtype=bool)
+    blocks = bounded_integer_blocks(states, high, count, count + count % 2 or 2, rejected)
+    draws = np.concatenate([np.empty((len(states), 0), dtype=np.int64), *blocks], axis=1)
+    return draws, rejected
 
 
 @pytest.mark.parametrize("seed", (0, 2**32 - 1, 2**64 + 5, 2**128 + 1))
@@ -132,13 +139,16 @@ def test_bounded_integers_are_numpys_draws(seed):
     for i in range(3):
         for high in HIGHS:
             for count in (0, 1, 2, 3, 80):
-                draws, rejected = bounded_integers(states[:, i], high, count)
+                draws, rejected = _one_block(states[:, i], high, count)
                 assert draws.shape == (len(trials), count) and draws.dtype == np.int64
                 for r, t in enumerate(trials):
                     want, redrawn = _numpy_draws(seed, t, i, high, count)
                     assert rejected[r] == redrawn, (i, high, count, t)
                     if not redrawn:
                         assert np.array_equal(draws[r], want), (i, high, count, t)
+                if count == 1:      # bounded_integers takes one draw a row
+                    one, once = bounded_integers(states[:, i], high)
+                    assert np.array_equal(one, draws[:, 0]) and np.array_equal(once, rejected)
                 if (high, count) == (2**31 + 11, 1):
                     assert 0 < rejected.sum() < len(trials)
 
@@ -147,7 +157,7 @@ def test_bounded_integers_are_numpys_draws(seed):
 def test_bounded_integer_blocks_continue_where_the_last_stopped(width):
     states = stream_states(SEED, 0, 5)[:, 1]
     for high, count in ((20, 79), (20, 80), (20, 81), (2**31 + 11, 9)):
-        whole, want = bounded_integers(states, high, count)
+        whole, want = _one_block(states, high, count)
         rejected = np.zeros(len(states), dtype=bool)
         blocks = list(bounded_integer_blocks(states, high, count, width, rejected))
         assert [b.shape[1] for b in blocks] == [min(width, count - at)
@@ -156,9 +166,9 @@ def test_bounded_integer_blocks_continue_where_the_last_stopped(width):
         assert np.array_equal(rejected, want)
 
 
-@pytest.mark.parametrize("high, width", [(0, 2), (2**32 + 1, 2), (20, 3), (20, 0)])
+@pytest.mark.parametrize("high, width", [(0, 2), (1, 2), (2**32 + 1, 2), (20, 3), (20, 0)])
 def test_bounded_integer_blocks_refuse_what_they_cannot_match(high, width):
-    # a family of more than 2^32 bodies is played trial by trial instead
+    # a family of one body, or of more than 2^32, is played trial by trial instead
     states = stream_states(SEED, 0, 2)[:, 0]
     with pytest.raises(ParameterError):
         list(bounded_integer_blocks(states, high, 4, width, np.zeros(2, dtype=bool)))
