@@ -25,6 +25,19 @@ the sample's side (0 for a, 1 for b) in the low bit.  Any other block, one
 holding +-2 or beyond or an infinity, is argsorted and its values gathered
 back.
 
+The estimator keeps only the largest statistic and its first direction, so
+a bound pass (`_gap_bounds`) runs first, in blocks of the same size.  It
+counts each row's a- and b-samples in _BUCKETS value buckets, monotone in
+the value, so equal values share a bucket; the integer gap at bucket ends
+is a lower bound on the row's maximum gap, and the gap's reach inside each
+bucket an upper bound.  A row whose upper bound is below the best lower
+bound cannot hold the maximum, and only the rest go through
+`ks_statistics`.  While na*nb < 2^48 a smaller integer maximum is always
+a smaller float statistic, so the estimate and its direction are
+byte-identical to scoring every row; at larger sample counts, and in a
+block whose range or bucket scale is zero or not finite, nothing is
+pruned.
+
 Sample streams are keyed by (run seed, body description), not by argument
 position: swapping the two bodies swaps identical streams, so the estimate
 is exactly symmetric, and equal bodies give exactly zero.
@@ -49,6 +62,8 @@ from .oracles import continuous_random_batch
 
 MIN_SAMPLES = 1000
 NOISE_FLOOR_P_FAIL = 1e-3  # chance two same-law samples exceed noise_floor
+_BUCKETS = 512           # buckets a row's samples are counted in to bound its gap
+_EXACT_GAPS = 1 << 48    # na*nb below which a smaller integer gap is a smaller float
 
 
 def _samples(x, ndim: int, what: str) -> np.ndarray:
@@ -58,6 +73,14 @@ def _samples(x, ndim: int, what: str) -> np.ndarray:
     if x.shape[-1] == 0:
         raise ParameterError(f"{what} needs non-empty samples")
     return x
+
+
+def _row_pairs(a_rows, b_rows) -> tuple[np.ndarray, np.ndarray]:
+    a_rows = _samples(a_rows, 2, "a_rows")
+    b_rows = _samples(b_rows, 2, "b_rows")
+    if len(a_rows) != len(b_rows):
+        raise ParameterError(f"{len(a_rows)} rows of a against {len(b_rows)} of b")
+    return a_rows, b_rows
 
 
 def ks_statistics(a_rows, b_rows) -> np.ndarray:
@@ -75,10 +98,7 @@ def ks_statistics(a_rows, b_rows) -> np.ndarray:
     is formed only where a row reaches its integer maximum, and the largest
     of those is returned.
     """
-    a_rows = _samples(a_rows, 2, "a_rows")
-    b_rows = _samples(b_rows, 2, "b_rows")
-    if len(a_rows) != len(b_rows):
-        raise ParameterError(f"{len(a_rows)} rows of a against {len(b_rows)} of b")
+    a_rows, b_rows = _row_pairs(a_rows, b_rows)
     na, nb = a_rows.shape[1], b_rows.shape[1]
     width = na + nb
     rank_gap = np.arange(1, width + 1) * nb   # (ca + cb) * nb along a row
@@ -134,6 +154,82 @@ def _argsort(merged: np.ndarray, na: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(merged, axis=1)
     values = np.take_along_axis(merged, order, axis=1)
     return order >= na, values[:, :-1] == values[:, 1:]
+
+
+def _ks_argmax(a_rows, b_rows) -> tuple[int, float]:
+    """(int(np.argmax(s)), float(s.max())) for s = ks_statistics(a_rows,
+    b_rows), with s computed only on the rows that can hold the maximum.
+
+    _gap_bounds brackets each row's integer gap max |cb*na - ca*nb|; a row
+    whose upper bound is below the best lower bound has a strictly smaller
+    integer maximum, and ks_statistics refines the rest.  Pruning is exact
+    only while na*nb < 2^48: the float |ca/na - cb/nb| is off from gap /
+    (na*nb) by at most about 3.3e-16, distinct gaps differ by at least
+    1/(na*nb) > 2^-48, so a smaller integer maximum reads as a strictly
+    smaller float and can be neither the maximum nor an earlier argmax.  At
+    and above 2^48 every row is refined.
+    """
+    a_rows, b_rows = _row_pairs(a_rows, b_rows)
+    na, nb = a_rows.shape[1], b_rows.shape[1]
+    if na * nb < _EXACT_GAPS:
+        lower, upper = _gap_bounds(a_rows, b_rows)
+        live = np.flatnonzero(upper >= lower.max())
+        if len(live) < len(a_rows):
+            a_rows, b_rows = a_rows[live], b_rows[live]
+    else:
+        live = np.arange(len(a_rows))
+    stats = ks_statistics(a_rows, b_rows)
+    best = int(np.argmax(stats))    # the first of equal maxima
+    return int(live[best]), float(stats[best])
+
+
+def _gap_bounds(a_rows: np.ndarray, b_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on each row's integer gap max |cb*na - ca*nb|,
+    from counts of its samples in _BUCKETS buckets.
+
+    A block's samples go to buckets by the monotone trunc((x - lo) *
+    ((B - 1) / span)), lo and span the block's min and range, so equal
+    values share a bucket and a bucket's end is the end of a run.  The gap
+    at bucket ends is therefore a gap ks_statistics reads (the lower bound);
+    inside a bucket the signed gap moves +na per b-sample and -nb per
+    a-sample from the last bucket's end, so it stays within end + ca*nb and
+    end - cb*na (the upper bound).  A block whose span or scale is zero or
+    not finite (equal values, an infinity, a NaN, a subnormal span) keeps
+    the trivial bounds 0 and na*nb, so none of its rows is pruned and a NaN
+    reaches ks_statistics' refusal.
+    """
+    rows, na = a_rows.shape
+    nb = b_rows.shape[1]
+    lower = np.zeros(rows, dtype=np.int64)
+    upper = np.full(rows, na * nb, dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // (na + nb))
+    for start in range(0, rows, step):
+        a, b = a_rows[start:start + step], b_rows[start:start + step]
+        lo = float(np.minimum(a.min(), b.min()))   # NaN propagates
+        span = float(np.maximum(a.max(), b.max())) - lo
+        if not 0.0 < span < math.inf:
+            continue
+        scale = (_BUCKETS - 1) / span
+        if scale == math.inf:
+            continue
+        offsets = np.arange(0, len(a) * _BUCKETS, _BUCKETS)[:, None]
+        count_a = _bucket_counts(a, lo, scale, offsets)
+        count_b = _bucket_counts(b, lo, scale, offsets)
+        count_a *= nb
+        count_b *= na
+        ends = np.cumsum(count_b, axis=1)
+        ends -= np.cumsum(count_a, axis=1)
+        lower[start:start + step] = np.abs(ends).max(axis=1)
+        upper[start:start + step] = np.maximum(ends + count_a, count_b - ends).max(axis=1)
+    return lower, upper
+
+
+def _bucket_counts(x: np.ndarray, lo: float, scale: float,
+                   offsets: np.ndarray) -> np.ndarray:
+    """(rows, _BUCKETS) counts of each row's samples per bucket."""
+    ids = ((x - lo) * scale).astype(np.intp)
+    ids += offsets
+    return np.bincount(ids.ravel(), minlength=offsets.size * _BUCKETS).reshape(-1, _BUCKETS)
 
 
 def ks_statistic(a, b) -> float:
@@ -195,6 +291,13 @@ def halfspace_discrepancy(a: ProductBody, b: ProductBody, dirs: int,
                           samples: int, rng) -> DiscrepancyEstimate:
     """Max two-sample KS statistic of u.x over the probe direction set.
 
+    The maximum and its first direction come from _ks_argmax: bucket-count
+    bounds prune the directions that cannot reach the maximum, and
+    ks_statistics scores the rest.  The result is byte-identical to taking
+    np.argmax of ks_statistics over every direction, because below 2^48
+    sample pairs a direction with a smaller integer gap has a strictly
+    smaller float statistic.
+
     Requires equal volumes (otherwise a constant-offset indicator term, not
     a projection effect, dominates) and samples >= 1000 per body.  rng may
     be a numpy Generator or a seed, a non-negative integer.
@@ -214,10 +317,9 @@ def halfspace_discrepancy(a: ProductBody, b: ProductBody, dirs: int,
     matrix, kinds = direction_set(a.n, a.k, dirs, dir_rng)
     points_a = continuous_random_batch(a, samples, _body_stream(base, a))
     points_b = continuous_random_batch(b, samples, _body_stream(base, b))
-    stats = ks_statistics(matrix @ points_a.T, matrix @ points_b.T)
-    best_col = int(np.argmax(stats))    # the first of equal maxima
+    best_col, estimate = _ks_argmax(matrix @ points_a.T, matrix @ points_b.T)
     return DiscrepancyEstimate(
-        estimate=float(stats[best_col]),
+        estimate=estimate,
         direction=tuple(float(x) for x in matrix[best_col]),
         direction_kind=kinds[best_col],
         noise_floor=noise_floor(samples, matrix.shape[0]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -182,6 +183,100 @@ def test_ks_statistics_mixes_packed_and_argsort_blocks(monkeypatch):
     assert got.tolist() == [_ks_reference(a, b) for a, b in zip(a_rows, b_rows)]
 
 
+# ---------------------------------------------------------------------------
+# the pruned maximum
+
+def _argmax_oracle(a_rows, b_rows):
+    s = ks_statistics(a_rows, b_rows)
+    return int(np.argmax(s)), float(s.max())
+
+
+# each row draws from one palette: a dyadic grid with both zeros and both
+# infinities, so samples tie; +-1e308, whose span overflows; subnormals,
+# whose span overflows the scale; any float; or one value, a constant row
+_PALETTES = st.one_of(st.sampled_from([
+    st.one_of(st.integers(-8, 8).map(lambda i: i / 4),
+              st.sampled_from([-0.0, -math.inf, math.inf])),
+    st.sampled_from([-1e308, -1.0, 0.0, 1.0, 1e308]),
+    st.sampled_from([-1e-323, -5e-324, -0.0, 0.0, 5e-324, 1e-323]),
+    st.floats(allow_nan=False),
+]), st.floats(allow_nan=False).map(st.just))
+
+
+def _palette_rows(data, rows, width):
+    out = []
+    for _ in range(rows):
+        values = data.draw(_PALETTES)
+        out.append(data.draw(st.lists(values, min_size=width, max_size=width)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 20), na=st.integers(1, 12),
+       nb=st.integers(1, 12), buckets=st.sampled_from([1, 2, 7, 512]),
+       block=st.sampled_from([1, 7, 64, 1 << 15]))
+def test_ks_argmax_is_the_first_maximum(data, rows, na, nb, buckets, block):
+    # block 1 puts every row in its own block; at 7 and 64 blocks hold
+    # several rows of mixed palettes
+    a_rows = _palette_rows(data, rows, na)
+    b_rows = _palette_rows(data, rows, nb)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(halfspace, "_BUCKETS", buckets)
+        patch.setattr(halfspace, "_BLOCK_ELEMENTS", block)
+        assert halfspace._ks_argmax(a_rows, b_rows) == _argmax_oracle(a_rows, b_rows)
+
+
+def _count_refined_rows(monkeypatch):
+    """Record the rows each ks_statistics call refines."""
+    refined = []
+    def spy(a_rows, b_rows, real=halfspace.ks_statistics):
+        refined.append(len(a_rows))
+        return real(a_rows, b_rows)
+    monkeypatch.setattr(halfspace, "ks_statistics", spy)
+    return refined
+
+
+def test_ks_argmax_prunes_shifted_rows(monkeypatch):
+    # 40 rows of 3000 + 5000 merged samples, four rows a block; only row 29
+    # is shifted far enough to stand clear of the others
+    rng = np.random.default_rng(8)
+    a_rows = rng.standard_normal((40, 3000))
+    b_rows = rng.standard_normal((40, 5000))
+    a_rows[29] += 0.5
+    want = _argmax_oracle(a_rows, b_rows)
+    refined = _count_refined_rows(monkeypatch)
+    assert halfspace._ks_argmax(a_rows, b_rows) == want
+    assert want[0] == 29 and refined == [1]
+
+
+def test_ks_argmax_refines_every_row_past_the_exact_order(monkeypatch):
+    # at na*nb >= 2^48 a smaller integer gap may round to an equal float,
+    # so no row is pruned; the order is patched down to reach that branch
+    rng = np.random.default_rng(9)
+    a_rows, b_rows = rng.standard_normal((6, 50)), rng.standard_normal((6, 70))
+    a_rows[2] += 2.0
+    want = _argmax_oracle(a_rows, b_rows)
+    monkeypatch.setattr(halfspace, "_EXACT_GAPS", 50 * 70)
+    refined = _count_refined_rows(monkeypatch)
+    assert halfspace._ks_argmax(a_rows, b_rows) == want
+    assert refined == [6]
+
+
+def test_ks_argmax_refuses_nan():
+    for a_rows in ([[1.0, math.nan]], [[math.nan, math.nan]]):
+        with pytest.raises(ParameterError, match="NaN"):
+            halfspace._ks_argmax(a_rows, [[0.5]])
+    # in a block past the first, beside rows the bounds could prune
+    a_rows = np.zeros((3000, 20))
+    a_rows[2500, 7] = math.nan
+    b_rows = np.ones((3000, 20))
+    b_rows[:10] = -1.0
+    with pytest.raises(ParameterError, match="NaN"):
+        halfspace._ks_argmax(a_rows, b_rows)
+    with pytest.raises(ParameterError, match="rows"):
+        halfspace._ks_argmax([[1.0], [2.0]], [[1.0]])
+
+
 def test_noise_floor_formula():
     samples, directions = 4096, 100
     want = math.sqrt(2 * math.log(4 * directions / 1e-3) / samples)
@@ -303,6 +398,11 @@ DISCREPANCY_PINS = (
     ("34", 123, 2048, 8, 1777, 11, "0.1890827236916151", "random:0"),
     ("34", 9, 3000, 16, 4096, 5, "0.150390625", "axis:2"),
     ("34", 0, 4095, 64, 4096, 3, "0.218994140625", "random:23"),
+    # recorded by scoring every direction, before _ks_argmax pruned any: a
+    # self-pair, where no row can be pruned, and a pair where 8 of 30 rows
+    # survive the bounds and two directions tie at the maximum
+    ("34", 5, 5, 16, 1500, 7, "0.0", "axis:0"),
+    ("32", 117, 188, 8, 1024, 17, "0.0732421875", "orthant:0:2"),
 )
 
 
@@ -314,6 +414,44 @@ def test_discrepancy_pinned(family_32, family_34, name, i, j, dirs, samples,
     est = halfspace_discrepancy(family.body(i), family.body(j), dirs, samples,
                                 np.random.default_rng(seed))
     assert (repr(est.estimate), est.direction_kind) == (estimate, kind)
+
+
+def test_discrepancy_refines_only_live_rows(monkeypatch, family_32, family_34):
+    # the self-pair keeps all 60 rows live, the tie pin 8 of 30, and a
+    # separated fam34 pair 2 of 108
+    refined = _count_refined_rows(monkeypatch)
+    for family, i, j, dirs, samples, seed in ((family_34, 5, 5, 16, 1500, 7),
+                                              (family_32, 117, 188, 8, 1024, 17),
+                                              (family_34, 0, 4095, 64, 4096, 3)):
+        halfspace_discrepancy(family.body(i), family.body(j), dirs, samples,
+                              np.random.default_rng(seed))
+    assert refined == [60, 8, 2]
+
+
+@pytest.mark.parametrize("name, value", [("_BUCKETS", 1), ("_BUCKETS", 2),
+                                         ("_BUCKETS", 7), ("_BUCKETS", 4096),
+                                         ("_BLOCK_ELEMENTS", 1), ("_BLOCK_ELEMENTS", 7)])
+def test_bound_constants_change_no_bit(monkeypatch, family_32, family_34, name, value):
+    monkeypatch.setattr(halfspace, name, value)
+    for pin in DISCREPANCY_PINS:
+        test_discrepancy_pinned(family_32, family_34, *pin)
+    test_corollary_explore_pinned(family_34)
+
+
+def test_discrepancy_working_set(family_34):
+    # the two (108, 4096) projections and both bodies' points plus about a
+    # block: the blocked bound pass adds 0.3 MiB here, and bucketing the
+    # whole projections at once would add more than twice the budget
+    a, b = family_34.body(0), family_34.body(4095)
+    halfspace_discrepancy(a, b, 64, 4096, np.random.default_rng(0))   # cached tables
+    tracemalloc.start()
+    try:
+        halfspace_discrepancy(a, b, 64, 4096, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    projections, points = 2 * 108 * 4096 * 8, 2 * 4096 * 12 * 8
+    assert peak <= projections + points + (4 << 20)
 
 
 def test_discrepancy_input_validation(rng):
