@@ -48,6 +48,7 @@ DEFAULT_MAX_K = 8
 MANIFEST_COMMENT = "# crosspeaks family manifest v1"
 MAX_MASK_BITS = 32  # inner_family_from_code forms masks as an int64 product: n <= 5
 _WORD = (1 << 64) - 1  # one uint64 word of packed factor masks
+_PIN_INDEX_BYTES = 1 << 7  # bitset bytes, 8 bodies each, _pin_index fills a pass
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,25 @@ class ProductFamily:
     def _mask_words(self) -> np.ndarray:
         """Every body's factor masks packed by _pack, built once and read-only."""
         out = self._pack(self.inner.masks[self.outer.words])
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def _pin_index(self) -> np.ndarray:
+        """_mask_words turned on its side, built once and read-only, in
+        passes of _PIN_INDEX_BYTES columns: row b, one for each bit of a
+        _mask_words row (factor b >> n, orthant b & (2^n - 1), _pack's
+        order), is a little-endian uint64 bitset over [0, F) of the bodies
+        carrying that peak, body i at bit i & 63 of word i >> 6.  Padding
+        bits, and the rows of the masks' padding bits, are zero."""
+        words = self._mask_words.astype("<u8", copy=False)
+        out = np.zeros((64 * words.shape[1], -(-self.size // 64) * 8), dtype=np.uint8)
+        for at in range(0, out.shape[1], _PIN_INDEX_BYTES):
+            bits = np.unpackbits(words[8 * at:8 * (at + _PIN_INDEX_BYTES)].view(np.uint8),
+                                 axis=1, bitorder="little")
+            packed = np.packbits(bits.T, axis=1, bitorder="little")
+            out[:, at:at + packed.shape[1]] = packed
+        out = out.view("<u8").astype(np.uint64, copy=False)
         out.flags.writeable = False
         return out
 

@@ -369,18 +369,23 @@ def q_membership_scaled_batch(n: int, missing, ipoints: np.ndarray, scale: int) 
     """Exact vectorized halfspace-oracle membership on integer-scaled points:
     every a . X <= scale over the q_halfspace_normals and the signs of each
     missing peak, one block of rows (and its (rows, halfspaces) products) at
-    a time."""
+    a time.  The normals lie in {-1, 0, 1}, so every partial sum of a . X is
+    an integer of size at most n max|X|: below 2^53, with scale below 2^53
+    too, a float64 matmul forms and compares them exactly (and runs several
+    times faster than numpy's int64 one); past that the products are int64."""
     n = require_int(n, "n")
     if n > MAX_Q_ORACLE_DIM:
         raise ParameterError(f"halfspace oracle capped at n <= {MAX_Q_ORACLE_DIM}")
     ipoints = _scaled_points(n, ipoints, scale)
     rows = [index_to_signs(n, index) for index in missing]
+    reach = max(-int(ipoints.min()), int(ipoints.max())) if ipoints.size else 0
+    dtype = np.float64 if n * reach < 1 << 53 and scale < 1 << 53 else np.int64
     normals = np.concatenate((q_halfspace_normals(n),
-                              np.array(rows, dtype=np.int8).reshape(-1, n))).T.astype(np.int64)
+                              np.array(rows, dtype=np.int8).reshape(-1, n))).T.astype(dtype)
     member = np.empty(len(ipoints), dtype=bool)
     step = max(1, _BLOCK_ELEMENTS // normals.shape[1])
     for start in range(0, len(ipoints), step):
-        products = ipoints[start:start + step] @ normals
+        products = ipoints[start:start + step].astype(dtype, copy=False) @ normals
         (products <= scale).all(axis=1, out=member[start:start + step])
     return member
 

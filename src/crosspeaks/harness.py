@@ -19,7 +19,8 @@ SeedSequence(seed, spawn_key=(t,)).spawn(3), so trial outcomes are
 order-independent and reproducible.  No SeedSequence is built per trial:
 run_game derives the streams' PCG64 states (what generate_state(4,
 np.uint64) returns) for a block of trials at once, numpy's hash run on
-columns of trials (trialseeds.stream_states).  The random-policy learner
+columns of trials (trialseeds.stream_states), and only the streams a trial
+reads.  The random-policy learner
 takes its whole budget in one OracleSession.random_batch call, a single row
 draw that consumes the oracle stream query by query; a q-row draw is
 therefore a prefix of a (q+1)-row draw, and two runs that differ only in
@@ -30,13 +31,18 @@ by exact type, are played as arrays (_ArrayGame): trialseeds'
 bounded_integer_blocks runs PCG64 and numpy's bounded-integer draw on a
 block's stream states at once, bit for bit what each trial's Generator
 would draw, and the outcomes are read off those draws with no Generator,
-session or transcript.  A random-policy trial's labels are a take from the
-hidden factors' cached draw tables (InnerBody.draws), its pins are packed
-by ProductFamily._pack, and it succeeds iff no lower index holds them
-all; a census trial succeeds iff its hidden index is the lowest of its
-class under the probed orthants, a table built once per game.  Where a
-draw meets a rejection in Lemire's method, numpy draws again and the
-kernel does not follow it, so that trial is replayed trial by trial.
+session or transcript, from the streams each policy reads: the hidden draw's
+alone for the census and for the random policy at q = 0, the oracle's too
+at q >= 1, the learner's too for the guess.  A random-policy trial's labels
+are a take from the hidden factors' cached draw tables (InnerBody.draws),
+its pins are packed by ProductFamily._pack, and it succeeds iff no lower
+index holds them all: the AND of those pins' rows of the family's per-pin
+bitset index (ProductFamily._pin_index, one bit per body) has no bit below
+the hidden index.  A census trial succeeds iff its hidden index is the
+lowest of its class under the probed orthants, a table built once per
+game.  Where a draw meets a rejection in Lemire's method, numpy draws again
+and the kernel does not follow it, so that trial is replayed trial by
+trial.
 
 Every other learner, a subclass or a wrapper of a built-in one included,
 is played trial by trial (_play_block): each trial's three Generators,
@@ -271,7 +277,7 @@ def _play_block(config: GameConfig, learner, start: int, stop: int) -> tuple[int
     return successes, violations
 
 
-# draws, or index tests, one array pass of a game holds: 64 KiB of int64, so
+# draws, or ANDed bitset words, one array pass of a game holds: 64 KiB, so
 # its arrays stay under glibc's 128 KiB mmap threshold (larger passes left the
 # game's peak RSS about 0.8 MB higher, and ran no faster)
 _BLOCK_VALUES = 1 << 13
@@ -286,19 +292,24 @@ class _ArrayGame:
       random  the q k region draws from stream 1, read as present pins
               through the hidden factors' InnerBody.draws tables; the
               learner names the lowest consistent index, so the trial
-              succeeds iff no lower index has every pin
+              succeeds iff no lower index has every pin, an AND of the
+              pins' rows of the family's per-pin bitset index (_none_below)
       census  nothing more: the probes pin the first min(q, 2^n) orthants
               of every factor, so the trial succeeds iff the hidden index
               is the first of its class under _mask_words & care, a table
               built once per game
       guess   one draw of [0, F) from stream 2, the RandomGuessLearner's
 
-    A trial whose draws met a Lemire rejection is replayed by _play_block."""
+    Only the streams a policy reads are derived (streams): stream 0 for the
+    census and the random policy at q = 0, streams 0 and 1 for the random
+    policy at q >= 1, 0 and 2 for the guess.  A trial whose draws met a
+    Lemire rejection is replayed by _play_block, which derives all three."""
 
     def __init__(self, config: GameConfig, learner, policy: str):
         self.config, self.learner, self.policy = config, learner, policy
         family, q = config.family, config.query_budget
         width = 1 << family.n
+        self.streams = (0, 2) if policy == "guess" else (0, 1) if policy == "random" and q else (0,)
         if policy == "census":
             keys = family._mask_words & family._pack(
                 np.full(family.k, (1 << min(q, width)) - 1, dtype=np.uint64))
@@ -330,10 +341,10 @@ class _ArrayGame:
         from its _play_block replay (a built-in learner never overdraws)."""
         from .trialseeds import bounded_integers, stream_states
         config, size = self.config, self.config.family.size
-        states = stream_states(config.seed, start, stop)
+        states = stream_states(config.seed, start, stop, self.streams)
         hidden, rejected = bounded_integers(states[:, 0], size)
         if self.policy == "guess":
-            guess, missed = bounded_integers(states[:, 2], size)
+            guess, missed = bounded_integers(states[:, 1], size)
             success = guess == hidden
             rejected |= missed
         elif self.policy == "census":
@@ -348,9 +359,9 @@ class _ArrayGame:
 
     def _random(self, states, hidden, rejected):
         """Success of each random-policy trial: its q k draws read as
-        present pins packed by _pack, then no lower index holding
-        them all.  Whole trials go through in passes of about _BLOCK_VALUES
-        draws; a longer trial goes through alone, in column blocks."""
+        present pins, collected over passes of about _BLOCK_VALUES draws (a
+        longer trial goes through alone, in column blocks), packed by _pack,
+        then no lower index holding them all."""
         from .trialseeds import bounded_integer_blocks
         family = self.config.family
         k, labels = family.k, self.config.query_budget * family.k
@@ -358,39 +369,49 @@ class _ArrayGame:
             trials, width = max(1, _BLOCK_VALUES // labels), labels + labels % 2
         else:
             trials, width = 1, max(2, _BLOCK_VALUES // k & ~1) * k
-        success = np.empty(len(hidden), dtype=bool)
+        present = np.zeros((len(hidden), k), dtype=np.uint64)
         outer = family.outer.words
         for a in range(0, len(hidden), trials):
             b = min(a + trials, len(hidden))
             offsets = outer[hidden[a:b]].astype(np.intp)[:, None, :] * self.draw_count
-            present = np.zeros((b - a, k), dtype=np.uint64)
             for u in bounded_integer_blocks(states[a:b], self.draw_count, labels, width,
                                             rejected[a:b]):
                 u = u.reshape(b - a, -1, k)
                 u += offsets
-                present |= np.bitwise_or.reduce(self.pins.take(u), axis=1)
-            success[a:b] = self._none_below(family._pack(present), hidden[a:b])
-        return success
+                present[a:b] |= np.bitwise_or.reduce(self.pins.take(u), axis=1)
+        return self._none_below(family._pack(present), hidden)
 
     def _none_below(self, present, hidden):
-        """Per row, whether no index below hidden[r] has every pin of
-        present[r]: the indices are tested in ascending runs on the rows
-        still undecided, about _BLOCK_VALUES tests a run."""
-        words = self.config.family._mask_words
-        clear = np.ones(len(hidden), dtype=bool)
-        live = np.flatnonzero(hidden)
-        low = 0
-        while live.size:
-            high = min(low + max(1, _BLOCK_VALUES // live.size), int(hidden[live].max()))
-            pins, below = present[live], hidden[live]
-            hit = np.arange(low, high) < below[:, None]
-            for w in range(words.shape[1]):
-                pw = pins[:, w:w + 1]
-                hit &= words[low:high, w] & pw == pw
-            found = hit.any(axis=1)
-            clear[live[found]] = False
-            live = live[~found & (below > high)]
-            low = high
+        """Per row, whether no index below hidden[r] has every pin of the
+        packed words present[r]: the AND of the family's _pin_index rows of
+        those pins, cut to the words below hidden[r], holds no bit below
+        hidden[r].  A row with no pins admits every index.  Rows go through
+        in chunks whose ANDed bitsets hold about _BLOCK_VALUES words."""
+        index = self.config.family._pin_index
+        clear = np.empty(len(hidden), dtype=bool)
+        step = max(1, _BLOCK_VALUES // index.shape[1])
+        for a in range(0, len(hidden), step):
+            below = hidden[a:a + step]
+            held = np.unpackbits(present[a:a + step].astype("<u8", copy=False).view(np.uint8),
+                                 axis=1, bitorder="little").view(bool)
+            counts = np.count_nonzero(held, axis=1)
+            if not counts.any():
+                clear[a:a + step] = below == 0
+                continue
+            # a row's pins, from its last down, then its first repeated to
+            # the longest row's count: ANDing a row twice changes nothing
+            ends = np.cumsum(counts)[:, None] - 1
+            slot = np.minimum(np.arange(counts.max()), np.maximum(counts, 1)[:, None] - 1)
+            pins = np.nonzero(held)[1][ends - slot]
+            word = below >> 6
+            cols = int(word.max()) + 1
+            acc = index[pins[:, 0], :cols]
+            for j in range(1, pins.shape[1]):
+                acc &= index[pins[:, j], :cols]
+            found = ((acc != 0) & (np.arange(cols) < word[:, None])).any(axis=1)
+            part = acc[np.arange(len(below)), word] & (
+                (np.uint64(1) << (below & 63).astype(np.uint64)) - np.uint64(1))
+            clear[a:a + step] = np.where(counts > 0, ~found & (part == 0), below == 0)
         return clear
 
 

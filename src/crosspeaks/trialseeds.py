@@ -5,7 +5,9 @@ SeedSequence(seed, spawn_key=(t, i)).  Building that SeedSequence costs far
 more than the trial's own work, and all it gives PCG64 is four uint64 words,
 generate_state(4, np.uint64).  Those words are a fixed hash of the seed, t
 and i (numpy's mix_entropy and generate_state in bit_generator.pyx), so
-stream_states runs the hash on a block of trials at once.
+stream_states runs the hash on a block of trials at once, for the streams a
+caller reads: the pool mix up to t is shared, and only i's step and the
+state words are taken once per stream.
 
 Two consumers read those rows.  A trial played one at a time builds its
 three Generators up front from its block's rows, each a PCG64 on a
@@ -63,16 +65,24 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def stream_states(seed: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, 3, 4) read-only uint64 array whose row [r, i] is
-    SeedSequence(seed, spawn_key=(start + r, i)).generate_state(4, np.uint64),
-    for seed >= 0 and 0 <= start < stop <= 2^32.
+def stream_states(seed: int, start: int, stop: int, streams=(0, 1, 2)) -> np.ndarray:
+    """(stop - start, len(streams), 4) read-only uint64 array whose row
+    [r, c] is SeedSequence(seed, spawn_key=(start + r, streams[c]))
+    .generate_state(4, np.uint64), for seed >= 0 and 0 <= start < stop <=
+    2^32.  streams lists distinct stream numbers of {0, 1, 2}, any other
+    list is a ParameterError; a caller that reads fewer than three streams
+    derives only those.
 
     The entropy SeedSequence mixes is the seed's 32-bit words, least
     significant first and zero-padded to the pool size, then t, then i.
     Every word before t is the same for all trials, so the pool is mixed as
     Python ints until t enters as a column; from there each step runs on
-    all the trials at once."""
+    all the trials at once.  Only the stream number's step and the state
+    words are taken once per listed stream."""
+    streams = tuple(streams)
+    if len(set(streams)) != len(streams) or any(
+            type(i) is not int or not 0 <= i <= 2 for i in streams):
+        raise ParameterError(f"streams must be distinct numbers of 0, 1, 2, not {streams!r}")
     words = []
     while True:
         words.append(seed & _MASK32)
@@ -89,14 +99,14 @@ def stream_states(seed: int, start: int, stop: int) -> np.ndarray:
     # past the pool, each word is hashed anew into every pool word
     for word in words[_POOL_SIZE:] + [np.arange(start, stop, dtype=np.uint64)]:
         pool = [_mix(p, hashmix(word)) for p in pool]
-    states = np.empty((stop - start, 3, _STATE_WORDS), dtype=np.uint64)
-    for i in range(3):
+    states = np.empty((stop - start, len(streams), _STATE_WORDS), dtype=np.uint64)
+    for c, i in enumerate(streams):
         stream_hashmix = _Hash(hashmix.const, _MULT_A)
         mixed = [_mix(p, stream_hashmix(i)) for p in pool]
         generate = _Hash(_INIT_B, _MULT_B)
         for j in range(_STATE_WORDS):   # 2 uint32 words per little-endian uint64
             low = generate(mixed[2 * j % _POOL_SIZE])
-            states[:, i, j] = low | generate(mixed[(2 * j + 1) % _POOL_SIZE]) << 32
+            states[:, c, j] = low | generate(mixed[(2 * j + 1) % _POOL_SIZE]) << 32
     states.flags.writeable = False
     return states
 

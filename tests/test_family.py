@@ -19,6 +19,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from crosspeaks import codes
+from crosspeaks import family as family_mod
 from crosspeaks.bounds import inner_seed_distance
 from crosspeaks.errors import (BudgetExceededError, ParameterError,
                                VerificationError)
@@ -320,6 +321,28 @@ def test_pack_cuts_the_layout_as_python_ints_do(n, k):
     assert family._pack(masks[0, 0]).tolist() == _cut(masks[0, 0], width)
     assert family._mask_words.tolist() == [
         _cut([f.mask for f in family.body(i).factors], width) for i in range(family.size)]
+
+
+@pytest.mark.parametrize("name", ["28", "32", "34", "two_word"])
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_pin_index_rows_are_the_mask_words_bits(request, monkeypatch, name, chunk):
+    # row b is bit b of every body's _mask_words row as one Python int,
+    # body i at bit i: bits past F and the rows of mask bits past k 2^n
+    # (the two-word family's 72 pins fill 128 rows) stay zero, at every
+    # pass size
+    family = dataclasses.replace(request.getfixturevalue(f"family_{name}"))  # nothing cached
+    if chunk:
+        monkeypatch.setattr(family_mod, "_PIN_INDEX_BYTES", chunk)
+    words, index = family._mask_words, family._pin_index
+    assert index.dtype == np.uint64
+    assert index.shape == (64 * words.shape[1], -(-family.size // 64))
+    for b, row in enumerate(index):
+        bit = words[:, b >> 6] >> np.uint64(b & 63) & np.uint64(1)
+        want = sum(1 << i for i in np.flatnonzero(bit).tolist())
+        assert int.from_bytes(row.astype("<u8").tobytes(), "little") == want, b
+    assert np.count_nonzero(index.any(axis=1)) == family.k << family.n
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
 
 
 @settings(deadline=None)

@@ -270,6 +270,33 @@ def test_membership_agrees_with_q_oracle(rng):
             assert np.array_equal(mine, theirs)
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_q_membership_float_route_is_exact_up_to_its_bound(rng, n):
+    # float64 products decide while n max|X| < 2^53 and scale < 2^53; the
+    # points reach |X| = (2^53 - 1) // n, some on a halfspace's plane a . X =
+    # scale or one off it, and must get the Fraction oracle's answers, as must
+    # the same rational points scaled by 3 past the bound (int64 products)
+    reach = ((1 << 53) - 1) // n
+    scale = reach // 2
+    normals = np.concatenate((q_halfspace_normals(n),
+                              [index_to_signs(n, i) for i in range(1 << n)])).astype(np.int64)
+    points = [rng.integers(-reach, reach + 1, size=n) for _ in range(60)]
+    points.append(np.eye(n, dtype=np.int64)[0] * reach)
+    for a in normals[rng.integers(len(normals), size=60)]:
+        y = rng.integers(-scale // (2 * n), scale // (2 * n) + 1, size=n)
+        i = int(np.flatnonzero(a)[0])
+        y[i] += a[i] * (scale + int(rng.integers(-1, 2)) - int(a @ y))
+        points.append(y)
+    points = np.array(points, dtype=np.int64)
+    assert np.abs(points).max() == reach
+    for missing in ([], list(range(1 << n)), rng.permutation(1 << n)[:(1 << n) // 2].tolist()):
+        want = [membership_q_oracle(n, missing, [F(int(v), scale) for v in row])
+                for row in points]
+        assert 0 < sum(want) < len(want)
+        assert q_membership_scaled_batch(n, missing, points, scale).tolist() == want
+        assert q_membership_scaled_batch(n, missing, 3 * points, 3 * scale).tolist() == want
+
+
 def test_q_oracle_dimension_cap():
     with pytest.raises(ParameterError):
         membership_q_oracle(13, (), tuple(F(0) for _ in range(13)))

@@ -7,12 +7,19 @@ SHA256SUMS.
 
 tests/golden/commands.txt lists one command per line, the file holding its
 stdout first; the commands run in order in one directory, so later ones
-read the manifest the first one writes.  The CI runtime job diffs the
-installed CLI against the same files.  A change that alters seeded output
-regenerates them from fresh processes in an empty directory, with GOLDEN
-the path of tests/golden:
+read the manifest the first one writes.  A refused command's file name
+carries its exit code after a colon (bounds-d63.err:2): it must exit with
+that code, print nothing to stdout, and its file holds stderr.  The CI
+runtime job diffs the installed CLI against the same files.  A change that
+alters seeded output regenerates them from fresh processes in an empty
+directory, with GOLDEN the path of tests/golden:
 
-    while read -r name args; do crosspeaks $args > "$GOLDEN/$name"; done < "$GOLDEN/commands.txt"
+    while read -r name args; do
+      case $name in
+        *:*) crosspeaks $args 2> "$GOLDEN/${name%:*}" ;;
+        *) crosspeaks $args > "$GOLDEN/$name" ;;
+      esac
+    done < "$GOLDEN/commands.txt"
     sha256sum fam34.manifest results.csv fam32.manifest > "$GOLDEN/SHA256SUMS"
 """
 
@@ -28,8 +35,13 @@ def test_readme_commands_match_golden_output(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     for line in (GOLDEN / "commands.txt").read_text().splitlines():
         name, *argv = line.split()
-        assert main(argv) == 0, line
-        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes(), line
+        name, _, code = name.partition(":")
+        assert main(argv) == int(code or 0), line
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err.encode() == (GOLDEN / name).read_bytes(), line
+        else:
+            assert out.encode() == (GOLDEN / name).read_bytes(), line
     for line in (GOLDEN / "SHA256SUMS").read_text().splitlines():
         digest, path = line.split()
         assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import tracemalloc
@@ -210,22 +209,12 @@ def test_consistent_indices_matches_has_peak_with_contradictions(family_32, entr
     assert fast.tolist() == sorted(_brute_force_consistent(family_32, entries))
 
 
-@functools.cache
-def _two_word_family():
-    # n=3, k=9: 72 mask bits, so factor 8's pins sit in a second mask word;
-    # the words (s + j) and (s + 3j) mod 16 differ in at least 7 places
-    inner = build_inner_family(3)
-    words = [tuple((s + step * j) % inner.size for j in range(9))
-             for step in (1, 3) for s in range(inner.size)]
-    return product_family_from_parts(inner, certified_code(inner.size, 9, words))
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_consistent_indices_across_mask_words(data):
+def test_consistent_indices_across_mask_words(family_two_word, data):
     # answers from one hidden body, each membership entry possibly lying on
     # one factor, against the has_peak reference
-    family = _two_word_family()
+    family = family_two_word
     hidden = data.draw(st.integers(0, family.size - 1))
     factors = family.body(hidden).factors
     entries = []
@@ -612,10 +601,11 @@ def test_array_path_matches_trial_by_trial_play(request, name, policy, q):
                                        ("census", 5)])
 def test_array_path_matches_across_small_passes(request, monkeypatch, family_name, policy, q):
     # 64-value passes split a trial's draws into column blocks (q k > 64) or
-    # take a few trials at a time, and test a few indices a run; the
-    # two-word family's pins span two mask words
-    family = (_two_word_family() if family_name == "two-word"
-              else request.getfixturevalue(f"family_{family_name}"))
+    # take a few trials at a time, and AND the pin bitsets of one trial (34)
+    # or of 64 (two-word) a chunk; the two-word family's pins span two mask
+    # words
+    family = request.getfixturevalue(
+        "family_two_word" if family_name == "two-word" else f"family_{family_name}")
     monkeypatch.setattr(harness, "_BLOCK_VALUES", 64)
     config = GameConfig(family=family, query_budget=q, epsilon=F(1, 64), trials=300, seed=SEED)
     scorer = _Scorer(_learner(policy))
@@ -624,14 +614,50 @@ def test_array_path_matches_across_small_passes(request, monkeypatch, family_nam
 
 
 @pytest.mark.parametrize("policy, q", [("census", 0), ("census", 8), ("random", 1)])
-def test_array_path_matches_across_two_mask_words(policy, q):
+def test_array_path_matches_across_two_mask_words(family_two_word, policy, q):
     # at the default pass sizes: the census's care words and a random
     # trial's present pins, packed by the family, span both mask words
-    config = GameConfig(family=_two_word_family(), query_budget=q, epsilon=F(1, 64),
+    config = GameConfig(family=family_two_word, query_budget=q, epsilon=F(1, 64),
                         trials=300, seed=SEED)
     scorer = _Scorer(_learner(policy))
     harness._play_block(config, scorer, 0, config.trials)
     assert _array_outcomes(config, _learner(policy)) == scorer.won
+
+
+def _brute_none_below(family, present, hidden):
+    """Per row, whether no index below hidden[r] has every pin of
+    present[r], each index tested against its _mask_words row."""
+    words = family._mask_words
+    return [not ((words[:h] & row) == row).all(axis=1).any()
+            for row, h in zip(present, hidden.tolist())]
+
+
+@pytest.mark.parametrize("name", ["28", "32", "34", "two_word"])
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_none_below_matches_brute_force(request, monkeypatch, name, block):
+    # hidden indices at a bitset word's edges and the family's last, and a
+    # few at random; each with its own pins, a subset of them, another
+    # body's pins and none, at the default and at patched chunk sizes
+    family = request.getfixturevalue(f"family_{name}")
+    words = family._mask_words
+    rng = np.random.default_rng(SEED)
+    edges = {0, 63, 64, family.size - 1} & set(range(family.size))
+    hidden, present = [], []
+    for h in sorted(edges) + rng.integers(family.size, size=8).tolist():
+        keep = rng.integers(0, 1 << 64, size=words.shape[1], dtype=np.uint64)
+        other = words[rng.integers(family.size)]
+        for row in (words[h], words[h] & keep, other, np.zeros_like(words[h])):
+            hidden.append(h)
+            present.append(row)
+    hidden, present = np.array(hidden, dtype=np.int64), np.array(present)
+    want = _brute_none_below(family, present, hidden)
+    assert 0 < sum(want) < len(want)
+    if block:
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", block)
+    config = GameConfig(family=family, query_budget=1, epsilon=F(1, 64), trials=1, seed=SEED)
+    game = harness._ArrayGame(config, MLConsistencyLearner("random"), "random")
+    assert game._none_below(present, hidden).tolist() == want
+    assert game._none_below(present[3::4], hidden[3::4]).tolist() == want[3::4]   # no pins
 
 
 def test_array_path_matches_on_a_long_trial(family_32):

@@ -1,7 +1,8 @@
 """trialseeds derives game trials' PCG64 states by numpy's SeedSequence
 hash, a block of trials at once: every row must be the state numpy's own
 SeedSequence(seed, spawn_key=(t, i)) generates, for seeds of 1 to 5 entropy
-words, and a Generator seeded from it must draw, spawn, deep copy and
+words, a call for some of the three streams must give the full call's
+columns, and a Generator seeded from it must draw, spawn, deep copy and
 pickle as default_rng's.  The draw kernel must give, for every row it does
 not flag, numpy's integers(0, high, size=count) on that row's stream, for
 2 <= high <= 2^32, and flag exactly the rows where numpy met a rejection."""
@@ -12,12 +13,13 @@ import pathlib
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import crosspeaks
-from crosspeaks import harness
+from crosspeaks import harness, trialseeds
 from crosspeaks.errors import ParameterError
 from crosspeaks.harness import MAX_TRIALS
 from crosspeaks.trialseeds import (TrialSeed, bounded_integer_blocks, bounded_integers,
@@ -51,6 +53,48 @@ def test_stream_states_are_numpys_seed_sequence_states(seed):
         assert np.array_equal(last[0, i], _numpy_state(seed, MAX_TRIALS - 1, i)), i
     with pytest.raises(ValueError):
         states[0, 0, 0] = 0     # PCG64 reads the rows in place
+
+
+@pytest.mark.parametrize("seed", (0, 2**128 + 1))
+@pytest.mark.parametrize("streams", [(0,), (0, 1), (0, 2), (2, 1, 0)])
+def test_stream_subsets_are_the_full_calls_columns(seed, streams):
+    # the subsets _ArrayGame.outcomes derives, and one out of order, across a
+    # block edge
+    block = harness._STATE_BLOCK
+    full = stream_states(seed, block - 3, block + 3)
+    part = stream_states(seed, block - 3, block + 3, streams)
+    assert part.shape == (6, len(streams), 4)
+    assert np.array_equal(part, full[:, list(streams)])
+    assert not part.flags.writeable
+
+
+@pytest.mark.parametrize("streams", [(3,), (-1,), (0, 0), (0, 1, 2, 1), (1.0,), (True,)])
+def test_stream_states_refuse_other_streams(streams):
+    with pytest.raises(ParameterError):
+        stream_states(SEED, 0, 2, streams)
+
+
+def test_array_games_derive_only_the_streams_they_read(family_34, monkeypatch):
+    # a trial played trial by trial (a subclass here) still derives all three
+    real, asked = stream_states, []
+
+    def recording(seed, start, stop, streams=(0, 1, 2)):
+        asked.append(tuple(streams))
+        return real(seed, start, stop, streams)
+    monkeypatch.setattr(trialseeds, "stream_states", recording)
+
+    class Subclassed(harness.MLConsistencyLearner):
+        pass
+    for learner, q, want in [(harness.MLConsistencyLearner("census"), 8, (0,)),
+                             (harness.MLConsistencyLearner("random"), 0, (0,)),
+                             (harness.MLConsistencyLearner("random"), 5, (0, 1)),
+                             (harness.RandomGuessLearner(), 0, (0, 2)),
+                             (Subclassed("random"), 5, (0, 1, 2))]:
+        asked.clear()
+        config = harness.GameConfig(family=family_34, query_budget=q, epsilon=Fraction(1, 64),
+                                    trials=harness._STATE_BLOCK + 1, seed=SEED)
+        harness.run_game(config, learner)
+        assert asked == [want, want], (learner, q)
 
 
 @pytest.mark.parametrize("seed", BIG_SEEDS)
