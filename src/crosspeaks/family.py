@@ -219,26 +219,11 @@ class ProductFamily:
         shifts = (np.arange(self.k) % per * width).astype(np.uint64)
         return np.bitwise_or.reduceat(masks << shifts, np.arange(0, self.k, per), axis=-1)
 
-    def matching_indices(self, care, want) -> np.ndarray:
-        """Indices of the bodies whose factor j has exactly the peaks of
-        want[j] among those of care[j], for every j.  care and want must be
-        k masks below 2^(2^n), with want inside care."""
-        width = 1 << self.n
-        if len(care) != self.k or len(want) != self.k:
-            raise ParameterError(f"need one (care, want) pair per factor, k={self.k}")
-        care_bits = want_bits = 0
-        for j, (c, w) in enumerate(zip(care, want)):
-            c, w = require_int(c, "care mask"), require_int(w, "want mask")
-            if not 0 <= c < 1 << width or w & ~c:
-                raise ParameterError(f"factor {j}: want {w} is no {width}-bit subset of care {c}")
-            care_bits |= c << j * width
-            want_bits |= w << j * width
-        return self._matching(care_bits, want_bits)
-
     def _matching(self, care_bits: int, want_bits: int) -> np.ndarray:
-        """matching_indices on pins packed like the masks, factor j's at bit
-        j 2^n, so one test per 64-bit word covers 64 / 2^n factors; the
-        caller checked that want_bits lies inside care_bits < 2^(k 2^n)."""
+        """Indices of the bodies whose masks equal want_bits on every bit of
+        care_bits, both pins packed like the masks, factor j's at bit j 2^n,
+        so one test per 64-bit word covers 64 / 2^n factors; the caller
+        checked that want_bits lies inside care_bits < 2^(k 2^n)."""
         if not care_bits:
             return np.arange(self.size)
         words, alive = self._mask_words, None

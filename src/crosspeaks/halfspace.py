@@ -18,12 +18,8 @@ samples, a running count of b-samples that makes na*nb*|F_a - F_b| an exact
 integer, and ties settled by reading that gap only at the last position of
 each run of equal values.  The rows go through in blocks of about 2^15
 merged samples (geometry's block size), so the working arrays stay in
-cache; each block's min and max also refuse NaN samples.  A block whose
-samples all lie strictly inside (-2, 2) is sorted in place as int64 keys:
-the order-preserving bit pattern of each value shifted left one bit, with
-the sample's side (0 for a, 1 for b) in the low bit.  Any other block, one
-holding +-2 or beyond or an infinity, is argsorted and its values gathered
-back.
+cache; each block is argsorted and its values gathered back, and its min
+refuses NaN samples.
 
 The estimator keeps only the largest statistic and its first direction, so
 a bound pass (`_gap_bounds`) runs first, in blocks of the same size.  It
@@ -87,16 +83,13 @@ def ks_statistics(a_rows, b_rows) -> np.ndarray:
     """Two-sample Kolmogorov-Smirnov statistic sup_t |F_a(t) - F_b(t)| of
     every row pair of (D, na) and (D, nb) samples, as D floats.
 
-    Each merged row is sorted once; a NaN sample is a ParameterError.  A
-    block of rows whose samples all lie strictly inside (-2, 2) is sorted in
-    place as packed int64 keys (see _packed_sort); a block holding any value
-    at or beyond +-2, infinities included, is argsorted and gathered
-    instead.  Both give each sorted position's side and whether the next
-    value equals it.  With ca and cb the a- and b-samples at or below a
-    position, cb*na - ca*nb is na*nb*(F_b - F_a) as an exact integer; only
-    the last position of each run of equal values is a point of both CDFs.  The float |ca/na - cb/nb|
-    is formed only where a row reaches its integer maximum, and the largest
-    of those is returned.
+    Each merged row is argsorted once and its values gathered, giving each
+    sorted position's side and whether the next value equals it; a NaN
+    sample is a ParameterError.  With ca and cb the a- and b-samples at or
+    below a position, cb*na - ca*nb is na*nb*(F_b - F_a) as an exact
+    integer; only the last position of each run of equal values is a point
+    of both CDFs.  The float |ca/na - cb/nb| is formed only where a row
+    reaches its integer maximum, and the largest of those is returned.
     """
     a_rows, b_rows = _row_pairs(a_rows, b_rows)
     na, nb = a_rows.shape[1], b_rows.shape[1]
@@ -107,14 +100,12 @@ def ks_statistics(a_rows, b_rows) -> np.ndarray:
     for start in range(0, len(out), step):
         merged = np.concatenate((a_rows[start:start + step],
                                  b_rows[start:start + step]), axis=1)
-        low, high = merged.min(), merged.max()
-        if np.isnan(low):   # min and max propagate NaN
+        if np.isnan(merged.min()):   # min propagates NaN
             raise ParameterError("samples hold NaN")
-        if -2.0 < low and high < 2.0:
-            side, tied = _packed_sort(merged, na)
-        else:
-            side, tied = _argsort(merged, na)
-        count_b = np.cumsum(side, axis=1)
+        order = np.argsort(merged, axis=1)
+        values = np.take_along_axis(merged, order, axis=1)
+        tied = values[:, :-1] == values[:, 1:]
+        count_b = np.cumsum(order >= na, axis=1)
         gap = count_b * width
         gap -= rank_gap
         np.abs(gap, out=gap)
@@ -126,34 +117,6 @@ def ks_statistics(a_rows, b_rows) -> np.ndarray:
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))
         out[start:start + step] = np.maximum.reduceat(diffs, firsts)
     return out
-
-
-def _packed_sort(merged: np.ndarray, na: int) -> tuple[np.ndarray, np.ndarray]:
-    """(side, tied) of a block whose samples all lie in (-2, 2), from one
-    sort of int64 keys made in merged's own memory, which it overwrites:
-    side is 1 where the sorted position holds a
-    b-sample, tied is True where the next position holds an equal value.
-
-    Adding 0.0 turns -0.0 into +0.0; flipping the low 63 bits of a negative
-    float's int64 view then orders the keys as the values, and equal keys are
-    equal values.  Below 2 in magnitude a key needs only 62 bits, so key << 1
-    has room for the side in the low bit."""
-    merged += 0.0
-    keys = merged.view(np.int64)
-    keys ^= (keys >> 63) & 0x7FFF_FFFF_FFFF_FFFF
-    keys <<= 1
-    keys[:, na:] |= 1
-    keys.sort(axis=1)
-    side = keys & 1
-    keys >>= 1
-    return side, keys[:, :-1] == keys[:, 1:]
-
-
-def _argsort(merged: np.ndarray, na: int) -> tuple[np.ndarray, np.ndarray]:
-    """(side, tied) as _packed_sort, for any block, by argsort and gather."""
-    order = np.argsort(merged, axis=1)
-    values = np.take_along_axis(merged, order, axis=1)
-    return order >= na, values[:, :-1] == values[:, 1:]
 
 
 def _ks_argmax(a_rows, b_rows) -> tuple[int, float]:

@@ -163,7 +163,10 @@ class MLConsistencyLearner:
                      from samples); observed peaks accumulate monotonically,
                      so a longer budget always refines the consistent set
     policy="census"  sweep membership queries (j, j, ..., j) over the 2^n
-                     peak indices; 2^n answered queries pin every factor
+                     peak indices; on every family build_inner_family makes,
+                     complement extension gives orthants j and j + 2^(n-1)
+                     complementary bits, so the first 2^(n-1) answers
+                     already pin every factor
 
     It names the lowest-index consistent body: consistent bodies carry equal
     posterior mass under a uniform prior, so any of them is maximum-likelihood.

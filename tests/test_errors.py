@@ -112,8 +112,6 @@ ENTRY_POINTS = {
     "build_product_family k": (
         lambda fam, v: family_mod.build_product_family(2, v).outer.words, 2),
     "ProductFamily.body index": (lambda fam, v: fam.body(v).text(), 3),
-    "matching_indices care": (lambda fam, v: fam.matching_indices([v, 0], [0, 0]), 6),
-    "matching_indices want": (lambda fam, v: fam.matching_indices([6, 0], [v, 0]), 2),
     "Transcript.record_membership index": (lambda fam, v: _membership_entry(v), 3,
                                            (8, "peak index 8 out of range [0, 8)")),
     "Transcript.record_random label": (lambda fam, v: _random_entry(v), 8,

@@ -262,7 +262,7 @@ def test_certify_separation_exact_past_int64():
     assert rep.min_distance == exact_distance(family.body(0), family.body(1))
 
 
-def test_matching_indices_tests_every_mask_word(family_32, family_34):
+def test_matching_tests_every_mask_word(family_32, family_34):
     half = (1,) * 16 + (0,) * 16
     wide = product_family_from_parts(   # k 2^n = 512 bits: eight mask words
         inner_family_from_code(5, certified_code(2, 32, [half, half[::-1]])),
@@ -282,17 +282,14 @@ def test_matching_indices_tests_every_mask_word(family_32, family_34):
             care = rng.integers(0, 1 << width, size=family.k).tolist()
             care = [0 if rng.random() < 0.5 else c for c in care]
             want = [m & c for m, c in zip(masks[body], care)]
-            fast = family.matching_indices(care, want)
+            # the pins packed as _matching takes them, factor j's at bit j 2^n
+            care_bits = sum(c << j * width for j, c in enumerate(care))
+            want_bits = sum(w << j * width for j, w in enumerate(want))
+            fast = family._matching(care_bits, want_bits)
             slow = [i for i, row in enumerate(masks)
                     if all(m & c == w for m, c, w in zip(row, care, want))]
             assert fast.tolist() == slow
             assert body in fast
-    with pytest.raises(ParameterError):
-        family_32.matching_indices([1], [1])             # one pair for k=2
-    with pytest.raises(ParameterError):
-        family_32.matching_indices([1, 1 << 8], [0, 0])  # past 2^n bits
-    with pytest.raises(ParameterError):
-        family_32.matching_indices([1, 0], [2, 0])       # want outside care
 
 
 @functools.cache

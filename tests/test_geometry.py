@@ -297,6 +297,21 @@ def test_q_membership_float_route_is_exact_up_to_its_bound(rng, n):
         assert q_membership_scaled_batch(n, missing, 3 * points, 3 * scale).tolist() == want
 
 
+def test_q_membership_decides_one_past_a_float_mantissa():
+    # at scale 2^60 the one-zero normal (1, +-1, 0) reaches 2^60 + 1 on these
+    # points, one past scale: a float64 product rounds it to 2^60 and would
+    # call both inside, the exact answer is outside for every body
+    scale = 1 << 60
+    points = np.array([[scale, 1, 0], [scale, -1, 0]], dtype=np.int64)
+    for mask in (0, 0x55, 0xFF):
+        body = InnerBody(3, mask)
+        missing = [i for i in range(8) if not body.has_peak(i)]
+        assert [membership_q_oracle(3, missing, [F(int(v), scale) for v in row])
+                for row in points] == [False, False]
+        assert membership_scaled_batch(body, points, scale).tolist() == [False, False]
+        assert q_membership_scaled_batch(3, missing, points, scale).tolist() == [False, False]
+
+
 def test_q_oracle_dimension_cap():
     with pytest.raises(ParameterError):
         membership_q_oracle(13, (), tuple(F(0) for _ in range(13)))

@@ -120,40 +120,29 @@ def test_ks_statistics_across_blocks(seed, rows, na, nb, grid):
     _check_rows(a_rows, b_rows)
 
 
-# blocks inside (-2, 2) are sorted as packed int64 keys: the edges of that
-# range, both zeros and the subnormals sit among a few tied values
+# the edges of (-2, 2), both zeros and the subnormals sit among a few tied
+# values
 _BELOW_2 = math.nextafter(2.0, 0.0)
-_PACKED_TIED = st.sampled_from([-_BELOW_2, -1.0, -5e-324, -0.0, 0.0, 5e-324,
-                                0.5, _BELOW_2])
-_PACKED_VALUES = st.one_of(_PACKED_TIED, st.floats(-2.0, 2.0, exclude_min=True,
-                                                   exclude_max=True))
-
-
-def _count_paths(monkeypatch):
-    """Count the blocks ks_statistics sorts by each path."""
-    counts = {"_packed_sort": 0, "_argsort": 0}
-    for name in counts:
-        def spy(merged, na, name=name, real=getattr(halfspace, name)):
-            counts[name] += 1
-            return real(merged, na)
-        monkeypatch.setattr(halfspace, name, spy)
-    return counts
+_EDGE_TIED = st.sampled_from([-_BELOW_2, -1.0, -5e-324, -0.0, 0.0, 5e-324,
+                              0.5, _BELOW_2])
+_EDGE_VALUES = st.one_of(_EDGE_TIED, st.floats(-2.0, 2.0, exclude_min=True,
+                                               exclude_max=True))
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 5), na=st.integers(1, 12),
        nb=st.integers(1, 12))
 def test_ks_statistics_packed_matches_reference(data, rows, na, nb):
-    a_rows = data.draw(st.lists(st.lists(_PACKED_VALUES, min_size=na, max_size=na),
+    a_rows = data.draw(st.lists(st.lists(_EDGE_VALUES, min_size=na, max_size=na),
                                 min_size=rows, max_size=rows))
-    b_rows = data.draw(st.lists(st.lists(_PACKED_VALUES, min_size=nb, max_size=nb),
+    b_rows = data.draw(st.lists(st.lists(_EDGE_VALUES, min_size=nb, max_size=nb),
                                 min_size=rows, max_size=rows))
     _check_rows(a_rows, b_rows)
 
 
 @pytest.mark.parametrize("grid", [1 / 64, 0.0])
-def test_ks_statistics_packed_across_blocks(monkeypatch, grid):
-    # 7 rows of 4000 + 5000 merged samples: three blocks, all packed; a
+def test_ks_statistics_packed_across_blocks(grid):
+    # 7 rows of 4000 + 5000 merged samples: three blocks inside (-2, 2); a
     # coarse grid makes ties, and the edge values are planted in every row
     rng = np.random.default_rng(17)
     shift = rng.choice([0.0, 0.1, 0.5], size=(7, 1))
@@ -163,13 +152,11 @@ def test_ks_statistics_packed_across_blocks(monkeypatch, grid):
         a_rows, b_rows = np.round(a_rows / grid) * grid, np.round(b_rows / grid) * grid
     for x in (a_rows, b_rows):
         x[:, :6] = [-_BELOW_2, -5e-324, -0.0, 0.0, 5e-324, _BELOW_2]
-    counts = _count_paths(monkeypatch)
     got = ks_statistics(a_rows, b_rows)
-    assert counts == {"_packed_sort": 3, "_argsort": 0}
     assert got.tolist() == [_ks_reference(a, b) for a, b in zip(a_rows, b_rows)]
 
 
-def test_ks_statistics_mixes_packed_and_argsort_blocks(monkeypatch):
+def test_ks_statistics_mixes_packed_and_argsort_blocks():
     # 8192 + 8192 merged samples: two rows a block; the first block lies
     # inside (-2, 2), the second holds 2.0 and -2.0, the third -inf and inf
     rng = np.random.default_rng(5)
@@ -177,9 +164,7 @@ def test_ks_statistics_mixes_packed_and_argsort_blocks(monkeypatch):
     b_rows = np.round(rng.uniform(-1.0, 1.9, (6, 8192)) * 32) / 32
     a_rows[2, :3], b_rows[3, :2] = 2.0, -2.0
     a_rows[4, :5], b_rows[5, 10:12] = -math.inf, math.inf
-    counts = _count_paths(monkeypatch)
     got = ks_statistics(a_rows, b_rows)
-    assert counts == {"_packed_sort": 1, "_argsort": 2}
     assert got.tolist() == [_ks_reference(a, b) for a, b in zip(a_rows, b_rows)]
 
 

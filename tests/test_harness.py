@@ -322,6 +322,22 @@ def test_census_policy_always_identifies(family_32):
     assert stats.exact_identifications == 100
 
 
+@pytest.mark.parametrize("fixture", ["family_28", "family_32", "family_34"])
+def test_census_half_sweep_pins_every_factor(request, fixture):
+    # complement extension gives orthants j and j + 2^(n-1) complementary
+    # bits, so the first 2^(n-1) answers already pin every factor; one fewer
+    # leaves some hidden bodies tied with a lower index
+    family = request.getfixturevalue(fixture)
+    half = 1 << family.n - 1
+    won = []
+    for q in (half, half - 1):
+        config = GameConfig(family=family, query_budget=q, epsilon=F(1, 128),
+                            trials=2000, seed=1)
+        won.append(run_game(config, MLConsistencyLearner("census")).successes)
+    assert won[0] == 2000
+    assert won[1] < 2000
+
+
 def test_more_random_draws_help(family_32):
     rates = []
     for q in (5, 40):
