@@ -1,9 +1,9 @@
 """Error-correcting codes built by greedy scan, with minimum distance
 certified exactly: by XOR closure, else by the pair scan.
 
-gv_greedy keeps, in lexicographic order, each of the q^length words not yet
-marked in a bitmap, and marks its Hamming ball of radius min_dist - 1.  The
-result is a maximal code, so its size meets the classical floor
+gv_greedy keeps, in lexicographic order, each of the q^length words whose
+distance to every word kept so far is at least min_dist.  The result is a
+maximal code, so its size meets the classical floor
 q^length / V_q(length, min_dist - 1), which is asserted on every build.
 complement_extend doubles a binary code's length by appending each word's
 complement, which doubles the absolute minimum distance and makes every word
@@ -11,10 +11,12 @@ constant-weight length/2.
 
 Over an alphabet of q = 2^m symbols, greedy codes are lexicodes, which are
 closed under symbol-wise XOR (Conway & Sloane, "Lexicographic codes", IEEE
-Trans. IT 32, 1986).  gv_greedy then builds the code by doubling: each first
-free word v adds code XOR v and marks the bitmap XOR-shifted by v, so it
-takes log2 F + 1 passes over the bitmap; other alphabets scan it window by
-window.  A closed code's pairwise differences are its nonzero words, so
+Trans. IT 32, 1986).  gv_greedy then builds the code from its basis in
+reduced echelon form: each new row is the least pivot-free integer that is
+not a ball word reduced by the basis, and costs one pass over the Hamming
+ball of radius min_dist - 1, never over the q^length words.  Other alphabets
+scan a bitmap of the q^length words window by window, marking each kept
+word's ball.  A closed code's pairwise differences are its nonzero words, so
 certified_code reads its minimum distance off the least nonzero weight in
 O(F length), records the code as closed (Code.xor_closed, which the family's
 code bound reads), and scans all F(F-1)/2 pairs only for other codes.
@@ -34,11 +36,10 @@ from .errors import BudgetExceededError, ParameterError, VerificationError, requ
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 DEFAULT_PAIR_BUDGET = 50_000_000
 _WINDOW = 1 << 12  # bitmap words searched at a time for the next free word
-_FLIP_CHUNK = 1 << 20  # bitmap words one XOR-shift pass updates at a time
 _PAIR_BLOCK = 1 << 16  # word pairs the exhaustive distance scan compares at a time
 # numbers as str() spells them (no plus, space, underscore or leading zero)
 _INT = re.compile("0|-?[1-9][0-9]*")
-_WORDS = re.compile("(?:0|[1-9][0-9]*)(?:[,\n](?:0|[1-9][0-9]*))*")
+_SYMBOL = "(?:0|[1-9][0-9]*)"
 
 
 def _word_matrix(q: int, length: int, words) -> np.ndarray:
@@ -171,35 +172,78 @@ def _ball_shifts(q: int, length: int, radius: int) -> tuple[np.ndarray, np.ndarr
     return shifts, np.count_nonzero(shifts, axis=1)
 
 
-def _or_xor_shifted(bitmap: np.ndarray, v: int) -> None:
-    """bitmap[i] |= bitmap[i ^ v] for every index i of a 2^B-entry bitmap,
-    in place.  With t the top bit of v, each block of 2^(t+1) entries that
-    share the index bits above t pairs its low half with its high half, and
-    XOR by v's lower bits flips the half's axes of those bits: np.flip views,
-    no index array.  The halves share no entry, so numpy copies nothing, and
-    _FLIP_CHUNK entries at a time keep the passes in cache."""
-    t = v.bit_length() - 1
-    blocks = bitmap.reshape(-1, 2, *(2,) * t)  # axis a of a half is index bit t - a
-    axes = tuple(t - j for j in range(t) if v >> j & 1)
-    step = max(1, _FLIP_CHUNK >> (t + 1))
-    for start in range(0, len(blocks), step):
-        low, high = blocks[start:start + step, 0], blocks[start:start + step, 1]
-        low |= np.flip(high, axes)
-        high |= np.flip(low, axes)  # also ORs high into itself: flip is an involution
+def _window_scan(q: int, length: int, radius: int) -> np.ndarray:
+    """The greedy code's words as sorted word indices (word i has the
+    base-q digits of i), by a bitmap of one bool per word: scanned window by
+    window for the next free word, each kept word's Hamming ball of radius
+    radius marked, as first-half ball x second-half ball blocks.  m kept
+    words take O(q^length + m V_q(length, radius)) time."""
+    half = length // 2
+    place = q ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    hi_shifts, hi_weight = _ball_shifts(q, half, radius)
+    lo_shifts, lo_weight = _ball_shifts(q, length - half, radius)
+    forbidden = np.zeros(q ** length, dtype=bool)
+    grid = forbidden.reshape(-1, q ** (length - half))
+    kept = []
+    for start in range(0, len(forbidden), _WINDOW):
+        window = forbidden[start:start + _WINDOW]  # a view: it sees new marks
+        while not window.all():
+            kept.append(start + int(window.argmin()))
+            digits = kept[-1] // place % q
+            his = (digits[:half] + hi_shifts) % q @ place[:half] // grid.shape[1]
+            los = (digits[half:] + lo_shifts) % q @ place[half:]
+            for i in range(radius + 1):  # first half at distance i, second within radius - i
+                grid[np.ix_(his[hi_weight == i], los[lo_weight <= radius - i])] = True
+    return np.array(kept, dtype=np.int64)
+
+
+def _basis_span(q: int, length: int, radius: int) -> np.ndarray:
+    """The greedy code's words as sorted word indices for q = 2^m, where the
+    code is a lexicode, its words a GF(2) span, and word indices XOR as
+    their symbols do.  A word is forbidden iff its coset of the span meets
+    the radius ball around 0, and a coset's least member is its reduced
+    form, the one with no pivot bit set.  So the next word is the least
+    pivot-free integer that is not a reduced ball word.  Its top bit lies
+    above every pivot and it has no pivot bit, so the kept words stay a
+    basis in reduced echelon form, each pivot at its row's top bit.
+
+    The ball is held reduced with the pivot bits squeezed out, so the
+    pivot-free integers count up from 0 and the least one missing is at
+    most |ball|: each new row costs one pass over the ball.  When none is
+    missing the span is expanded row by row in pivot order, which is
+    sorted order."""
+    place = q ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    reduced = _ball_shifts(q, length, radius)[0] @ place
+    free, basis = (q ** length).bit_length() - 1, []
+    while True:
+        seen = np.zeros(len(reduced) + 1, dtype=bool)
+        seen[reduced[reduced < len(seen)]] = True
+        gap = int(seen.argmin())  # squeezed, the least word not forbidden
+        if gap == 1 << free:
+            break
+        top = gap.bit_length() - 1
+        high = reduced >> top  # reduce by the new row where bit top is set, then drop the bit
+        low = (reduced & ((1 << top) - 1)) ^ (high & 1) * (gap ^ 1 << top)
+        reduced = high >> 1 << top | low
+        free -= 1
+        for row in basis:  # put a 0 back at every pivot bit, lowest first
+            p = row.bit_length() - 1
+            gap = gap >> p << p + 1 | gap & ((1 << p) - 1)
+        basis.append(gap)
+    kept = np.zeros(1, dtype=np.int64)
+    for row in basis:
+        kept = np.concatenate([kept, kept ^ row])
+    return kept
 
 
 def gv_greedy(q: int, length: int, min_dist: int) -> Code:
     """Deterministic greedy code: scan all q^length words in lexicographic
     order, keep each word whose distance to everything kept is >= min_dist.
-    A bitmap of one bool per word marks each kept word's Hamming ball.
 
-    For q = 2^m the greedy code is a lexicode, closed under XOR, and word
-    indices XOR as their symbols do.  So the code is built by doubling: mark
-    the ball around 0, take the first free word v, mark forbidden XOR v as
-    well and add code XOR v to the code, until no word is free; log2 F + 1
-    passes over the bitmap.  For other q the scan walks the bitmap window by
-    window, marking each kept word's ball: m kept words take
-    O(q^length + m V_q(length, min_dist - 1)) time.
+    For q = 2^m the greedy code is a lexicode, closed under XOR, and
+    _basis_span builds it from its basis, one pass over the Hamming ball of
+    radius min_dist - 1 per basis row; other q take _window_scan's bitmap
+    of the q^length words.
 
     The returned Code has its minimum distance re-certified exactly: by XOR
     closure, else by the pair scan.
@@ -219,44 +263,14 @@ def gv_greedy(q: int, length: int, min_dist: int) -> Code:
             f"{DEFAULT_ENUMERATION_BUDGET}; "
             "supply a smaller instance or an explicit code")
     floor = gv_floor(q, length, min_dist)
-    doubling = q & (q - 1) == 0  # q = 2^m: the code certifies by closure, not by pairs
-    if not doubling and floor * (floor - 1) // 2 > DEFAULT_PAIR_BUDGET:
+    closed = q & (q - 1) == 0  # q = 2^m: the code certifies by closure, not by pairs
+    if not closed and floor * (floor - 1) // 2 > DEFAULT_PAIR_BUDGET:
         # the code reaches the floor, so certifying it would exceed the budget
         raise BudgetExceededError(
             f"at least {floor} words means at least {floor * (floor - 1) // 2} pairs, "
             f"over the budget of {DEFAULT_PAIR_BUDGET}")
 
-    radius = min_dist - 1
-    half = length // 2  # the ball is marked as first-half ball x second-half ball blocks
-    place = q ** np.arange(length - 1, -1, -1, dtype=np.int64)  # word i has the digits of i
-    hi_shifts, hi_weight = _ball_shifts(q, half, radius)
-    lo_shifts, lo_weight = _ball_shifts(q, length - half, radius)
-    forbidden = np.zeros(total, dtype=bool)
-    grid = forbidden.reshape(-1, q ** (length - half))
-
-    def mark_ball(word: int) -> None:
-        digits = word // place % q
-        his = (digits[:half] + hi_shifts) % q @ place[:half] // grid.shape[1]
-        los = (digits[half:] + lo_shifts) % q @ place[half:]
-        for i in range(radius + 1):  # first half at distance i, second within radius - i
-            grid[np.ix_(his[hi_weight == i], los[lo_weight <= radius - i])] = True
-
-    if doubling:
-        mark_ball(0)
-        kept = np.zeros(1, dtype=np.int64)
-        while not forbidden.all():
-            v = int(forbidden.argmin())
-            _or_xor_shifted(forbidden, v)
-            kept = np.concatenate([kept, kept ^ v])
-        kept.sort()
-    else:
-        kept = []
-        for start in range(0, total, _WINDOW):
-            window = forbidden[start:start + _WINDOW]  # a view: it sees new marks
-            while not window.all():
-                kept.append(start + int(window.argmin()))
-                mark_ball(kept[-1])
-
+    kept = (_basis_span if closed else _window_scan)(q, length, min_dist - 1)
     words = np.empty((len(kept), length), dtype=np.min_scalar_type(q - 1))
     for j in range(length - 1, -1, -1):  # last digit first
         kept, words[:, j] = np.divmod(kept, q)
@@ -316,13 +330,22 @@ def header_fields(line: str, keys: tuple[str, ...], what: str) -> list[int]:
     return [fields[key] for key in keys]
 
 
-def parse_words(lines, what: str) -> list[tuple[int, ...]]:
+def parse_words(lines, what: str) -> np.ndarray:
     """Words written one per line as comma-separated decimal symbols, as
-    format_code writes them; any other line is a ParameterError naming what."""
-    if not _WORDS.fullmatch("\n".join(lines)):
-        bad = next((ln for ln in lines if not _WORDS.fullmatch(ln)), "")
+    format_code writes them, as an int64 matrix of one row per line; a line
+    that is no such word or differs from the first in length, and a symbol
+    past int64, are ParameterErrors naming what."""
+    line = f"{_SYMBOL}(?:,{_SYMBOL}){{{lines[0].count(',') if lines else 0}}}"
+    words = re.compile(f"{line}(?:\n{line})*")  # every line as wide as the first
+    block = "\n".join(lines)
+    if not words.fullmatch(block):
+        bad = next((ln for ln in lines if not words.fullmatch(ln)), "")
         raise ParameterError(f"malformed {what} {bad!r}")
-    return [tuple(map(int, ln.split(","))) for ln in lines]
+    try:
+        symbols = np.array(block.replace("\n", ",").split(","), dtype=np.int64)
+    except OverflowError:
+        raise ParameterError(f"{what} has a symbol past 2^63") from None
+    return symbols.reshape(len(lines), -1)
 
 
 def parse_code(text: str) -> Code:

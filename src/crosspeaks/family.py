@@ -480,7 +480,8 @@ def format_manifest(family: ProductFamily) -> str:
         f"n={family.n} k={family.k} inner_size={family.inner.size} "
         f"outer_size={family.outer.size}",
     ]
-    lines += [",".join(map(str, w)) for w in family.outer.words.tolist()]
+    symbols = np.array([str(s) for s in range(family.inner.size)], dtype=object)
+    lines += map(",".join, symbols[family.outer.words].tolist())
     lines.append(codes_mod.format_code(family.inner.code).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
@@ -491,8 +492,7 @@ def write_manifest(family: ProductFamily, path) -> None:
 
 
 def parse_manifest(text: str) -> ProductFamily:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln[:1] not in ("", "#")]
     if not lines:
         raise ParameterError("empty manifest")
     n, k, inner_size, outer_size = codes_mod.header_fields(

@@ -105,7 +105,7 @@ def _reference_greedy(q, length, min_dist):
 @settings(deadline=None)
 @given(q=st.sampled_from((2, 3, 4, 5, 8)), length=st.integers(1, 6), data=st.data())
 def test_greedy_matches_reference(q, length, data):
-    # powers of two build by XOR doubling, 3 and 5 by the window scan
+    # powers of two build from their basis, 3 and 5 by the window scan
     min_dist = data.draw(st.integers(1, length), label="min_dist")
     # the reference is quadratic in the code size, which the Singleton bound
     # caps at q^(length - min_dist + 1); skip the few cases it would take
@@ -126,6 +126,20 @@ def test_greedy_pinned_words():
     for args, digest in pins.items():
         text = format_code(gv_greedy(*args))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_basis_span_matches_window_scan():
+    # past the reference's reach the window scan is the oracle for q = 2^m:
+    # 2048, 1024 and 4096 words, kept from 2^16, 2^16 and 2^15
+    for q, length, d in [(2, 16, 4), (4, 8, 3), (8, 5, 2)]:
+        span = codes._basis_span(q, length, d - 1)
+        assert span.tobytes() == codes._window_scan(q, length, d - 1).tobytes()
+
+
+def test_greedy_basis_route_size():
+    # 16^6 words, where the window scan takes seconds
+    code = gv_greedy(16, 6, 3)
+    assert (code.size, code.min_distance, code.xor_closed) == (65536, 3, True)
 
 
 def test_greedy_deterministic():

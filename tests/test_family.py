@@ -572,7 +572,14 @@ def test_manifest_rejects_corruption(family_32):
     # int() spellings the writer never emits, in the header and an outer word
     for old, bad in (("n=3 k=2", "n=+3 k=0_2"), ("outer_size=256", "outer_size=0256"),
                      ("\n0,1\n", "\n0,0_1\n"), ("\n0,1\n", "\n0,+1\n"),
-                     ("\n0,1\n", "\n0, 1\n")):
+                     ("\n0,1\n", "\n0, 1\n"),
+                     # outer words read as one array: ragged lines (the first
+                     # or a later one), a symbol >= q = 16, one past 2^63, a
+                     # leading zero and an empty field
+                     ("256\n0,0\n", "256\n0,0,0\n"), ("\n0,1\n", "\n0\n"),
+                     ("\n0,1\n", "\n0,16\n"),
+                     ("256\n0,0\n", "256\n99999999999999999999,0\n"),
+                     ("\n0,1\n", "\n0,01\n"), ("\n0,1\n", "\n0,\n")):
         assert old in text
         with pytest.raises(ParameterError):
             parse_manifest(text.replace(old, bad, 1))

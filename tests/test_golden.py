@@ -20,7 +20,7 @@ directory, with GOLDEN the path of tests/golden:
         *) crosspeaks $args > "$GOLDEN/$name" ;;
       esac
     done < "$GOLDEN/commands.txt"
-    sha256sum fam34.manifest results.csv fam32.manifest > "$GOLDEN/SHA256SUMS"
+    sha256sum fam34.manifest results.csv fam32.manifest fam28.manifest > "$GOLDEN/SHA256SUMS"
 """
 
 import hashlib

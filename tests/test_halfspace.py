@@ -132,7 +132,7 @@ _EDGE_VALUES = st.one_of(_EDGE_TIED, st.floats(-2.0, 2.0, exclude_min=True,
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 5), na=st.integers(1, 12),
        nb=st.integers(1, 12))
-def test_ks_statistics_packed_matches_reference(data, rows, na, nb):
+def test_ks_statistics_edge_values_match_reference(data, rows, na, nb):
     a_rows = data.draw(st.lists(st.lists(_EDGE_VALUES, min_size=na, max_size=na),
                                 min_size=rows, max_size=rows))
     b_rows = data.draw(st.lists(st.lists(_EDGE_VALUES, min_size=nb, max_size=nb),
@@ -141,7 +141,7 @@ def test_ks_statistics_packed_matches_reference(data, rows, na, nb):
 
 
 @pytest.mark.parametrize("grid", [1 / 64, 0.0])
-def test_ks_statistics_packed_across_blocks(grid):
+def test_ks_statistics_edge_values_across_blocks(grid):
     # 7 rows of 4000 + 5000 merged samples: three blocks inside (-2, 2); a
     # coarse grid makes ties, and the edge values are planted in every row
     rng = np.random.default_rng(17)
@@ -156,7 +156,7 @@ def test_ks_statistics_packed_across_blocks(grid):
     assert got.tolist() == [_ks_reference(a, b) for a, b in zip(a_rows, b_rows)]
 
 
-def test_ks_statistics_mixes_packed_and_argsort_blocks():
+def test_ks_statistics_blocks_with_twos_and_infinities():
     # 8192 + 8192 merged samples: two rows a block; the first block lies
     # inside (-2, 2), the second holds 2.0 and -2.0, the third -inf and inf
     rng = np.random.default_rng(5)

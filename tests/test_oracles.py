@@ -247,6 +247,7 @@ def test_answer_validation():
                  "M 99,0 -> true,true",  # indices are orthants below 2^n
                  "M 8,0 -> true,true",
                  "M -1,0 -> true,true",
+                 "M 99999999999999999999,0 -> true,true",  # past 2^63
                  # only the spellings to_log writes, where int() read these
                  "R P0x7,P+3,P0_1", "R P0x7", "R P+3", "R P0_1", "R P07", "R P 3",
                  "R P\u0667", "M +1,2 -> true,true", "M 0_1,2 -> true,true",
